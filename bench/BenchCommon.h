@@ -11,7 +11,8 @@
 /// the simulated host (host instructions = wall cycles); see
 /// EXPERIMENTS.md for the paper-vs-measured comparison.
 ///
-/// RDBT_BENCH_SCALE (env) scales workload iteration counts (default 4).
+/// RDBT_BENCH_SCALE (env) scales workload iteration counts (default 4; a
+/// value that is not a positive decimal is an error).
 /// RDBT_BENCH_JSON (env), when set, makes each binary also write its raw
 /// counters and derived figure series to BENCH_<name>.json (the variable's
 /// value is the output directory; "1" or empty means the current directory).
@@ -136,10 +137,31 @@ struct RunStats {
   }
 };
 
+/// Parses \p S, the value of the env var or flag \p Name, as a positive
+/// decimal that fits in 32 bits. Anything else (empty, signs, spaces,
+/// trailing junk, zero, overflow) prints a message naming \p Name and
+/// returns false, so a mistyped count never falls back to a default.
+inline bool parsePositive(const char *Name, const char *S, uint32_t &Out) {
+  uint64_t V = 0;
+  const char *P = S;
+  for (; *P >= '0' && *P <= '9' && V <= 0xFFFFFFFFu; ++P)
+    V = V * 10 + static_cast<uint64_t>(*P - '0');
+  if (P == S || *P || V == 0 || V > 0xFFFFFFFFu) {
+    std::fprintf(stderr, "%s: '%s' is not a positive decimal number\n", Name,
+                 S);
+    return false;
+  }
+  Out = static_cast<uint32_t>(V);
+  return true;
+}
+
+/// RDBT_BENCH_SCALE, default 4; exits with status 2 on a malformed value.
 inline uint32_t benchScale() {
-  if (const char *S = std::getenv("RDBT_BENCH_SCALE"))
-    return static_cast<uint32_t>(std::atoi(S) > 0 ? std::atoi(S) : 4);
-  return 4;
+  const char *S = std::getenv("RDBT_BENCH_SCALE");
+  uint32_t Scale = 4;
+  if (S && !parsePositive("RDBT_BENCH_SCALE", S, Scale))
+    std::exit(2);
+  return Scale;
 }
 
 /// The wall budgets every figure always ran under: the native baseline

@@ -85,8 +85,7 @@ struct CacheStats {
   uint64_t LoadedTbs = 0;
   /// Live blocks at report time — a snapshot, not a counter; filled by
   /// the report producer (vm::Vm) from CodeCache::size(). The direct
-  /// retention signal: under the blanket policy it collapses to the last
-  /// timeslice's working set, under selective invalidation it holds the
+  /// retention signal: under ASID-selective invalidation it holds the
   /// union of every ASID's code.
   uint64_t LiveTbs = 0;
 };

@@ -683,8 +683,8 @@ std::vector<uint32_t> emitCpuPrime(uint32_t Scale) {
 /// ctxswitch: CtxSwitchNumProcs processes, one per ASID, yielding to the
 /// round-robin scheduler after every slice of compute. The workload that
 /// measures what the ASID-aware translation cache buys: every SysYield
-/// switches TTBR0 + CONTEXTIDR, which under the blanket (pre-ASID) policy
-/// discarded every translation.
+/// switches TTBR0 + CONTEXTIDR, and each process's translations must
+/// survive the switch under their own ASID key.
 std::vector<uint32_t> emitCtxswitch(uint32_t Scale) {
   UserProg P;
   auto &U = P.U;

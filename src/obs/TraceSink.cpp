@@ -33,7 +33,7 @@ const char *obs::eventName(EventKind K) {
   return "?";
 }
 
-static uint64_t steadyNs() {
+uint64_t obs::nowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -41,9 +41,9 @@ static uint64_t steadyNs() {
 }
 
 TraceSink::TraceSink(size_t MaxEvents)
-    : Epoch_(steadyNs()), MaxEvents_(MaxEvents) {}
+    : Epoch_(nowNs()), MaxEvents_(MaxEvents) {}
 
-uint64_t TraceSink::now() const { return steadyNs() - Epoch_; }
+uint64_t TraceSink::now() const { return nowNs() - Epoch_; }
 
 void TraceSink::record(EventKind K, uint64_t A, uint64_t B, uint64_t C) {
   if (Events_.size() >= MaxEvents_) {

@@ -55,6 +55,10 @@ enum class EventKind : uint8_t {
   NumEventKinds,
 };
 
+/// Host steady-clock nanoseconds: the one clock behind trace timestamps,
+/// vm::Timing and every tool that reports host time.
+uint64_t nowNs();
+
 /// The stable timeline name of \p K ("translate_block", "chain_patch",
 /// ...), used for the Chrome trace "name" field and grep-able by CI.
 const char *eventName(EventKind K);

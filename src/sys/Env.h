@@ -109,10 +109,6 @@ struct CpuEnv {
   uint32_t TbInvKind;
   uint32_t TbInvAsid; ///< TbInvAsid scope: the ASID to drop
   uint32_t TbInvPage; ///< TbInvPage scope: page-aligned guest VA
-  /// 1 = legacy policy: any TTBR/SCTLR/CONTEXTIDR write flushes every
-  /// translation and the whole TLB (the pre-ASID behavior, kept as the
-  /// measurable baseline for the ctxswitch_cache bench).
-  uint32_t BlanketInvalidation;
 
   TlbEntry Tlb[2][TlbSize];
 };

@@ -8,9 +8,9 @@
 
 #include "arm/Decoder.h"
 #include "obs/Metrics.h"
+#include "obs/TraceSink.h"
 
 #include <cassert>
-#include <chrono>
 
 using namespace rdbt;
 using namespace rdbt::sys;
@@ -19,13 +19,6 @@ using arm::ExecGroup;
 using arm::Inst;
 using arm::Opcode;
 using arm::ShiftKind;
-
-static uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool Interpreter::conditionHolds(Cond C) {
   if (C == Cond::AL || C == Cond::NV)
@@ -437,43 +430,30 @@ StepKind Interpreter::execSystem(const Inst &I, uint32_t Pc) {
     if (!Privileged)
       return undefined(Pc);
     const uint32_t Value = Env.Regs[I.Rd];
-    // Under the legacy (pre-ASID) policy, every address-space-affecting
-    // write reproduces the old blanket behavior: whole TLB, every
-    // translation. The selective policy below is the tentpole: TTBR and
-    // CONTEXTIDR writes keep translations alive, and TLB maintenance
+    // TTBR and CONTEXTIDR writes keep translations alive; TLB maintenance
     // invalidates exactly its architectural scope.
-    const bool Blanket = Env.BlanketInvalidation != 0;
     switch (I.SysReg) {
     case arm::Cp15Reg::SCTLR: {
       const uint32_t Old = Env.Sctlr;
       Env.Sctlr = Value;
-      if (Blanket || ((Old ^ Value) & SctlrMmuEnable)) {
-        // The translation regime changed (or legacy policy): nothing
-        // keyed on virtual addresses survives.
+      if ((Old ^ Value) & SctlrMmuEnable) {
+        // The translation regime changed: nothing keyed on virtual
+        // addresses survives.
         Mem.flushTlb();
         raiseTbInvalidate(TbInvFull);
       }
       break;
     }
     case arm::Cp15Reg::TTBR0:
+      // Like hardware, a bare table-base change invalidates nothing —
+      // software must issue TLBIASID/TLBIALL if the mappings of a live
+      // ASID changed.
       Env.Ttbr0 = Value;
-      if (Blanket) {
-        Mem.flushTlb();
-        raiseTbInvalidate(TbInvFull);
-      }
-      // Selective: like hardware, a bare table-base change invalidates
-      // nothing — software must issue TLBIASID/TLBIALL if the mappings
-      // of a live ASID changed.
       break;
     case arm::Cp15Reg::CONTEXTIDR:
-      if (Blanket) {
-        Mem.flushTlb();
-        raiseTbInvalidate(TbInvFull);
-      } else {
-        // Shelve other address spaces' TLB entries (inline probes are
-        // ASID-blind); translations stay cached under their ASID key.
-        Mem.flushTlbExceptAsid(Value & AsidMask);
-      }
+      // Shelve other address spaces' TLB entries (inline probes are
+      // ASID-blind); translations stay cached under their ASID key.
+      Mem.flushTlbExceptAsid(Value & AsidMask);
       Env.Contextidr = Value;
       break;
     case arm::Cp15Reg::DACR:
@@ -491,22 +471,12 @@ StepKind Interpreter::execSystem(const Inst &I, uint32_t Pc) {
     case arm::Cp15Reg::TLBIMVA:
       // Operand: MVA in bits [31:12], ASID in bits [7:0] (the ASID only
       // scopes the TLB side; the TB drop is per-page across ASIDs).
-      if (Blanket) {
-        Mem.flushTlb();
-        raiseTbInvalidate(TbInvFull);
-      } else {
-        Mem.flushTlbPage(Value & ~0xFFFu);
-        raiseTbInvalidate(TbInvPage, 0, Value & ~0xFFFu);
-      }
+      Mem.flushTlbPage(Value & ~0xFFFu);
+      raiseTbInvalidate(TbInvPage, 0, Value & ~0xFFFu);
       break;
     case arm::Cp15Reg::TLBIASID:
-      if (Blanket) {
-        Mem.flushTlb();
-        raiseTbInvalidate(TbInvFull);
-      } else {
-        Mem.flushTlbAsid(Value & AsidMask);
-        raiseTbInvalidate(TbInvAsid, Value & AsidMask);
-      }
+      Mem.flushTlbAsid(Value & AsidMask);
+      raiseTbInvalidate(TbInvAsid, Value & AsidMask);
       break;
     case arm::Cp15Reg::DFSR:
       Env.Dfsr = Value;
@@ -672,19 +642,19 @@ StepKind Interpreter::stepAt(uint32_t Pc, bool *DefinesFlags) {
     return StepKind::Exception;
   }
   if (!FastpathOn) {
-    const uint64_t T0 = DecodeNs ? nowNs() : 0;
+    const uint64_t T0 = DecodeNs ? obs::nowNs() : 0;
     const Inst I = arm::decode(Word);
     if (DecodeNs)
-      DecodeNs->record(nowNs() - T0);
+      DecodeNs->record(obs::nowNs() - T0);
     ++DecodeMisses;
     if (DefinesFlags)
       *DefinesFlags = I.definesFlags();
     return executeGrouped(I, arm::execGroupOf(I), Pc);
   }
-  const uint64_t T0 = DecodeNs ? nowNs() : 0;
+  const uint64_t T0 = DecodeNs ? obs::nowNs() : 0;
   const DecodedInst &R = recordFor(Pc, Word);
   if (DecodeNs)
-    DecodeNs->record(nowNs() - T0);
+    DecodeNs->record(obs::nowNs() - T0);
   if (DefinesFlags)
     *DefinesFlags = R.DefinesFlags;
   return executeGrouped(R.I, R.Group, Pc);

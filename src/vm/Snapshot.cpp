@@ -42,8 +42,6 @@ std::string Snapshot::forkError(const VmConfig &Cfg) const {
   if (Cfg.translator() != Cfg_.translator())
     return "warm snapshot was captured under translator '" +
            Cfg_.translator() + "', cannot fork '" + Cfg.translator() + "'";
-  if (Cfg.blanketCacheInvalidation() != Cfg_.blanketCacheInvalidation())
-    return "warm snapshot invalidation policy does not match fork's";
   if (Cfg.hasOpts() != Cfg_.hasOpts() ||
       (Cfg.hasOpts() && !sameOpts(Cfg.opts(), Cfg_.opts())))
     return "warm snapshot optimization switches do not match fork's";

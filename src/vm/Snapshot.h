@@ -102,8 +102,7 @@ public:
   /// snapshot, else the reason it cannot. The guest-software identity
   /// (workload, scale, RAM size, flat image) must always match — it is
   /// baked into the RAM image; executor identity (translator kind,
-  /// optimization switches, invalidation policy) must additionally match
-  /// for warm snapshots.
+  /// optimization switches) must additionally match for warm snapshots.
   std::string forkError(const VmConfig &Cfg) const;
 
 private:

@@ -19,23 +19,15 @@
 #include "sys/Interpreter.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 
 using namespace rdbt;
 using namespace rdbt::vm;
 
-static uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 Vm::Vm(VmConfig C) : Cfg(std::move(C)) {
-  const uint64_t T0 = nowNs();
+  const uint64_t T0 = obs::nowNs();
   init();
-  Time_.BootNs += nowNs() - T0;
+  Time_.BootNs += obs::nowNs() - T0;
 }
 
 void Vm::init() {
@@ -70,11 +62,6 @@ void Vm::init() {
     Board_ = std::make_unique<sys::Platform>(Snap->ramImage());
     Board_->restoreState(Snap->Board_);
     Board_->Env = Snap->Env_;
-    // A pre-run snapshot has executed nothing, so the fork may choose
-    // its own invalidation policy; a warm one already validated equality.
-    if (!Snap->HasRun_)
-      Board_->Env.BlanketInvalidation =
-          Cfg.blanketCacheInvalidation() ? 1u : 0u;
     RDBT_TRACE(Sink_.get(), obs::EventKind::SnapshotFork,
                Snap->Cache_ ? Snap->Cache_->LiveBlocks : 0);
   } else {
@@ -94,10 +81,6 @@ void Vm::init() {
       Error_ = "unknown workload '" + Cfg.workload() + "'";
       return;
     }
-    // After guest install (installers reset the env, which clears the
-    // policy word). The interpreter honors it on every executor path.
-    Board_->Env.BlanketInvalidation =
-        Cfg.blanketCacheInvalidation() ? 1u : 0u;
   }
 
   if (!Kind_->UsesEngine) {
@@ -212,9 +195,9 @@ void Vm::initPersistentCache(const Snapshot *Snap) {
   }
 
   // Translator identity: canonical kind name, explicit opt overrides
-  // (the kind name itself pins the preset), invalidation policy, and —
-  // for rule kinds — the full canonical corpus text, so "rule:file="
-  // deployments key by content, not by path.
+  // (the kind name itself pins the preset), and — for rule kinds — the
+  // full canonical corpus text, so "rule:file=" deployments key by
+  // content, not by path.
   uint32_t C = dbt::crc32c(Kind_->Name.data(), Kind_->Name.size());
   C = dbt::crc32cWord(Cfg.hasOpts() ? 1u : 0u, C);
   if (Cfg.hasOpts()) {
@@ -226,7 +209,6 @@ void Vm::initPersistentCache(const Snapshot *Snap) {
                             (static_cast<uint32_t>(O.ScheduleIrq) << 4),
                         C);
   }
-  C = dbt::crc32cWord(Cfg.blanketCacheInvalidation() ? 1u : 0u, C);
   if (Kind_->NeedsRules) {
     const rules::RuleSet *RS = Cfg.rules() ? Cfg.rules() : OwnedRules_.get();
     const std::string Text = rules::writeRuleSet(*RS);
@@ -325,7 +307,7 @@ RunReport Vm::run(uint64_t WallBudget) {
     return R;
   }
 
-  const uint64_t T0 = nowNs();
+  const uint64_t T0 = obs::nowNs();
   if (!Kind_->UsesEngine) {
     const sys::SystemRunResult Res = sys::runSystemInterpreter(
         *Board_, WallBudget, Cfg.interpFastpath(),
@@ -367,7 +349,7 @@ RunReport Vm::run(uint64_t WallBudget) {
       }
     }
   }
-  Time_.RunNs += nowNs() - T0;
+  Time_.RunNs += obs::nowNs() - T0;
   R.Ok = R.Stop == dbt::StopReason::GuestShutdown;
   R.Console = Board_->uart().output();
   R.Time = Time_;

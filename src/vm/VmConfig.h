@@ -97,14 +97,6 @@ public:
     RunawayGuard_ = MaxHostInstrsPerRun;
     return *this;
   }
-  /// Selects the legacy translation-cache policy: every guest TTBR/
-  /// SCTLR/CONTEXTIDR write discards all translations and the whole TLB
-  /// instead of the ASID-selective invalidation. The measurable baseline
-  /// for the ctxswitch_cache bench; default off.
-  VmConfig &blanketCacheInvalidation(bool Blanket) {
-    BlanketCacheInvalidation_ = Blanket;
-    return *this;
-  }
   /// Uses \p Rules (caller-owned, must outlive the Vm) instead of the
   /// built-in reference rule set — e.g. a freshly learned set.
   VmConfig &rules(const rules::RuleSet *Rules) {
@@ -190,7 +182,6 @@ public:
   const core::OptConfig &opts() const { return Opts_; }
   uint64_t wallBudget() const { return WallBudget_; }
   uint64_t runawayGuard() const { return RunawayGuard_; }
-  bool blanketCacheInvalidation() const { return BlanketCacheInvalidation_; }
   const rules::RuleSet *rules() const { return Rules_; }
   profile::GapMiner *gapMiner() const { return Miner_; }
   bool isFlatImage() const { return UseFlatImage_; }
@@ -225,7 +216,6 @@ private:
   bool HasOpts_ = false;
   uint64_t WallBudget_ = 400ull * 1000 * 1000 * 1000;
   uint64_t RunawayGuard_ = ~0ull;
-  bool BlanketCacheInvalidation_ = false;
   const rules::RuleSet *Rules_ = nullptr;
   profile::GapMiner *Miner_ = nullptr;
   std::vector<uint32_t> FlatImage_;

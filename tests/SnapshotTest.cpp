@@ -178,16 +178,6 @@ TEST(Snapshot, PreRunSnapshotIsKindIndependent) {
     const vm::RunReport Fresh = FreshVm.run();
     expectIdentical(F, Fresh, "pre-run fork " + Kind);
   }
-
-  // A fork may pick its own invalidation policy off a pre-run snapshot.
-  vm::Vm Blanket(
-      cfgFor("qemu", "cpu-prime").blanketCacheInvalidation(true).snapshot(
-          &Board));
-  ASSERT_TRUE(Blanket.valid()) << Blanket.error();
-  const vm::RunReport FB = Blanket.run();
-  vm::Vm BlanketFresh(
-      cfgFor("qemu", "cpu-prime").blanketCacheInvalidation(true));
-  expectIdentical(FB, BlanketFresh.run(), "pre-run blanket fork");
 }
 
 TEST(Snapshot, WarmSnapshotRejectsMismatchedForks) {

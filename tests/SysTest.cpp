@@ -447,17 +447,6 @@ TEST_F(InterpFixture, Cp15InvalidationSemantics) {
   EXPECT_EQ(Board.Env.TbInvKind, TbInvFull);
 }
 
-TEST_F(InterpFixture, BlanketPolicyRestoresLegacyFlushes) {
-  AsmBuilder A(0x100);
-  A.mcr(Cp15Reg::TTBR0, 4);
-  load(A);
-  Board.Env.BlanketInvalidation = 1;
-  Board.Env.Regs[4] = 0x8000;
-  ASSERT_EQ(stepAt(0x100), StepKind::Ok);
-  EXPECT_EQ(Board.Env.TbInvKind, TbInvFull)
-      << "legacy policy: every TTBR write flushes everything";
-}
-
 TEST_F(InterpFixture, WfiHaltsUntilIrq) {
   AsmBuilder A(0x100);
   A.wfi();

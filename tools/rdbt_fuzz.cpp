@@ -266,9 +266,8 @@ int main(int Argc, char **Argv) {
       const char *V = Next();
       if (!V)
         return usage();
-      Opt.Jobs = static_cast<unsigned>(std::atoi(V));
-      if (!Opt.Jobs)
-        Opt.Jobs = vm::BatchRunner::hardwareJobs();
+      if (!bench::parsePositive("--jobs", V, Opt.Jobs))
+        return 2;
     } else if (A == "--corpus") {
       const char *V = Next();
       if (!V)

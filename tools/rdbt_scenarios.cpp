@@ -392,18 +392,12 @@ int main(int argc, char **argv) {
       Json = true;
       continue;
     }
-    if (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc) {
+    const bool JobsEq = std::strncmp(argv[I], "--jobs=", 7) == 0;
+    if (JobsEq || (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc)) {
       Matrix = true;
-      const int N = std::atoi(argv[++I]);
-      Jobs = N > 0 ? static_cast<unsigned>(N)
-                   : vm::BatchRunner::hardwareJobs();
-      continue;
-    }
-    if (std::strncmp(argv[I], "--jobs=", 7) == 0) {
-      Matrix = true;
-      const int N = std::atoi(argv[I] + 7);
-      Jobs = N > 0 ? static_cast<unsigned>(N)
-                   : vm::BatchRunner::hardwareJobs();
+      if (!bench::parsePositive("--jobs", JobsEq ? argv[I] + 7 : argv[++I],
+                                Jobs))
+        return 2;
       continue;
     }
     if (std::strcmp(argv[I], "--corpus") == 0 && I + 1 < argc) {
@@ -446,18 +440,14 @@ int main(int argc, char **argv) {
       continue;
     }
     if (!HaveScale && argv[I][0] != '-') {
-      // In matrix mode the only positional is the scale; reject
-      // non-numeric values instead of letting atoi turn a misplaced
-      // workload name into scale 0 (and a degenerate "@0" baseline).
-      const int Parsed = std::atoi(argv[I]);
-      if (Parsed <= 0) {
-        std::fprintf(stderr, "invalid scale '%s'%s\n", argv[I],
-                     Matrix ? " (matrix mode runs every workload; the "
-                              "only positional argument is the scale)"
-                            : "");
+      // In matrix mode the only positional is the scale; a misplaced
+      // workload name lands here and must not become a default scale.
+      if (!bench::parsePositive("scale", argv[I], Scale)) {
+        if (Matrix)
+          std::fprintf(stderr, "matrix mode runs every workload; the only "
+                               "positional argument is the scale\n");
         return 2;
       }
-      Scale = static_cast<uint32_t>(Parsed);
       HaveScale = true;
       continue;
     }

@@ -66,7 +66,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,13 +78,6 @@
 using namespace rdbt;
 
 namespace {
-
-uint64_t wallNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Latency distribution of one drain: per-session Time.totalNs().
 struct Drain {
@@ -275,10 +267,10 @@ bool serveSpec(const std::string &Spec, unsigned Sessions, unsigned Jobs,
     for (unsigned I = 0; I < Sessions; ++I)
       ForkCfgs[I].trace(TraceDir + "/serve-spec" + std::to_string(SpecIdx) +
                         "-fork" + std::to_string(I) + ".trace.json");
-  const uint64_t T0 = wallNs();
+  const uint64_t T0 = obs::nowNs();
   const std::vector<vm::RunReport> Forked =
       vm::BatchRunner(Jobs).run(ForkCfgs);
-  Out.Forked = summarize(Forked, wallNs() - T0);
+  Out.Forked = summarize(Forked, obs::nowNs() - T0);
 
   for (const vm::RunReport &R : Forked) {
     // Budgeted items legitimately stop at the wall limit; whole-workload
@@ -317,10 +309,10 @@ bool serveSpec(const std::string &Spec, unsigned Sessions, unsigned Jobs,
   // warm replay each. Load-only against the cache dir (see freshDrain).
   vm::VmConfig FreshCfg = Cfg;
   FreshCfg.persistentCacheSaveOnExit(false);
-  const uint64_t T1 = wallNs();
+  const uint64_t T1 = obs::nowNs();
   const std::vector<vm::RunReport> Fresh =
       freshDrain(FreshCfg, Sessions, Jobs, WarmCycles, ItemCycles);
-  Out.Fresh = summarize(Fresh, wallNs() - T1);
+  Out.Fresh = summarize(Fresh, obs::nowNs() - T1);
   if (Out.Forked.WallNs)
     Out.Speedup = static_cast<double>(Out.Fresh.WallNs) /
                   static_cast<double>(Out.Forked.WallNs);
@@ -436,9 +428,8 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--sessions") == 0 && I + 1 < argc) {
       Sessions = static_cast<unsigned>(std::atoi(argv[++I]));
     } else if (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc) {
-      const int N = std::atoi(argv[++I]);
-      Jobs = N > 0 ? static_cast<unsigned>(N)
-                   : vm::BatchRunner::hardwareJobs();
+      if (!bench::parsePositive("--jobs", argv[++I], Jobs))
+        return 2;
     } else if (std::strcmp(argv[I], "--corpus") == 0 && I + 1 < argc) {
       Corpus = argv[++I];
     } else if (std::strcmp(argv[I], "--item-cycles") == 0 && I + 1 < argc) {
