@@ -26,6 +26,7 @@
 #include "vm/Vm.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -118,11 +119,6 @@ struct RunStats {
   // compare across ifp settings waive them with --allow-prefix interp_.
   uint64_t InterpDecodeHits = 0;
   uint64_t InterpDecodeMisses = 0;
-  // Host wall-clock timing, split at the serving boundary (see
-  // vm::RunReport::Timing). Nondeterministic, so excluded from the
-  // perf-gated matrix JSON; writeTimingFields emits it only when asked
-  // (rdbt_serve's BENCH_serve.json does).
-  vm::RunReport::Timing Time;
   // Observability results (vm::RunReport::ObsStats), present only when
   // the run was traced. Emitted as the obs_* field family — waived by
   // prefix in the perf gate, so they never trip the exact-count diff.
@@ -137,20 +133,35 @@ struct RunStats {
   }
 };
 
-/// Parses \p S, the value of the env var or flag \p Name, as a positive
-/// decimal that fits in 32 bits. Anything else (empty, signs, spaces,
-/// trailing junk, zero, overflow) prints a message naming \p Name and
-/// returns false, so a mistyped count never falls back to a default.
-inline bool parsePositive(const char *Name, const char *S, uint32_t &Out) {
+/// Parses \p S, the value of the env var or flag \p Name, as a decimal
+/// in [\p Min, \p Max]. Anything else (empty, signs, spaces, trailing
+/// junk, out of range, overflow) prints a message naming \p Name and
+/// returns false, so a mistyped number never falls back to a default.
+inline bool parseDecimal(const char *Name, const char *S, uint64_t Min,
+                         uint64_t Max, uint64_t &Out) {
   uint64_t V = 0;
+  bool Overflow = false;
   const char *P = S;
-  for (; *P >= '0' && *P <= '9' && V <= 0xFFFFFFFFu; ++P)
-    V = V * 10 + static_cast<uint64_t>(*P - '0');
-  if (P == S || *P || V == 0 || V > 0xFFFFFFFFu) {
-    std::fprintf(stderr, "%s: '%s' is not a positive decimal number\n", Name,
-                 S);
+  for (; *P >= '0' && *P <= '9'; ++P) {
+    const uint64_t Digit = static_cast<uint64_t>(*P - '0');
+    Overflow |= V > (UINT64_MAX - Digit) / 10;
+    V = V * 10 + Digit;
+  }
+  if (P == S || *P || Overflow || V < Min || V > Max) {
+    std::fprintf(stderr, "%s: '%s' is not a decimal number in [%llu, %llu]\n",
+                 Name, S, static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max));
     return false;
   }
+  Out = V;
+  return true;
+}
+
+/// parseDecimal for counts: a positive decimal that fits in 32 bits.
+inline bool parsePositive(const char *Name, const char *S, uint32_t &Out) {
+  uint64_t V = 0;
+  if (!parseDecimal(Name, S, 1, UINT32_MAX, V))
+    return false;
   Out = static_cast<uint32_t>(V);
   return true;
 }
@@ -205,7 +216,6 @@ inline RunStats fromReport(const vm::RunReport &R, bool EngineRun = true) {
   S.LoadedTbs = R.Cache.LoadedTbs;
   S.InterpDecodeHits = R.InterpDecodeHits;
   S.InterpDecodeMisses = R.InterpDecodeMisses;
-  S.Time = R.Time;
   S.Obs = R.Obs;
   return S;
 }
@@ -274,34 +284,6 @@ inline std::string jsonEscape(const std::string &In) {
   return Out;
 }
 
-/// The one emitter of the wall-clock timing split: stable boot_ns/run_ns
-/// keys wherever timing appears in a JSON document. Callers decide
-/// *whether* timing belongs in their document (perf-gated documents must
-/// not include it); this decides how it is spelled.
-template <typename Stream>
-inline void writeTimingFields(Stream &OS, const vm::RunReport::Timing &T) {
-  OS << "\"boot_ns\": " << T.BootNs << ", \"run_ns\": " << T.RunNs;
-}
-
-/// Emits one obs histogram as a nested JSON object (counts only —
-/// deterministic fields first, min/max/mean depend on the recorded
-/// values, which for wall-time histograms are nondeterministic; callers
-/// put these objects only in non-gated documents).
-template <typename Stream>
-inline void writeHistogramJson(Stream &OS, const obs::Histogram &H) {
-  OS << "{\"count\": " << H.Count << ", \"sum\": " << H.Sum
-     << ", \"min\": " << (H.Count ? H.Min : 0) << ", \"max\": " << H.Max
-     << ", \"buckets\": [";
-  // Trailing zero buckets are elided so small histograms stay readable;
-  // bucket k >= 1 spans [2^(k-1), 2^k), bucket 0 is exact zeros.
-  unsigned Last = obs::Histogram::NumBuckets;
-  while (Last > 1 && H.Buckets[Last - 1] == 0)
-    --Last;
-  for (unsigned I = 0; I < Last; ++I)
-    OS << (I ? ", " : "") << H.Buckets[I];
-  OS << "]}";
-}
-
 /// Emits the canonical RunStats counter fields (the key set every
 /// BENCH_*.json run record and BENCH_matrix.json cell shares) — integer
 /// counters only, in a fixed order, so two emissions of equal stats are
@@ -309,13 +291,9 @@ inline void writeHistogramJson(Stream &OS, const obs::Histogram &H) {
 /// family (flat scalars, so the perf gate's parser sees them and its
 /// --allow-prefix obs_ waiver can skip them); an untraced run emits no
 /// obs_* field at all, keeping its document byte-identical to pre-obs
-/// output. \p WithTiming additionally appends the wall-clock
-/// boot_ns/run_ns split; it defaults off because timing is
-/// nondeterministic and must never enter a perf-gated or
-/// byte-compared document (BENCH_matrix.json stays timing-free).
+/// output.
 template <typename Stream>
-inline void writeRunStatsFields(Stream &OS, const RunStats &S,
-                                bool WithTiming = false) {
+inline void writeRunStatsFields(Stream &OS, const RunStats &S) {
   OS << "\"ok\": " << (S.Ok ? "true" : "false") << ", \"wall\": " << S.Wall
      << ", \"guest_instrs\": " << S.GuestInstrs
      << ", \"mem_instrs\": " << S.MemInstrs
@@ -355,10 +333,6 @@ inline void writeRunStatsFields(Stream &OS, const RunStats &S,
          << N << "_sum\": " << H.second.Sum << ", \"obs_" << N
          << "_max\": " << H.second.Max;
     }
-  }
-  if (WithTiming) {
-    OS << ", ";
-    writeTimingFields(OS, S.Time);
   }
 }
 

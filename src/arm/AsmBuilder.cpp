@@ -279,19 +279,8 @@ void AsmBuilder::pop(uint16_t List, Cond C) {
 }
 
 void AsmBuilder::ldrLit(uint8_t Rt, uint32_t Value, Cond C) {
-  PendingPool.push_back(PoolRef{Words.size(), Value, ~0u});
+  PendingPool.push_back(PoolRef{Words.size(), Value});
   // Placeholder: ldr Rt, [pc, #0]; the offset is patched in flushPool().
-  Inst I;
-  I.Op = Opcode::LDR;
-  I.C = C;
-  I.Rd = Rt;
-  I.Rn = RegPC;
-  emit(I);
-}
-
-void AsmBuilder::ldrLabel(uint8_t Rt, Label L, Cond C) {
-  assert(L.isValid() && "invalid label");
-  PendingPool.push_back(PoolRef{Words.size(), 0, L.Id});
   Inst I;
   I.Op = Opcode::LDR;
   I.C = C;
@@ -313,12 +302,7 @@ void AsmBuilder::flushPool() {
     assert(Offset >= 0 && Offset < 4096 &&
            "literal pool too far; insert pool() earlier");
     Words[Ref.WordIndex] |= static_cast<uint32_t>(Offset) & 0xFFFu;
-    if (Ref.LabelId != ~0u) {
-      assert(LabelAddrs[Ref.LabelId] >= 0 && "pool label not bound");
-      word(static_cast<uint32_t>(LabelAddrs[Ref.LabelId]));
-    } else {
-      word(Ref.Value);
-    }
+    word(Ref.Value);
   }
   PendingPool.clear();
 }

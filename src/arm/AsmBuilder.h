@@ -126,8 +126,6 @@ public:
   void pop(uint16_t List, Cond C = Cond::AL);
   /// Loads a 32-bit value from a literal pool (`ldr rd, =value`).
   void ldrLit(uint8_t Rt, uint32_t Value, Cond C = Cond::AL);
-  /// Loads the address of \p L from a literal pool.
-  void ldrLabel(uint8_t Rt, Label L, Cond C = Cond::AL);
   /// Dumps pending literal-pool entries here. Must not be reachable as
   /// fall-through code. Called automatically by finish().
   void pool();
@@ -168,8 +166,7 @@ private:
   };
   struct PoolRef {
     size_t WordIndex; ///< the ldr instruction to patch
-    uint32_t Value;   ///< literal value (if LabelId is invalid)
-    unsigned LabelId; ///< or a label whose address is the literal
+    uint32_t Value;   ///< literal value
   };
 
   uint32_t Base;

@@ -187,11 +187,6 @@ host::HostBlock *CodeCache::privateBlock(Entry &E) {
   return E.Block.get();
 }
 
-host::HostBlock *CodeCache::mutableBlock(int TbId) {
-  Entry *E = entry(TbId);
-  return E && E->Block ? privateBlock(*E) : nullptr;
-}
-
 std::shared_ptr<const CodeCache::Image> CodeCache::capture() const {
   auto Img = std::make_shared<Image>();
   Img->Entries = Entries; // blocks shared (shared_ptr copies), not cloned

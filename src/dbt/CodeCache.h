@@ -157,9 +157,6 @@ public:
   bool chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave);
 
   const host::HostBlock *block(int TbId) const override;
-  /// Mutable access privatizes a block shared with a snapshot image
-  /// first, exactly like the internal chain-patching paths.
-  host::HostBlock *mutableBlock(int TbId);
 
   /// Freezes the cache into an immutable Image. Blocks are shared, not
   /// copied, so a capture is O(metadata); after it, this cache's own

@@ -260,8 +260,8 @@ bool CodeCacheIo::save(const std::string &Path, const CodeCache::Image &Img,
     Records.u32(B.GuestPc);
     Records.u8(static_cast<uint8_t>((E.Key >> 32) & 1)); // MmuIdx
     Records.u8(B.DefinesFlagsBeforeUse ? 1 : 0);
-    Records.u8(B.StartsWithRestore ? 1 : 0);
-    Records.u8(0);
+    Records.u8(0); // reserved, must be 0 (a never-set flag until v2)
+    Records.u8(0); // padding
     Records.u32(E.Asid);
     Records.u32(B.NumGuestInstrs);
     Records.u32(B.NumMemInstrs);
@@ -374,13 +374,13 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
   Img.Entries.reserve(NumBlocks);
   for (uint32_t I = 0; I < NumBlocks; ++I) {
     uint32_t GuestPc, Asid, NumGuest, NumMem, NumSys, NumIrq;
-    uint8_t MmuIdx, DefFlags, StartsRestore, Pad;
+    uint8_t MmuIdx, DefFlags, Reserved, Pad;
     if (!R.u32(GuestPc) || !R.u8(MmuIdx) || !R.u8(DefFlags) ||
-        !R.u8(StartsRestore) || !R.u8(Pad) || !R.u32(Asid) ||
+        !R.u8(Reserved) || !R.u8(Pad) || !R.u32(Asid) ||
         !R.u32(NumGuest) || !R.u32(NumMem) || !R.u32(NumSys) ||
         !R.u32(NumIrq))
       return Bad("truncated block header");
-    if (MmuIdx > 1 || DefFlags > 1 || StartsRestore > 1 || Pad != 0)
+    if (MmuIdx > 1 || DefFlags > 1 || Reserved != 0 || Pad != 0)
       return Bad("block header field out of range");
     if (Asid > 0xFF)
       return Bad("ASID out of range");
@@ -394,7 +394,6 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     B->NumSysInstrs = NumSys;
     B->NumIrqChecks = NumIrq;
     B->DefinesFlagsBeforeUse = DefFlags != 0;
-    B->StartsWithRestore = StartsRestore != 0;
     for (host::HostBlock::Chain &Ch : B->Chains) {
       if (!R.u32(Ch.GuestTarget) || !R.i32(Ch.FlagSaveBegin) ||
           !R.i32(Ch.FlagSaveEnd))

@@ -81,7 +81,7 @@ class CodeCacheIo {
 public:
   /// Bump on any change to the record layout; a version mismatch is a
   /// clean miss.
-  static constexpr uint32_t FormatVersion = 1;
+  static constexpr uint32_t FormatVersion = 2;
 
   /// Serializes \p Img to \p Path (atomically: temp file + rename, so a
   /// concurrent reader sees either the old file or the complete new

@@ -108,7 +108,6 @@ public:
     return emit(H);
   }
   int cmpRR(uint8_t A, uint8_t Br) { return alu(HOp::Cmp, A, Br); }
-  int cmpRI(uint8_t A, uint32_t Imm) { return aluI(HOp::Cmp, A, Imm); }
   int testRR(uint8_t A, uint8_t Bs) { return alu(HOp::Test, A, Bs); }
   int mull(bool Signed, uint8_t Lo, uint8_t Src, uint8_t Hi,
            bool SetFlags = false) {

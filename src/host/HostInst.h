@@ -197,10 +197,6 @@ struct HostBlock {
   /// True if every path through the TB writes the NZCV flags before any
   /// instruction reads them (the III-C inter-TB elimination predicate).
   bool DefinesFlagsBeforeUse = false;
-  /// True if the TB entry code requires live flags in host registers
-  /// (i.e. it begins with a sync-restore that chaining may skip — unused
-  /// by the current pipeline but kept for the ablation bench).
-  bool StartsWithRestore = false;
 };
 
 /// Returns the mnemonic for \p Op.

@@ -114,11 +114,9 @@ struct Rule {
   /// Pairs of register parameters that must bind to different guest
   /// registers (two-address templates are unsafe under some aliasing).
   std::vector<std::pair<int8_t, int8_t>> Distinct;
-
-  size_t guestLength() const { return Guest.size(); }
 };
 
-/// Attempts to match \p Rule against \p Insts (at least Rule.guestLength()
+/// Attempts to match \p R against \p Insts (at least R.Guest.size()
 /// entries). All instructions must share one condition, which binds to
 /// Binding::C. Returns true and fills \p B on success.
 bool matchRule(const Rule &R, const arm::Inst *Insts, size_t Count,

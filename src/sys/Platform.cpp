@@ -149,36 +149,13 @@ void IntController::clear(uint32_t Line) {
 // Uart
 //===----------------------------------------------------------------------===//
 
-uint32_t Uart::mmioRead(uint32_t Offset) {
-  switch (Offset) {
-  case RegRx: {
-    if (RxQueue.empty())
-      return 0;
-    const uint8_t Byte = RxQueue.front();
-    RxQueue.pop_front();
-    if (RxQueue.empty())
-      Parent.intc().clear(IrqLineUart);
-    return Byte;
-  }
-  case RegStatus:
-    return RxQueue.empty() ? 0u : 1u;
-  default:
-    return 0;
-  }
-}
+uint32_t Uart::mmioRead(uint32_t) { return 0; }
 
 void Uart::mmioWrite(uint32_t Offset, uint32_t Value) {
   if (Offset == RegTx)
     Output.push_back(static_cast<char>(Value & 0xFF));
   else if (Offset == RegShutdown)
     Parent.ShutdownRequested = true;
-}
-
-void Uart::feedInput(const std::string &Text) {
-  for (char Ch : Text)
-    RxQueue.push_back(static_cast<uint8_t>(Ch));
-  if (!RxQueue.empty())
-    Parent.intc().raise(IrqLineUart);
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,7 +23,6 @@
 #include "sys/Env.h"
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,7 +112,6 @@ struct PlatformState {
   uint32_t IntcRaw = 0, IntcEnabled = 0;
   // Uart
   std::string UartOutput;
-  std::deque<uint8_t> UartRx;
   // TimerDevice
   bool TimerEnabled = false;
   uint32_t TimerInterval = 0;
@@ -185,8 +183,8 @@ private:
   uint32_t Enabled = 0;
 };
 
-/// Console UART. TX bytes accumulate into \ref output(); RX is a host-fed
-/// queue that raises IrqLineUart while non-empty.
+/// Console UART. TX bytes accumulate into \ref output(). Nothing feeds
+/// RX, so every register reads as zero (no byte, status idle).
 class Uart : public Device {
 public:
   enum : uint32_t { RegTx = 0x0, RegRx = 0x4, RegStatus = 0x8,
@@ -198,20 +196,12 @@ public:
   void mmioWrite(uint32_t Offset, uint32_t Value) override;
 
   const std::string &output() const { return Output; }
-  void feedInput(const std::string &Text);
 
-  void saveState(PlatformState &S) const {
-    S.UartOutput = Output;
-    S.UartRx = RxQueue;
-  }
-  void loadState(const PlatformState &S) {
-    Output = S.UartOutput;
-    RxQueue = S.UartRx;
-  }
+  void saveState(PlatformState &S) const { S.UartOutput = Output; }
+  void loadState(const PlatformState &S) { Output = S.UartOutput; }
 
 private:
   std::string Output;
-  std::deque<uint8_t> RxQueue;
 };
 
 /// Periodic timer raising IrqLineTimer every `Interval` wall cycles.

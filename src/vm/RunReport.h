@@ -48,21 +48,6 @@ struct RunReport {
   /// Guest console output (UART TX bytes).
   std::string Console;
 
-  /// Host wall-clock time, split at the serving boundary: BootNs covers
-  /// getting the session ready to do work — Vm construction (full image
-  /// build, or snapshot adoption when forked) plus any runToBootMark()
-  /// slices — RunNs covers the ordinary run() calls. rdbt_serve's
-  /// session latency is totalNs(). Cumulative across resumed runs, like
-  /// the counters. Nondeterministic by nature, so these never enter the
-  /// perf-gated matrix JSON (bench::writeTimingFields, the one emitter,
-  /// runs only on request).
-  struct Timing {
-    uint64_t BootNs = 0;
-    uint64_t RunNs = 0;
-    uint64_t totalNs() const { return BootNs + RunNs; }
-  };
-  Timing Time;
-
   /// Observability results (src/obs/), populated only when
   /// VmConfig::trace armed the session; Enabled = false otherwise and
   /// every field stays zero. Informational by nature (host wall time

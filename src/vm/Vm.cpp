@@ -24,11 +24,7 @@
 using namespace rdbt;
 using namespace rdbt::vm;
 
-Vm::Vm(VmConfig C) : Cfg(std::move(C)) {
-  const uint64_t T0 = obs::nowNs();
-  init();
-  Time_.BootNs += obs::nowNs() - T0;
-}
+Vm::Vm(VmConfig C) : Cfg(std::move(C)) { init(); }
 
 void Vm::init() {
   Kind_ = TranslatorRegistry::global().find(Cfg.translator());
@@ -303,11 +299,9 @@ RunReport Vm::run(uint64_t WallBudget) {
   R.Forked = Forked_;
   if (!valid()) {
     R.Error = Error_;
-    R.Time = Time_;
     return R;
   }
 
-  const uint64_t T0 = obs::nowNs();
   if (!Kind_->UsesEngine) {
     const sys::SystemRunResult Res = sys::runSystemInterpreter(
         *Board_, WallBudget, Cfg.interpFastpath(),
@@ -349,10 +343,8 @@ RunReport Vm::run(uint64_t WallBudget) {
       }
     }
   }
-  Time_.RunNs += obs::nowNs() - T0;
   R.Ok = R.Stop == dbt::StopReason::GuestShutdown;
   R.Console = Board_->uart().output();
-  R.Time = Time_;
   if (Sink_) {
     R.Obs.Enabled = true;
     R.Obs.Events = Sink_->size();
@@ -371,7 +363,6 @@ RunReport Vm::run(uint64_t WallBudget) {
 RunReport Vm::runToBootMark(uint64_t SliceCycles) {
   if (!SliceCycles)
     SliceCycles = 20000;
-  const uint64_t RunNsBefore = Time_.RunNs;
   uint64_t Spent = 0;
   RunReport R;
   do {
@@ -379,11 +370,6 @@ RunReport Vm::runToBootMark(uint64_t SliceCycles) {
     Spent += SliceCycles;
   } while (valid() && R.Stop == dbt::StopReason::WallLimit &&
            Board_->Env.Mode != sys::ModeUsr && Spent < Cfg.wallBudget());
-  // Boot time is setup cost, not serving cost: move this call's wall
-  // time from the run accumulator to the boot accumulator.
-  Time_.BootNs += Time_.RunNs - RunNsBefore;
-  Time_.RunNs = RunNsBefore;
-  R.Time = Time_;
   return R;
 }
 

@@ -79,8 +79,7 @@ public:
   /// mode — the host-visible "boot finished, workload starting" mark —
   /// or the config's wall budget runs out. Because run() is
   /// resume-transparent, the slicing leaves every counter and all guest
-  /// state exactly as an unsliced run would; the time spent is accounted
-  /// to RunReport::Time.BootNs instead of RunNs. The canonical capture
+  /// state exactly as an unsliced run would. The canonical capture
   /// point for serving: boot once, capture, fork per session.
   RunReport runToBootMark(uint64_t SliceCycles = 20000);
 
@@ -168,9 +167,6 @@ private:
   std::unique_ptr<dbt::Translator> Xlat_;
   std::unique_ptr<dbt::DbtEngine> Engine_;
   bool Forked_ = false;
-  /// Construction + runToBootMark() wall time (BootNs) and cumulative
-  /// run() wall time (RunNs); reported as RunReport::Time.
-  RunReport::Timing Time_;
   /// Observability (src/obs/), created only when Cfg.trace() is set. The
   /// sink is per-session and never crosses a snapshot: capture() does not
   /// carry it, and a fork creates its own from its own config, so every

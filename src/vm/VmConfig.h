@@ -125,9 +125,9 @@ public:
     return *this;
   }
   /// When false, a persistent-cache session loads at boot but never
-  /// writes the file back at destruction. Tools comparing sessions
-  /// against a fixed on-disk state use this (rdbt_serve's fresh-boot
-  /// twins must all observe the same file the master booted from).
+  /// writes the file back at destruction. Sessions compared against a
+  /// fixed on-disk state use this (a fresh twin checked against a fork
+  /// must observe the same file the fork's master booted from).
   VmConfig &persistentCacheSaveOnExit(bool Save) {
     PersistentCacheSave_ = Save;
     return *this;
@@ -162,11 +162,11 @@ public:
     return *this;
   }
   /// Enables the interpreter fastpath — the per-page decoded-instruction
-  /// cache with threaded dispatch (DESIGN.md §14). On by default; turn
-  /// off to A/B the pre-cache decode-every-step behavior. Guest-visible
-  /// state and every simulated counter are bit-identical either way;
-  /// only host wall time and the RunReport::InterpDecode* observability
-  /// counters differ. Spec strings carry it as ",ifp=on|off".
+  /// cache with threaded dispatch (DESIGN.md §14). On by default; off
+  /// runs the decode-every-step reference path the fastpath is tested
+  /// against. Guest-visible state and every simulated counter are
+  /// bit-identical either way; only host wall time and the
+  /// RunReport::InterpDecode* observability counters differ. Spec strings carry it as ",ifp=on|off".
   VmConfig &interpFastpath(bool On) {
     InterpFastpath_ = On;
     return *this;

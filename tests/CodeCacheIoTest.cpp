@@ -254,6 +254,20 @@ TEST(CodeCacheIo, WrongVersionAndMagicReject) {
   writeBytes(Forged, Bad);
   EXPECT_EQ(dbt::CacheLoad::Rejected,
             dbt::CodeCacheIo::load(Forged, Key, Img));
+
+  // A set reserved byte in the first block record (after the 20-byte
+  // header, the block count, GuestPc, MmuIdx and DefFlags) rejects even
+  // under a matching payload checksum.
+  constexpr size_t HeaderBytes = 20, ReservedAt = HeaderBytes + 4 + 6;
+  ASSERT_GT(Good.size(), ReservedAt);
+  Bad = Good;
+  Bad[ReservedAt] = 1;
+  const uint32_t Crc = dbt::crc32c(Bad.data() + HeaderBytes,
+                                   Bad.size() - HeaderBytes);
+  std::memcpy(&Bad[16], &Crc, 4);
+  writeBytes(Forged, Bad);
+  EXPECT_EQ(dbt::CacheLoad::Rejected,
+            dbt::CodeCacheIo::load(Forged, Key, Img));
 }
 
 TEST(CodeCacheIo, StaleKeyRejects) {

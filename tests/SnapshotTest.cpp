@@ -26,6 +26,11 @@
 ///    (AdoptedTbs) and pay translation only for code first reached
 ///    after the capture point.
 ///
+///  * **Serving slices**: a fork captured after the boot mark and a warm
+///    slice runs one budgeted work item bitwise like a fresh session
+///    that replays the same slices — also when the master booted from a
+///    persistent cache file, in which case nobody translates at all.
+///
 //===----------------------------------------------------------------------===//
 
 #include "vm/BatchRunner.h"
@@ -34,6 +39,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -59,10 +66,9 @@ vm::VmConfig cfgFor(const std::string &Kind,
   return vm::VmConfig().translator(Kind).workload(Workload).scale(1);
 }
 
-/// Bitwise forked-vs-fresh comparison (the serve harness applies the
-/// same rule): everything a run reports except the two fork-provenance
-/// diagnostics AdoptedTbs/CowBlockCopies, which are 0 in fresh runs by
-/// construction, and the nondeterministic RunReport::Time wall timing.
+/// Bitwise forked-vs-fresh comparison: everything a run reports except
+/// the two fork-provenance diagnostics AdoptedTbs/CowBlockCopies, which
+/// are 0 in fresh runs by construction.
 void expectIdentical(const vm::RunReport &F, const vm::RunReport &R,
                      const std::string &Label) {
   EXPECT_EQ(0, std::memcmp(&F.Counters, &R.Counters, sizeof(F.Counters)))
@@ -85,6 +91,36 @@ void expectIdentical(const vm::RunReport &F, const vm::RunReport &R,
   EXPECT_EQ(F.RuleMatchHits, R.RuleMatchHits) << Label;
   EXPECT_EQ(F.Ok, R.Ok) << Label;
   EXPECT_EQ(static_cast<int>(F.Stop), static_cast<int>(R.Stop)) << Label;
+}
+
+/// The serving shape: one warm slice after the boot mark before the
+/// capture, then one work item per fork.
+constexpr uint64_t WarmCycles = 150000;
+constexpr uint64_t ItemCycles = 150000;
+
+/// Boots a master to the mark, runs the warm slice, captures it and runs
+/// one item on a fork. \p Prep receives the master's report at capture.
+vm::RunReport forkedItem(const vm::VmConfig &Cfg, vm::RunReport &Prep) {
+  vm::Vm Master(Cfg);
+  EXPECT_TRUE(Master.valid()) << Master.error();
+  Master.runToBootMark();
+  Prep = Master.run(WarmCycles);
+  EXPECT_TRUE(Prep.Error.empty()) << Prep.Error;
+  const vm::Snapshot Snap = Master.capture();
+  std::unique_ptr<vm::Vm> Fork = vm::Vm::forkFrom(Snap);
+  EXPECT_TRUE(Fork->valid()) << Fork->error();
+  return Fork->run(ItemCycles);
+}
+
+/// A fresh session that replays the fork's slices. Budgeted runs stop at
+/// the first TB boundary past their budget, so only identical slicing
+/// lands it on the fork's guest cycle.
+vm::RunReport replayedItem(const vm::VmConfig &Cfg) {
+  vm::Vm V(Cfg);
+  EXPECT_TRUE(V.valid()) << V.error();
+  V.runToBootMark();
+  V.run(WarmCycles);
+  return V.run(ItemCycles);
 }
 
 /// FNV-1a over the snapshot's shared RAM image.
@@ -137,6 +173,48 @@ TEST(Snapshot, WarmForkBitwiseIdenticalToFresh) {
     EXPECT_GT(F.CowPrivatePages, 0u) << Kind;
     EXPECT_EQ(0u, Fresh.CowPrivatePages) << Kind;
   }
+}
+
+TEST(Snapshot, WarmSliceForkRunsItemLikeReplayedTwin) {
+  for (const std::string &Kind : allKinds()) {
+    vm::RunReport Prep;
+    const vm::RunReport F = forkedItem(cfgFor(Kind), Prep);
+    EXPECT_EQ(dbt::StopReason::WallLimit, F.Stop)
+        << Kind << ": the item must end inside the workload";
+    expectIdentical(F, replayedItem(cfgFor(Kind)), "item fork " + Kind);
+  }
+}
+
+TEST(Snapshot, ForkOfCacheBootedMasterTranslatesNothing) {
+  char Buf[] = "/tmp/rdbt-snap-XXXXXX";
+  ASSERT_NE(nullptr, mkdtemp(Buf));
+  const std::string Dir = Buf;
+  for (const std::string &Kind : allKinds()) {
+    const vm::VmConfig Cfg = cfgFor(Kind).persistentCache(Dir);
+    std::string Path;
+    {
+      // Populate: one full run saves every block it translated.
+      vm::Vm Cold(Cfg);
+      ASSERT_TRUE(Cold.valid()) << Kind << ": " << Cold.error();
+      ASSERT_TRUE(Cold.run().Ok) << Kind;
+      Path = Cold.cacheFilePath();
+    }
+    vm::RunReport Prep;
+    const vm::RunReport F = forkedItem(Cfg, Prep);
+    // The twin loads the same file but never saves, so the file every
+    // session sees stays the one the master booted from.
+    const vm::RunReport Twin =
+        replayedItem(vm::VmConfig(Cfg).persistentCacheSaveOnExit(false));
+    expectIdentical(F, Twin, "cache-booted fork " + Kind);
+    const auto *Info = vm::TranslatorRegistry::global().find(Kind);
+    ASSERT_NE(Info, nullptr);
+    if (Info->UsesEngine)
+      EXPECT_EQ(1u, Prep.Cache.CacheFileHits) << Kind;
+    EXPECT_EQ(0u, F.Engine.Translations) << Kind;
+    if (!Path.empty())
+      std::remove(Path.c_str());
+  }
+  std::remove(Dir.c_str());
 }
 
 TEST(Snapshot, CaptureDoesNotPerturbTheMaster) {

@@ -90,24 +90,12 @@ struct Mismatch {
 };
 
 /// Decodes the rendered image into the instruction stream the matcher
-/// micro-benchmark and the hot-order warmup replay.
+/// micro-benchmark replays.
 std::vector<arm::Inst> decodeProgram(const fuzz::GenProgram &Prog) {
   std::vector<arm::Inst> Insts;
   for (const uint32_t W : fuzz::render(Prog))
     Insts.push_back(arm::decode(W));
   return Insts;
-}
-
-/// Replays \p Insts through \p RS once, window-by-window, accumulating
-/// \p Stats — the warmup pass whose per-rule hit counts drive
-/// optimizeHotOrder before the corpus is shared with the worker pool.
-void warmupMatch(const rules::RuleSet &RS, const std::vector<arm::Inst> &Insts,
-                 rules::MatchStats &Stats) {
-  for (size_t I = 0; I < Insts.size(); ++I) {
-    const rules::Rule *R = nullptr;
-    rules::Binding B;
-    RS.match(Insts.data() + I, Insts.size() - I, &R, B, &Stats);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -185,7 +173,11 @@ MatchBenchResult runMatchBench(const rules::RuleSet &RS,
   for (size_t I = 0; I < RS.size(); ++I)
     Hot.add(RS.rule(I));
   rules::MatchStats Warm;
-  warmupMatch(Hot, Insts, Warm);
+  for (size_t I = 0; I < Insts.size(); ++I) {
+    const rules::Rule *R = nullptr;
+    rules::Binding B;
+    Hot.match(Insts.data() + I, Insts.size() - I, &R, B, &Warm);
+  }
   Hot.optimizeHotOrder(Warm);
 
   MatchBenchResult Res;
@@ -238,18 +230,22 @@ int main(int Argc, char **Argv) {
     };
     if (A == "--seeds") {
       const char *V = Next();
-      uint64_t Lo = 0, Hi = 0;
-      if (!V || std::sscanf(V, "%llu..%llu", (unsigned long long *)&Lo,
-                            (unsigned long long *)&Hi) != 2 ||
-          Hi <= Lo)
+      const char *Dots = V ? std::strstr(V, "..") : nullptr;
+      if (!Dots)
         return usage();
-      Opt.SeedLo = Lo;
-      Opt.SeedHi = Hi;
+      if (!bench::parseDecimal("--seeds", std::string(V, Dots).c_str(), 0,
+                               UINT64_MAX, Opt.SeedLo) ||
+          !bench::parseDecimal("--seeds", Dots + 2, 0, UINT64_MAX,
+                               Opt.SeedHi))
+        return 2;
+      if (Opt.SeedHi <= Opt.SeedLo)
+        return usage();
     } else if (A == "--seed") {
       const char *V = Next();
       if (!V)
         return usage();
-      Opt.SeedLo = std::strtoull(V, nullptr, 0);
+      if (!bench::parseDecimal("--seed", V, 0, UINT64_MAX - 1, Opt.SeedLo))
+        return 2;
       Opt.SeedHi = Opt.SeedLo + 1;
       Opt.SingleSeed = true;
     } else if (A == "--spec") {
@@ -308,8 +304,8 @@ int main(int Argc, char **Argv) {
   // --- Corpora ------------------------------------------------------------
   // One immutable RuleSet per corpus, shared read-only across every seed,
   // kind, and worker thread. --plant-bug swaps in the unsound clz rule.
-  rules::RuleSet Shared = Opt.PlantBug ? fuzz::buildPlantedBugRuleSet()
-                                       : rules::buildReferenceRuleSet();
+  const rules::RuleSet Shared = Opt.PlantBug ? fuzz::buildPlantedBugRuleSet()
+                                             : rules::buildReferenceRuleSet();
   rules::RuleSet FileCorpus;
   if (!Opt.CorpusFile.empty()) {
     std::string Err;
@@ -317,22 +313,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "cannot load corpus '%s': %s\n",
                    Opt.CorpusFile.c_str(), Err.c_str());
       return 2;
-    }
-  }
-
-  // Warm the shared corpus and reorder hot rules first — the setup-time
-  // optimizeHotOrder pass every long-lived deployment would run. Sound by
-  // construction (see RuleSet.h), verified by RuleSetIndexTest.
-  {
-    rules::MatchStats Warm;
-    const std::vector<arm::Inst> WarmInsts =
-        decodeProgram(fuzz::generate(seedAt(Opt.SeedLo), *Prof));
-    warmupMatch(Shared, WarmInsts, Warm);
-    Shared.optimizeHotOrder(Warm);
-    if (!Opt.CorpusFile.empty()) {
-      rules::MatchStats FileWarm;
-      warmupMatch(FileCorpus, WarmInsts, FileWarm);
-      FileCorpus.optimizeHotOrder(FileWarm);
     }
   }
 

@@ -354,7 +354,7 @@ int main(int argc, char **argv) {
   const char *CorpusFlag = nullptr;
   std::string CacheDir;
   std::string TraceDir;
-  size_t Hot = 0;
+  uint32_t Hot = 0;
   uint32_t Scale = 1;
   bool HaveScale = false;
   bool Matrix = false;
@@ -431,8 +431,8 @@ int main(int argc, char **argv) {
       continue;
     }
     if (std::strcmp(argv[I], "--hot") == 0 && I + 1 < argc) {
-      const int N = std::atoi(argv[++I]);
-      Hot = N > 0 ? static_cast<size_t>(N) : 0;
+      if (!bench::parsePositive("--hot", argv[++I], Hot))
+        return 2;
       continue;
     }
     if (!Matrix && !Workload && argv[I][0] != '-') {
