@@ -320,8 +320,8 @@ bool parseTplLine(Parser &P, const std::vector<std::string> &Tokens,
   return true;
 }
 
-/// Structural validation before RuleSet::add (whose asserts must never be
-/// reachable from file input).
+/// Structural validation before RuleSet::add and emitRule (whose asserts
+/// must never be reachable from file input).
 bool validateRule(Parser &P, const Rule &R) {
   if (R.Guest.empty())
     return P.fail("rule '" + R.Name + "' has no guest pattern");
@@ -337,6 +337,11 @@ bool validateRule(Parser &P, const Rule &R) {
     if (Pa < 0 || Pb < 0 || Pa >= static_cast<int8_t>(MaxRegParams) ||
         Pb >= static_cast<int8_t>(MaxRegParams))
       return P.fail("rule '" + R.Name + "' distinct pair out of range");
+  // emitRule compares the bound Dst and Src registers of a skip-eq op.
+  for (const HostTemplateOp &T : R.Host)
+    if (T.SkipIfDstEqSrc && (T.Dst == OperandNone || T.Src == OperandNone))
+      return P.fail("rule '" + R.Name +
+                    "' has a skip-eq template without both dst and src");
   return true;
 }
 

@@ -47,58 +47,6 @@ bool instSetFlags(const arm::Inst &I) {
   return I.SetFlags || I.isCompare();
 }
 
-/// First-pattern register-aliasing constraints, as forced (in)equalities
-/// over the four pattern fields Rd/Rn/Rm/Rs. Two fields sharing a
-/// parameter index must bind the same guest register; a Rule::Distinct
-/// pair whose parameters both appear in the first pattern forces two
-/// fields apart. Used to prove two rules can never match the same
-/// instruction (optimizeHotOrder's swap guard).
-struct FieldConstraints {
-  bool Eq[4][4] = {};
-  bool Ne[4][4] = {};
-};
-
-FieldConstraints firstPatternConstraints(const Rule &R) {
-  FieldConstraints C;
-  const RulePattern &P = R.Guest[0];
-  const int8_t F[4] = {P.Rd, P.Rn, P.Rm, P.Rs};
-  for (int I = 0; I < 4; ++I)
-    for (int J = I + 1; J < 4; ++J)
-      if (F[I] >= 0 && F[I] == F[J])
-        C.Eq[I][J] = true;
-  for (const auto &[Pa, Pb] : R.Distinct)
-    for (int I = 0; I < 4; ++I)
-      for (int J = I + 1; J < 4; ++J)
-        if ((F[I] == Pa && F[J] == Pb) || (F[I] == Pb && F[J] == Pa))
-          C.Ne[I][J] = true;
-  return C;
-}
-
-/// True when no instruction can match both rules' first patterns. Both
-/// rules come from one fine bucket, so shape and S already agree; what
-/// can still separate them is an exact immediate, an exact shift, or
-/// contradictory register aliasing.
-bool firstPatternsDisjoint(const Rule &A, const Rule &B) {
-  const RulePattern &Pa = A.Guest[0];
-  const RulePattern &Pb = B.Guest[0];
-  if (Pa.Shape == PatShape::DpImm && Pa.ImmP < 0 && Pb.ImmP < 0 &&
-      Pa.ImmExact != Pb.ImmExact)
-    return true;
-  if (Pa.Shape == PatShape::DpRegShiftImm) {
-    if (Pa.Shift != Pb.Shift)
-      return true;
-    if (Pa.ShAmtP < 0 && Pb.ShAmtP < 0 && Pa.ShAmtExact != Pb.ShAmtExact)
-      return true;
-  }
-  const FieldConstraints Ca = firstPatternConstraints(A);
-  const FieldConstraints Cb = firstPatternConstraints(B);
-  for (int I = 0; I < 4; ++I)
-    for (int J = I + 1; J < 4; ++J)
-      if ((Ca.Eq[I][J] && Cb.Ne[I][J]) || (Ca.Ne[I][J] && Cb.Eq[I][J]))
-        return true;
-  return false;
-}
-
 /// Inserts \p Idx into \p Order keeping longest-pattern-first, stable
 /// within equal lengths (new entries go after existing peers).
 void insertByPriority(std::vector<int> &Order, int Idx,
@@ -144,7 +92,7 @@ size_t RuleSet::match(const arm::Inst *Insts, size_t Count,
     if (matchRule(R, Insts, Count, B)) {
       *MatchedRule = &R;
       if (Stats)
-        Stats->countHit(static_cast<size_t>(Idx));
+        ++Stats->Hits;
       return R.Guest.size();
     }
   }
@@ -163,34 +111,11 @@ size_t RuleSet::matchLinear(const arm::Inst *Insts, size_t Count,
     if (matchRule(R, Insts, Count, B)) {
       *MatchedRule = &R;
       if (Stats)
-        Stats->countHit(static_cast<size_t>(Idx));
+        ++Stats->Hits;
       return R.Guest.size();
     }
   }
   return 0;
-}
-
-void RuleSet::optimizeHotOrder(const MatchStats &Stats) {
-  for (auto &Bucket : Fine) {
-    if (Bucket.size() < 2)
-      continue;
-    // Guarded bubble promotion: a hotter rule moves up one slot at a time
-    // and only past a neighbor it is provably disjoint from, so the first
-    // matching rule for any probe is unchanged. Each adjacent swap is
-    // individually sound, which makes the whole pass sound.
-    bool Swapped = true;
-    while (Swapped) {
-      Swapped = false;
-      for (size_t J = 1; J < Bucket.size(); ++J) {
-        if (Stats.hitsFor(Bucket[J]) <= Stats.hitsFor(Bucket[J - 1]))
-          continue;
-        if (!firstPatternsDisjoint(Rules[Bucket[J]], Rules[Bucket[J - 1]]))
-          continue;
-        std::swap(Bucket[J], Bucket[J - 1]);
-        Swapped = true;
-      }
-    }
-  }
 }
 
 RuleSet rules::filterRuleSetByShape(const RuleSet &RS, PatShape Drop) {

@@ -17,20 +17,14 @@
 /// so the candidate sequence — and therefore the selected rule, the
 /// consumed count, and all MatchStats counters — is identical to the
 /// matchLinear() reference path that scans the whole set in priority
-/// order (tests/RuleSetIndexTest.cpp holds the equivalence).
-///
-/// optimizeHotOrder() additionally moves hot rules (per-rule hit counts
-/// from a caller's MatchStats) toward the front of their buckets, but
-/// only past rules whose first patterns are *provably disjoint* — so the
-/// reorder can never change which rule a probe selects, only how fast it
-/// is found.
+/// order (tests/RuleSetIndexTest.cpp holds the equivalence, up to
+/// 10k-rule corpora).
 ///
 /// Matching is const and carries no hidden state: dynamic match counters
 /// live in a caller-owned MatchStats, never in the set itself, so one
 /// immutable corpus can be shared read-only across concurrent sessions
-/// (vm/BatchRunner.h) without any cross-session counter bleed.
-/// optimizeHotOrder() is the one mutating setup-time operation; call it
-/// before sharing, never while sessions are matching.
+/// (vm/BatchRunner.h) without any cross-session counter bleed. add() is
+/// the only mutating operation; finish it before sharing the set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,20 +46,6 @@ namespace rules {
 struct MatchStats {
   uint64_t Attempts = 0; ///< match() calls
   uint64_t Hits = 0;     ///< calls that selected a rule
-  /// Hit counts per rule index (grown on first hit of a high index).
-  /// Feeds RuleSet::optimizeHotOrder: a warmup session's counters tell
-  /// the set which rules to try first.
-  std::vector<uint64_t> PerRule;
-
-  void countHit(size_t RuleIdx) {
-    ++Hits;
-    if (PerRule.size() <= RuleIdx)
-      PerRule.resize(RuleIdx + 1, 0);
-    ++PerRule[RuleIdx];
-  }
-  uint64_t hitsFor(size_t RuleIdx) const {
-    return RuleIdx < PerRule.size() ? PerRule[RuleIdx] : 0;
-  }
 };
 
 class RuleSet {
@@ -84,18 +64,10 @@ public:
   /// (longest pattern first, then insertion order). Semantically
   /// identical to match() — same selected rule, consumed count, and
   /// Stats — just O(rules) per probe. Kept as the verification oracle
-  /// and the baseline the indexed path is benchmarked against.
+  /// the indexed path is tested against.
   size_t matchLinear(const arm::Inst *Insts, size_t Count,
                      const Rule **MatchedRule, Binding &B,
                      MatchStats *Stats = nullptr) const;
-
-  /// Reorders each fine bucket hot-rules-first using \p Stats' per-rule
-  /// hit counts. A rule only ever moves past neighbors whose first
-  /// patterns are provably disjoint from its own (contradictory register
-  /// aliasing, different exact immediates or shift kinds), so match()
-  /// results are bit-identical before and after. Mutates the set: call
-  /// at setup time, never while other threads are matching.
-  void optimizeHotOrder(const MatchStats &Stats);
 
   size_t size() const { return Rules.size(); }
   const Rule &rule(size_t I) const { return Rules[I]; }
@@ -115,7 +87,7 @@ private:
   /// canonical priority order matchLinear() scans.
   std::vector<int> Priority;
   /// Candidate lists per (first opcode, first shape, S), each in
-  /// priority order until optimizeHotOrder() promotes hot rules.
+  /// priority order.
   std::array<std::vector<int>, NumFine> Fine;
 };
 

@@ -55,12 +55,14 @@ VmConfig VmConfig::fromSpec(const std::string &FullSpec, std::string *Error) {
   if (Error)
     Error->clear();
   // Session options ride after the scenario name as ",opt=value":
-  // "cache=<dir>", "trace=<path>" and "ifp=on|off", in any order. Split
-  // them off before the scenario parse so parameterized-kind paths keep
-  // their '/' (and any incidental ',') handling untouched — only a
-  // segment starting with a known option key begins the option list.
+  // "cache=<dir>", "trace=<path>" and "ifp=on|off", in any order, each at
+  // most once. Split them off before the scenario parse so
+  // parameterized-kind paths keep their '/' (and any incidental ',')
+  // handling untouched — only a segment starting with a known option key
+  // begins the option list.
   std::string Spec = FullSpec, CacheDir, TracePath;
   bool Ifp = true;
+  std::vector<std::string> SeenKeys;
   const size_t Comma =
       std::min(std::min(Spec.find(",cache="), Spec.find(",trace=")),
                Spec.find(",ifp="));
@@ -72,6 +74,12 @@ VmConfig VmConfig::fromSpec(const std::string &FullSpec, std::string *Error) {
       const std::string Item = Opts.substr(0, Next);
       Opts = Next == std::string::npos ? std::string()
                                        : Opts.substr(Next + 1);
+      const std::string Key = Item.substr(0, Item.find('='));
+      if (std::find(SeenKeys.begin(), SeenKeys.end(), Key) != SeenKeys.end())
+        return failSpec("repeated session option '" + Key + "' in '" +
+                            FullSpec + "'",
+                        Error);
+      SeenKeys.push_back(Key);
       if (Item.compare(0, 6, "cache=") == 0) {
         CacheDir = Item.substr(6);
         if (CacheDir.empty())
@@ -121,6 +129,8 @@ VmConfig VmConfig::fromSpec(const std::string &FullSpec, std::string *Error) {
     if (At != std::string::npos) {
       ScaleText = Workload.substr(At + 1);
       Workload = Workload.substr(0, At);
+      if (ScaleText.empty())
+        return failSpec("bad scale '' in '" + FullSpec + "'", Error);
     }
   }
 

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ProbeStream.h"
 #include "profile/GapMiner.h"
 #include "rules/Learner.h"
 #include "rules/RuleIo.h"
@@ -206,6 +207,19 @@ TEST(RuleIo, RejectsMalformedInput) {
                            RS, &Err));
   EXPECT_NE(Err.find("distinct"), std::string::npos) << Err;
 
+  // A skip-eq template compares its bound dst and src registers, so both
+  // must name one; -1 (none) would index the binding at -1 when emitted.
+  EXPECT_FALSE(readRuleSet("ruledbt-rules v1\nrule bad_skip\nclass add:add\n"
+                           "pat shape=dp-reg rd=0 rn=1 rm=2\n"
+                           "tpl op=mov dst=-1 src=1 skip-eq=1\nend\n",
+                           RS, &Err));
+  EXPECT_NE(Err.find("bad_skip"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("skip-eq"), std::string::npos) << Err;
+  EXPECT_FALSE(readRuleSet("ruledbt-rules v1\nrule x\nclass add:add\n"
+                           "pat shape=dp-reg rd=0 rn=1 rm=2\n"
+                           "tpl op=mov dst=0 skip-eq=1\nend\n",
+                           RS, &Err));
+
   // Odd-whitespace lines (form feed, vertical tab) are blank, not UB.
   RuleSet Odd;
   EXPECT_TRUE(readRuleSet("ruledbt-rules v1\n\f\n\v\n", Odd, &Err)) << Err;
@@ -218,6 +232,63 @@ TEST(RuleIo, RejectsMalformedInput) {
   const size_t Size = Keep.size();
   EXPECT_FALSE(readRuleSet("garbage", Keep, &Err));
   EXPECT_EQ(Keep.size(), Size);
+}
+
+/// The mutation corpus: every key=value token of the written reference
+/// corpus, set in turn to each edge value. A mutant must either be
+/// rejected, or load and then match and emit the probe stream cleanly
+/// (the sanitizer builds turn any out-of-range access into a failure).
+/// Each mutant is one rule block under the file header — a token only
+/// ever changes its own rule — which keeps the sweep fast.
+TEST(RuleIo, MutatedRuleFilesRejectOrEmitCleanly) {
+  const RuleSet Ref = buildReferenceRuleSet();
+  const std::string Text = writeRuleSet(Ref);
+  const std::string Header = Text.substr(0, Text.find('\n') + 1);
+  std::vector<std::string> Blocks;
+  for (size_t At = Text.find("rule "); At != std::string::npos;) {
+    const size_t End = Text.find("end\n", At) + 4;
+    Blocks.push_back(Text.substr(At, End - At));
+    At = Text.find("rule ", End);
+  }
+  ASSERT_EQ(Blocks.size(), Ref.size());
+
+  const std::vector<arm::Inst> &Insts = tests::probeStream();
+  const char *const Edges[] = {"-2", "-1", "0", "1", "5", "6", "31", "32",
+                               "255", "256"};
+  unsigned Mutants = 0, Rejected = 0, Emitted = 0;
+  for (const std::string &Block : Blocks) {
+    for (size_t Eq = Block.find('='); Eq != std::string::npos;
+         Eq = Block.find('=', Eq + 1)) {
+      const size_t ValEnd = Block.find_first_of(" \n", Eq);
+      for (const char *Edge : Edges) {
+        const std::string Mutant = Header + Block.substr(0, Eq + 1) + Edge +
+                                   Block.substr(ValEnd);
+        ++Mutants;
+        RuleSet RS;
+        std::string Err;
+        if (!readRuleSet(Mutant, RS, &Err)) {
+          EXPECT_FALSE(Err.empty());
+          ++Rejected;
+          continue;
+        }
+        ASSERT_EQ(RS.size(), 1u);
+        for (size_t I = 0; I < Insts.size(); ++I) {
+          const Rule *R = nullptr;
+          Binding B;
+          if (!RS.match(Insts.data() + I, Insts.size() - I, &R, B))
+            continue;
+          host::HostBlock HB;
+          host::HostEmitter E(HB);
+          emitRule(*R, B, E);
+          EXPECT_LE(HB.Code.size(), R->Host.size());
+          ++Emitted;
+        }
+      }
+    }
+  }
+  // The sweep must exercise both outcomes.
+  EXPECT_GT(Rejected, Mutants / 10);
+  EXPECT_GT(Emitted, 1000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -105,6 +105,16 @@ TEST(VmConfig, FromSpecRejectsGarbage) {
   EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
   vm::VmConfig::fromSpec("qemu/mcf@4294967297", &Err); // uint32 overflow
   EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
+  vm::VmConfig::fromSpec("qemu/mcf@", &Err); // '@' promises a scale
+  EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
+  // A repeated session option is an error, not last-one-wins.
+  for (const char *Spec :
+       {"qemu/mcf,ifp=off,ifp=on", "qemu/mcf,cache=a,cache=b",
+        "qemu/mcf,trace=a.json,ifp=on,trace=b.json"}) {
+    vm::VmConfig::fromSpec(Spec, &Err);
+    EXPECT_NE(Err.find("repeated session option"), std::string::npos)
+        << Spec << ": " << Err;
+  }
 
   // An unparsable spec yields a config Vm refuses to build.
   vm::Vm V(vm::VmConfig::fromSpec("tcg/mcf"));

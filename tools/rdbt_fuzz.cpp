@@ -18,20 +18,21 @@
 ///   rdbt_fuzz --seed 137 --spec rule:scheduling    # reproduce one seed
 ///   rdbt_fuzz --plant-bug                          # harness self-test
 ///
+/// --spec takes engine kinds only (the interpreter is the oracle), and a
+/// rule:file=<path> spec deploys the corpus at that path; an unknown or
+/// non-engine kind or an unreadable corpus exits 2 before any seed runs.
+///
 /// --plant-bug deploys the reference corpus with a deliberately-unsound
 /// clz rule and *inverts* the exit semantics: the run succeeds only if
 /// the bug is caught and the reproducer shrinks to <= 8 instructions.
 ///
 /// With --json (or RDBT_BENCH_JSON set) a BENCH_fuzz.json summary is
-/// emitted: per-kind aggregate counters, seeds run, mismatch counts,
-/// wall-clock execs/sec, and the rule-matcher micro-benchmark comparing
-/// the linear, fine-indexed, and hot-reordered matchers at corpus scale.
+/// emitted: per-kind aggregate counters, seeds run and mismatch counts.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 
-#include "arm/Decoder.h"
 #include "fuzz/Differential.h"
 #include "fuzz/ProgramGen.h"
 #include "fuzz/Shrink.h"
@@ -40,9 +41,9 @@
 #include "vm/Vm.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -88,136 +89,6 @@ struct Mismatch {
   std::string Spec;
   std::string Diff;
 };
-
-/// Decodes the rendered image into the instruction stream the matcher
-/// micro-benchmark replays.
-std::vector<arm::Inst> decodeProgram(const fuzz::GenProgram &Prog) {
-  std::vector<arm::Inst> Insts;
-  for (const uint32_t W : fuzz::render(Prog))
-    Insts.push_back(arm::decode(W));
-  return Insts;
-}
-
-//===----------------------------------------------------------------------===//
-// Rule-matcher micro-benchmark: linear vs fine-indexed vs hot-reordered,
-// at reference scale and at synthetic corpus scale (1k+/10k+ rules).
-//===----------------------------------------------------------------------===//
-
-/// Extends the reference set with exact-immediate single-opcode variants
-/// ("learned specializations") until it holds \p Target rules. Each
-/// variant registers in exactly one fine bucket, which is how a real
-/// learned corpus spreads: the linear matcher degrades with the rule
-/// count while the indexed matcher only sees its bucket.
-rules::RuleSet buildSyntheticCorpus(size_t Target) {
-  const rules::RuleSet Ref = rules::buildReferenceRuleSet();
-  // Opcode -> host-op mapping, harvested from the reference classes.
-  std::vector<rules::OpClassEntry> AluEntries;
-  for (size_t I = 0; I < Ref.size(); ++I)
-    for (const auto &Class : Ref.rule(I).Classes)
-      for (const rules::OpClassEntry &CE : Class) {
-        bool Known = false;
-        for (const rules::OpClassEntry &Have : AluEntries)
-          Known |= Have.Guest == CE.Guest;
-        if (!Known)
-          AluEntries.push_back(CE);
-      }
-
-  rules::RuleSet RS;
-  for (size_t I = 0; I < Ref.size(); ++I)
-    RS.add(Ref.rule(I));
-  size_t Serial = 0;
-  while (RS.size() < Target && !AluEntries.empty()) {
-    const rules::OpClassEntry &CE = AluEntries[Serial % AluEntries.size()];
-    rules::Rule R;
-    R.Name = "syn_" + std::to_string(Serial);
-    R.Classes = {{CE}};
-    rules::RulePattern P;
-    P.Shape = rules::PatShape::DpImm;
-    P.SetFlags = (Serial & 1) != 0;
-    P.Rd = 0;
-    P.Rn = 1;
-    P.ImmP = -1;
-    P.ImmExact = static_cast<uint32_t>(Serial / AluEntries.size()) % 256;
-    R.Guest = {P};
-    rules::HostTemplateOp H;
-    H.UseClassHostOp = true;
-    H.SetFlagsFromGuest = true;
-    H.Dst = 0;
-    H.Src = 1;
-    H.UseImm = true;
-    H.ImmExact = P.ImmExact;
-    R.Host = {H};
-    R.Verified = true;
-    RS.add(std::move(R));
-    ++Serial;
-  }
-  return RS;
-}
-
-struct MatchBenchResult {
-  double LinearPerSec = 0;
-  double IndexedPerSec = 0;
-  double HotPerSec = 0;
-  bool Identical = true; ///< all three matchers agreed on every probe
-};
-
-MatchBenchResult runMatchBench(const rules::RuleSet &RS,
-                               const std::vector<arm::Inst> &Insts,
-                               unsigned Repeat) {
-  using Matcher = size_t (rules::RuleSet::*)(const arm::Inst *, size_t,
-                                             const rules::Rule **,
-                                             rules::Binding &,
-                                             rules::MatchStats *) const;
-  // Hot-order a copy on a warmup pass; the original stays canonical.
-  rules::RuleSet Hot;
-  for (size_t I = 0; I < RS.size(); ++I)
-    Hot.add(RS.rule(I));
-  rules::MatchStats Warm;
-  for (size_t I = 0; I < Insts.size(); ++I) {
-    const rules::Rule *R = nullptr;
-    rules::Binding B;
-    Hot.match(Insts.data() + I, Insts.size() - I, &R, B, &Warm);
-  }
-  Hot.optimizeHotOrder(Warm);
-
-  MatchBenchResult Res;
-  // Per-probe reference results from the linear matcher (rule name +
-  // consumed count identify the selection across rule-set copies). The
-  // full bit-level equivalence proof lives in RuleSetIndexTest; this
-  // keeps the timed paths honest on the benched stream too.
-  std::vector<std::pair<std::string, size_t>> Want;
-  Want.reserve(Insts.size());
-  for (size_t I = 0; I < Insts.size(); ++I) {
-    const rules::Rule *R = nullptr;
-    rules::Binding B;
-    const size_t Len =
-        RS.matchLinear(Insts.data() + I, Insts.size() - I, &R, B, nullptr);
-    Want.emplace_back(R ? R->Name : "", Len);
-  }
-  const auto Time = [&](const rules::RuleSet &Set, Matcher M, bool Check) {
-    const auto T0 = std::chrono::steady_clock::now();
-    uint64_t Probes = 0;
-    for (unsigned Rep = 0; Rep < Repeat; ++Rep)
-      for (size_t I = 0; I < Insts.size(); ++I) {
-        const rules::Rule *R = nullptr;
-        rules::Binding B;
-        const size_t Len =
-            (Set.*M)(Insts.data() + I, Insts.size() - I, &R, B, nullptr);
-        ++Probes;
-        if (Check && Rep == 0 &&
-            (Len != Want[I].second || (R ? R->Name : "") != Want[I].first))
-          Res.Identical = false;
-      }
-    const double Secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
-    return Secs > 0 ? static_cast<double>(Probes) / Secs : 0.0;
-  };
-  Res.LinearPerSec = Time(RS, &rules::RuleSet::matchLinear, false);
-  Res.IndexedPerSec = Time(RS, &rules::RuleSet::match, true);
-  Res.HotPerSec = Time(Hot, &rules::RuleSet::match, true);
-  return Res;
-}
 
 } // namespace
 
@@ -301,29 +172,15 @@ int main(int Argc, char **Argv) {
     return usage();
   }
 
-  // --- Corpora ------------------------------------------------------------
-  // One immutable RuleSet per corpus, shared read-only across every seed,
-  // kind, and worker thread. --plant-bug swaps in the unsound clz rule.
-  const rules::RuleSet Shared = Opt.PlantBug ? fuzz::buildPlantedBugRuleSet()
-                                             : rules::buildReferenceRuleSet();
-  rules::RuleSet FileCorpus;
-  if (!Opt.CorpusFile.empty()) {
-    std::string Err;
-    if (!rules::readRuleFile(Opt.CorpusFile, FileCorpus, &Err)) {
-      std::fprintf(stderr, "cannot load corpus '%s': %s\n",
-                   Opt.CorpusFile.c_str(), Err.c_str());
-      return 2;
-    }
-  }
-
   // --- Kind list ----------------------------------------------------------
+  const vm::TranslatorRegistry &Registry = vm::TranslatorRegistry::global();
   std::vector<std::string> Specs = Opt.Specs;
   if (Specs.empty()) {
     if (Opt.PlantBug) {
       Specs.push_back("rule:scheduling");
     } else {
-      for (const std::string &K : vm::TranslatorRegistry::global().kinds()) {
-        const auto *Info = vm::TranslatorRegistry::global().find(K);
+      for (const std::string &K : Registry.kinds()) {
+        const auto *Info = Registry.find(K);
         if (Info && Info->UsesEngine && !Info->TakesParam)
           Specs.push_back(K);
       }
@@ -331,9 +188,43 @@ int main(int Argc, char **Argv) {
         Specs.push_back("rule:file=" + Opt.CorpusFile);
     }
   }
+  // The oracle is the interpreter, so only engine kinds have anything to
+  // diff against it; every rule:file=<path> spec deploys the file it names.
+  std::vector<std::string> CorpusPaths;
+  if (!Opt.CorpusFile.empty())
+    CorpusPaths.push_back(Opt.CorpusFile);
+  for (const std::string &S : Specs) {
+    const auto *Info = Registry.find(S);
+    if (!Info || !Info->UsesEngine) {
+      std::fprintf(stderr,
+                   "--spec '%s' is not an engine translator kind "
+                   "(see --list)\n",
+                   S.c_str());
+      return 2;
+    }
+    if (Info->TakesParam)
+      CorpusPaths.push_back(vm::TranslatorRegistry::paramOf(S));
+  }
+
+  // --- Corpora ------------------------------------------------------------
+  // One immutable RuleSet per corpus, shared read-only across every seed,
+  // kind, and worker thread. --plant-bug swaps in the unsound clz rule.
+  const rules::RuleSet Shared = Opt.PlantBug ? fuzz::buildPlantedBugRuleSet()
+                                             : rules::buildReferenceRuleSet();
+  std::map<std::string, rules::RuleSet> FileCorpora; // path -> corpus
+  for (const std::string &Path : CorpusPaths) {
+    if (FileCorpora.count(Path))
+      continue;
+    std::string Err;
+    if (!rules::readRuleFile(Path, FileCorpora[Path], &Err)) {
+      std::fprintf(stderr, "cannot load corpus '%s': %s\n", Path.c_str(),
+                   Err.c_str());
+      return 2;
+    }
+  }
   const auto RulesFor = [&](const std::string &Spec) -> const rules::RuleSet * {
-    if (Spec.rfind("rule:file=", 0) == 0 && !Opt.CorpusFile.empty())
-      return &FileCorpus;
+    if (Registry.find(Spec)->TakesParam)
+      return &FileCorpora.at(vm::TranslatorRegistry::paramOf(Spec));
     return &Shared;
   };
 
@@ -353,8 +244,6 @@ int main(int Argc, char **Argv) {
   const vm::BatchRunner Runner(Opt.Jobs);
   std::vector<Mismatch> Mismatches;
   std::vector<std::string> Errors;
-  uint64_t ProgramsRun = 0;
-  const auto FuzzT0 = std::chrono::steady_clock::now();
 
   constexpr uint64_t Wave = 32;
   for (uint64_t Lo = Opt.SeedLo; Lo < Opt.SeedHi; Lo += Wave) {
@@ -377,7 +266,6 @@ int main(int Argc, char **Argv) {
       const size_t Base = static_cast<size_t>(S - Lo) * Stride;
       const vm::RunReport &RefRep = Reports[Base];
       const fuzz::FinalState Ref = fuzz::finalStateOf(RefRep);
-      ProgramsRun += Stride;
       if (!RefRep.Error.empty() || !Ref.Shutdown) {
         Errors.push_back("seed " + std::to_string(S) + " native: " +
                          (RefRep.Error.empty() ? "did not terminate"
@@ -413,9 +301,6 @@ int main(int Argc, char **Argv) {
       }
     }
   }
-  const double FuzzSecs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - FuzzT0)
-          .count();
 
   // --- Report -------------------------------------------------------------
   const uint64_t SeedCount = Opt.SeedHi - Opt.SeedLo;
@@ -463,42 +348,15 @@ int main(int Argc, char **Argv) {
     for (const fuzz::GenOp &Op : Min.Ops)
       std::printf("    %s\n", fuzz::describeOp(Op).c_str());
     std::printf("reproduce with: rdbt_fuzz --seed %llu --spec %s "
-                "--profile %s%s%s\n",
+                "--profile %s\n",
                 (unsigned long long)First.Seed, First.Spec.c_str(),
-                Prof->Name,
-                Opt.CorpusFile.empty() ? "" : " --corpus ",
-                Opt.CorpusFile.c_str());
+                Prof->Name);
   }
 
-  // --- Matcher micro-benchmark + BENCH_fuzz.json --------------------------
+  // --- BENCH_fuzz.json ----------------------------------------------------
   if (Opt.Json)
     setenv("RDBT_BENCH_JSON", "1", 0);
   if (std::getenv("RDBT_BENCH_JSON")) {
-    std::vector<arm::Inst> Stream;
-    for (uint64_t S = Opt.SeedLo; S < Opt.SeedLo + 4; ++S) {
-      const std::vector<arm::Inst> P = decodeProgram(
-          fuzz::generate(seedAt(S), *fuzz::findProfile("corpus")));
-      Stream.insert(Stream.end(), P.begin(), P.end());
-    }
-    bool BenchIdentical = true;
-    for (const size_t Scale : {size_t(0), size_t(1000), size_t(10000)}) {
-      const rules::RuleSet RS =
-          Scale ? buildSyntheticCorpus(Scale) : rules::buildReferenceRuleSet();
-      const MatchBenchResult B =
-          runMatchBench(RS, Stream, Scale >= 10000 ? 2 : 10);
-      BenchIdentical &= B.Identical;
-      const std::string Point = std::to_string(RS.size()) + "_rules";
-      bench::recordMetric("match_linear_per_sec", Point, B.LinearPerSec);
-      bench::recordMetric("match_indexed_per_sec", Point, B.IndexedPerSec);
-      bench::recordMetric("match_hot_per_sec", Point, B.HotPerSec);
-      std::printf("match_bench %-12s linear %.0f/s indexed %.0f/s hot "
-                  "%.0f/s%s\n",
-                  Point.c_str(), B.LinearPerSec, B.IndexedPerSec,
-                  B.HotPerSec, B.Identical ? "" : " [DIVERGED]");
-    }
-    if (!BenchIdentical)
-      Errors.push_back("match_bench: matcher paths diverged");
-
     for (const KindState &K : Kinds) {
       bench::JsonRecorder::get().Runs.push_back(
           {"fuzz/" + Opt.ProfileName, K.Spec, K.Sum});
@@ -507,8 +365,6 @@ int main(int Argc, char **Argv) {
       bench::recordMetric("fuzz_mismatches", K.Spec,
                           static_cast<double>(K.Mismatches));
     }
-    bench::recordMetric("fuzz_execs_per_sec", "all_kinds",
-                        FuzzSecs > 0 ? ProgramsRun / FuzzSecs : 0);
     bench::recordMetric("fuzz_mismatches", "total",
                         static_cast<double>(Mismatches.size()));
     bench::writeBenchJson("fuzz");
