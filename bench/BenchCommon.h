@@ -15,7 +15,8 @@
 /// value that is not a positive decimal is an error).
 /// RDBT_BENCH_JSON (env), when set, makes each binary also write its raw
 /// counters and derived figure series to BENCH_<name>.json (the variable's
-/// value is the output directory; "1" or empty means the current directory).
+/// value is the output directory; "1" or empty means the current directory;
+/// a directory that cannot be written is an error).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -336,6 +337,46 @@ inline void writeRunStatsFields(Stream &OS, const RunStats &S) {
   }
 }
 
+/// The warm-boot contract, checked per cell by `rdbt_scenarios
+/// --cache-dir`: \p Warm reran \p Cold's session against the cache files
+/// the cold run saved. It must translate nothing and reject no file, and
+/// every other counter must equal cold's — except the provenance and
+/// translation-time fields a warm boot changes by design (cache_file_hits,
+/// loaded_tbs, rule coverage and rule matching) and the obs_* family.
+/// Returns "" when clean, else a message naming the first field that
+/// differs.
+inline std::string warmBootDiff(const RunStats &Cold, const RunStats &Warm) {
+  if (Warm.Translations || Warm.TranslatedGuestInstrs)
+    return "warm boot still translated " + std::to_string(Warm.Translations) +
+           " block(s)";
+  if (Warm.CacheFileMisses)
+    return "warm boot rejected a cache file";
+  RunStats W = Warm;
+  W.Translations = Cold.Translations;
+  W.TranslatedGuestInstrs = Cold.TranslatedGuestInstrs;
+  W.CacheFileMisses = Cold.CacheFileMisses;
+  W.CacheFileHits = Cold.CacheFileHits;
+  W.LoadedTbs = Cold.LoadedTbs;
+  W.RuleCoveredInstrs = Cold.RuleCoveredInstrs;
+  W.FallbackInstrs = Cold.FallbackInstrs;
+  W.RuleMatchAttempts = Cold.RuleMatchAttempts;
+  W.RuleMatchHits = Cold.RuleMatchHits;
+  W.Obs = Cold.Obs;
+  std::ostringstream C, WS;
+  writeRunStatsFields(C, Cold);
+  writeRunStatsFields(WS, W);
+  // Both emissions list the same `"name": value` fields in the same order.
+  std::istringstream CI(C.str()), WI(WS.str());
+  std::string CF, WF;
+  while (std::getline(CI, CF, ',') && std::getline(WI, WF, ','))
+    if (CF != WF) {
+      const size_t Open = CF.find('"'), Close = CF.find('"', Open + 1);
+      return CF.substr(Open + 1, Close - Open - 1) + ": cold " +
+             CF.substr(Close + 3) + ", warm " + WF.substr(Close + 3);
+    }
+  return "";
+}
+
 /// One cell of a scenario matrix: a stable "<kind>/<workload>@<scale>"
 /// key and the measured counters.
 struct MatrixCell {
@@ -363,21 +404,30 @@ inline std::string formatMatrixJson(const std::vector<MatrixCell> &Cells,
   return OS.str();
 }
 
+/// Writes \p Doc to \p FileName in the RDBT_BENCH_JSON directory (unset,
+/// empty or "1" means the current directory). A failed write exits with
+/// status 1, so a missing directory never passes as a run without JSON.
+inline void writeBenchFile(const std::string &FileName,
+                           const std::string &Doc) {
+  const char *Env = std::getenv("RDBT_BENCH_JSON");
+  const std::string Dir =
+      (!Env || *Env == '\0' || std::string(Env) == "1") ? "." : Env;
+  const std::string Path = Dir + "/" + FileName;
+  std::ofstream OS(Path);
+  if (!(OS << Doc).flush()) {
+    std::fprintf(stderr, "RDBT_BENCH_JSON: cannot write %s\n", Path.c_str());
+    std::exit(1);
+  }
+  std::printf("\nwrote %s\n", Path.c_str());
+}
+
 /// Writes BENCH_<BenchName>.json when RDBT_BENCH_JSON is set; no-op
 /// otherwise. Call once at the end of each bench binary's main().
 inline void writeBenchJson(const char *BenchName) {
-  const char *Env = std::getenv("RDBT_BENCH_JSON");
-  if (!Env)
+  if (!std::getenv("RDBT_BENCH_JSON"))
     return;
-  const std::string Dir =
-      (*Env == '\0' || std::string(Env) == "1") ? "." : Env;
-  const std::string Path = Dir + "/BENCH_" + BenchName + ".json";
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "RDBT_BENCH_JSON: cannot write %s\n", Path.c_str());
-    return;
-  }
   const JsonRecorder &R = JsonRecorder::get();
+  std::ostringstream OS;
   OS << "{\n  \"bench\": \"" << jsonEscape(BenchName) << "\",\n"
      << "  \"scale\": " << benchScale() << ",\n  \"runs\": [";
   for (size_t I = 0; I < R.Runs.size(); ++I) {
@@ -396,7 +446,7 @@ inline void writeBenchJson(const char *BenchName) {
        << "\", \"value\": " << M.Value << "}";
   }
   OS << "\n  ]\n}\n";
-  std::printf("\nwrote %s\n", Path.c_str());
+  writeBenchFile(std::string("BENCH_") + BenchName + ".json", OS.str());
 }
 
 inline std::vector<std::string> specNames() {

@@ -18,18 +18,42 @@
 #include "rules/RuleIo.h"
 #include "sys/Interpreter.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 using namespace rdbt;
 using namespace rdbt::vm;
 
+namespace {
+
+bool isDirectory(const std::string &Path) {
+  struct stat St {};
+  return ::stat(Path.c_str(), &St) == 0 && (St.st_mode & S_IFMT) == S_IFDIR;
+}
+
+} // namespace
+
 Vm::Vm(VmConfig C) : Cfg(std::move(C)) { init(); }
 
 void Vm::init() {
   Kind_ = TranslatorRegistry::global().find(Cfg.translator());
-  if (!Kind_) {
+  // Both output paths are written only when the session ends, so a
+  // missing directory is caught here rather than losing the file silently.
+  const std::string &CacheDir = Cfg.persistentCache();
+  const size_t TraceSlash = Cfg.trace().rfind('/');
+  const std::string TraceDir = TraceSlash == std::string::npos
+                                   ? std::string()
+                                   : Cfg.trace().substr(0, TraceSlash);
+  if (!Kind_)
     Error_ = "unknown translator kind '" + Cfg.translator() + "'";
+  else if (!CacheDir.empty() && !isDirectory(CacheDir))
+    Error_ = "cache directory '" + CacheDir + "' does not exist";
+  else if (!TraceDir.empty() && !isDirectory(TraceDir))
+    Error_ = "trace directory '" + TraceDir + "' does not exist";
+  if (!Error_.empty()) {
     Board_ = std::make_unique<sys::Platform>(guestsw::KernelLayout::MinRam);
     return;
   }
@@ -279,7 +303,9 @@ Vm::~Vm() {
     Img.LiveBlocks = Img.Entries.size();
     RDBT_TRACE(Sink_.get(), obs::EventKind::CacheFileSave,
                Img.Entries.size());
-    dbt::CodeCacheIo::save(CachePath_, Img, CacheKey_);
+    std::string Err;
+    if (!dbt::CodeCacheIo::save(CachePath_, Img, CacheKey_, &Err))
+      std::fprintf(stderr, "vm: cache file not saved: %s\n", Err.c_str());
   }
   // The timeline outlives the session only as its JSON file; written
   // last, so it covers the cache-file save above.

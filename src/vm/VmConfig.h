@@ -118,8 +118,8 @@ public:
   /// checksum, translator + opt config, format version) and seeds
   /// translations from it; at destruction it saves the session's
   /// translations back. Empty (the default) disables persistence. The
-  /// directory must already exist. Spec strings carry it as
-  /// ",cache=<dir>".
+  /// directory must already exist, or the Vm is invalid. Spec strings
+  /// carry it as ",cache=<dir>".
   VmConfig &persistentCache(std::string Dir) {
     PersistentCacheDir_ = std::move(Dir);
     return *this;
@@ -145,7 +145,8 @@ public:
   }
   /// Arms the observability subsystem (src/obs/): the session records a
   /// typed event timeline plus the obs metrics registry, and writes the
-  /// timeline as Chrome trace-event JSON to \p Path at Vm destruction.
+  /// timeline as Chrome trace-event JSON to \p Path at Vm destruction;
+  /// its directory must already exist, or the Vm is invalid.
   /// Empty (the default) disables it entirely — no sink exists and every
   /// instrumentation point is a null check. Spec strings carry it as
   /// ",trace=<path>". Tracing never touches simulated state: counters,

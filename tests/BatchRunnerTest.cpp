@@ -17,6 +17,8 @@
 ///    run — counter-for-counter identical to Vm::run.
 ///  * Error containment: an invalid config fails its own cell, not the
 ///    batch.
+///  * The warm-boot gate: bench::warmBootDiff passes a real cache-booted
+///    rerun and names what a translating, rejected or diverged one broke.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,9 @@
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
 
 using namespace rdbt;
 
@@ -147,6 +152,51 @@ TEST(BatchRunner, InvalidConfigFailsItsCellNotTheBatch) {
       << "the invalid cell must carry its construction error";
   EXPECT_TRUE(Reports[1].Ok)
       << "a bad cell must not poison the rest of the batch";
+}
+
+TEST(BatchRunner, WarmBootDiffGatesTheWarmPass) {
+  char Buf[] = "/tmp/rdbt-warm-XXXXXX";
+  ASSERT_NE(nullptr, mkdtemp(Buf));
+  const vm::VmConfig Cfg = vm::VmConfig()
+                               .translator("rule:scheduling")
+                               .workload("cpu-prime")
+                               .scale(1)
+                               .persistentCache(Buf);
+  bench::RunStats Cold, Warm;
+  std::string Path;
+  {
+    vm::Vm V(Cfg);
+    ASSERT_TRUE(V.valid()) << V.error();
+    Cold = bench::fromReport(V.run());
+    Path = V.cacheFilePath();
+  }
+  {
+    vm::Vm V(Cfg);
+    Warm = bench::fromReport(V.run());
+  }
+  std::remove(Path.c_str());
+  std::remove(Buf);
+  ASSERT_TRUE(Cold.Ok && Warm.Ok);
+  ASSERT_GT(Cold.Translations, 0u);
+  ASSERT_EQ(Warm.CacheFileHits, 1u);
+  EXPECT_EQ("", bench::warmBootDiff(Cold, Warm));
+
+  bench::RunStats Bad = Warm;
+  Bad.Translations = 7;
+  Bad.TranslatedGuestInstrs = 40;
+  EXPECT_EQ("warm boot still translated 7 block(s)",
+            bench::warmBootDiff(Cold, Bad));
+
+  Bad = Warm;
+  Bad.CacheFileHits = 0;
+  Bad.CacheFileMisses = 1;
+  EXPECT_EQ("warm boot rejected a cache file", bench::warmBootDiff(Cold, Bad));
+
+  Bad = Warm;
+  ++Bad.Wall;
+  EXPECT_EQ("wall: cold " + std::to_string(Cold.Wall) + ", warm " +
+                std::to_string(Cold.Wall + 1),
+            bench::warmBootDiff(Cold, Bad));
 }
 
 TEST(BatchRunner, EmptyBatchAndZeroJobsAreSafe) {

@@ -7,8 +7,9 @@
 /// The vm/ layer's contract: spec strings round-trip through
 /// VmConfig::fromSpec/toSpec, the translator registry enumerates and
 /// factory-constructs every kind, a Vm run reproduces a hand-assembled
-/// engine stack counter-for-counter, and the budget/guard knobs surface
-/// the WallLimit and Runaway stop reasons no other suite exercises.
+/// engine stack counter-for-counter, the budget/guard knobs surface
+/// the WallLimit and Runaway stop reasons no other suite exercises, and
+/// a missing cache or trace directory fails construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -351,6 +352,28 @@ TEST(Vm, RunawayGuardStopsTheRun) {
   const vm::RunReport R = V.run();
   EXPECT_EQ(R.Stop, dbt::StopReason::Runaway);
   EXPECT_FALSE(R.Ok);
+}
+
+TEST(Vm, MissingOutputDirectoryFailsConstruction) {
+  // The cache file and the trace are written only when the session ends;
+  // a directory that is not there must fail now, naming the path, for
+  // every kind (a native session would never save, but the spec is wrong).
+  for (const char *Spec :
+       {"qemu/mcf,cache=/no/such/rdbt-dir", "native/mcf,cache=/no/such/rdbt-dir",
+        "qemu/mcf,trace=/no/such/rdbt-dir/t.json"}) {
+    std::string Err;
+    const vm::VmConfig Cfg = vm::VmConfig::fromSpec(Spec, &Err);
+    ASSERT_TRUE(Err.empty()) << Spec << ": " << Err;
+    vm::Vm V(Cfg);
+    EXPECT_FALSE(V.valid()) << Spec;
+    EXPECT_NE(V.error().find("'/no/such/rdbt-dir' does not exist"),
+              std::string::npos)
+        << Spec << ": " << V.error();
+    EXPECT_FALSE(V.run().Ok) << Spec;
+  }
+  // An existing directory is accepted.
+  vm::Vm V(vm::VmConfig::fromSpec("qemu/mcf,cache=."));
+  EXPECT_TRUE(V.valid()) << V.error();
 }
 
 TEST(StopReason, NamesAreDistinct) {

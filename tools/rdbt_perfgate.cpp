@@ -2,7 +2,7 @@
 //
 // Part of RuleDBT. Diffs two BENCH_matrix.json documents (written by
 // `rdbt_scenarios --jobs N --json`) and exits nonzero on ANY counter
-// difference outside an explicit allowlist.
+// difference outside an explicitly waived field class.
 //
 // Because the host machine is simulated, every counter is an exact,
 // byte-reproducible instruction count — so the gate is a hard equality
@@ -12,14 +12,9 @@
 // scenario X"). See bench/README.md for the baseline-update workflow.
 //
 // Usage:
-//   rdbt_perfgate <baseline.json> <current.json> [--allow <key>[:<field>]]...
-//                 [--allow-prefix <pfx>]...
-//   rdbt_perfgate --warm <cold.json> <warm.json> [--allow <key>[:<field>]]...
-//                 [--allow-prefix <pfx>]...
+//   rdbt_perfgate <baseline.json> <current.json> [--allow-prefix <pfx>]...
 //   rdbt_perfgate --selfcheck
 //
-// --allow "qemu/mcf@1"            waives every counter of one scenario
-// --allow "qemu/mcf@1:wall"       waives one counter of one scenario
 // --allow-prefix "obs_"           waives a field CLASS in every cell —
 //                                 fields whose name starts with the
 //                                 prefix. The observability family
@@ -27,27 +22,20 @@
 //                                 top of the exact counters) is host
 //                                 wall time by design, so CI compares a
 //                                 traced run against the untraced
-//                                 baseline with --allow-prefix obs_ and
-//                                 zero per-counter --allow entries.
+//                                 baseline with --allow-prefix obs_. An
+//                                 empty prefix would waive everything
+//                                 and is rejected.
 //
 // Missing and newly-appearing scenarios both fail (the baseline must
 // describe exactly the matrix CI runs). --selfcheck exercises the parser
 // and comparator on built-in documents; registered with CTest.
 //
-// --warm compares a cold matrix against the warm rerun written by
-// `rdbt_scenarios --cache-dir` (BENCH_matrix_warm.json). Guest-visible
-// counters must still match the cold document exactly, but the
-// translation-work counters are gated instead of diffed: a warm boot
-// against the persistent cache must translate *nothing* (translations
-// and translated_guest_instrs exactly 0), load its cache file cleanly
-// (cache_file_hits == 1 wherever the cold run translated,
-// cache_file_misses == 0 — a miss means a corrupt or stale-keyed file),
-// while loaded_tbs and the translation-time rule-matching statistics
-// (zero when nothing translates) are informational.
+// The warm-boot contract (a rerun against the persistent cache
+// translates nothing and matches cold) is gated in-process by
+// `rdbt_scenarios --cache-dir`, not here.
 //
 //===----------------------------------------------------------------------===//
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -185,28 +173,21 @@ bool parseMatrix(const std::string &Text, MatrixDoc &Doc,
   }
 }
 
-bool allowed(const std::vector<std::string> &Allow,
-             const std::vector<std::string> &AllowPrefixes,
-             const std::string &Key, const std::string &Field) {
-  // --allow-prefix waives a whole field *class* in every cell — the
-  // obs_* observability family is informational by design (host wall
-  // time feeds it), so CI gates a traced run with --allow-prefix obs_
-  // and zero per-counter --allow entries.
-  if (!Field.empty())
-    for (const std::string &Pfx : AllowPrefixes)
-      if (Field.compare(0, Pfx.size(), Pfx) == 0)
-        return true;
-  return std::find(Allow.begin(), Allow.end(), Key) != Allow.end() ||
-         (!Field.empty() &&
-          std::find(Allow.begin(), Allow.end(), Key + ":" + Field) !=
-              Allow.end());
+/// --allow-prefix waives a whole field *class* in every cell — the obs_*
+/// observability family is informational by design (host wall time feeds
+/// it), so CI gates a traced run with --allow-prefix obs_.
+bool waived(const std::vector<std::string> &AllowPrefixes,
+            const std::string &Field) {
+  for (const std::string &Pfx : AllowPrefixes)
+    if (Field.compare(0, Pfx.size(), Pfx) == 0)
+      return true;
+  return false;
 }
 
 /// Exact-count comparison. Appends one human-readable line per
-/// regression to \p Diffs; returns the number of regressions (waived
+/// difference to \p Diffs; returns the number of regressions (waived
 /// differences are reported as notes but not counted).
 int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
-                    const std::vector<std::string> &Allow,
                     const std::vector<std::string> &AllowPrefixes,
                     std::vector<std::string> &Diffs) {
   int Regressions = 0;
@@ -223,96 +204,26 @@ int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
   for (const Cell &B : Base.Cells) {
     const Cell *C = Cur.cell(B.Key);
     if (!C) {
-      Note(B.Key + ": missing from current run", allowed(Allow, AllowPrefixes, B.Key, ""));
+      Note(B.Key + ": missing from current run", false);
       continue;
     }
     for (const auto &F : B.Fields) {
       const std::string *V = C->field(F.first);
       if (!V)
         Note(B.Key + "." + F.first + ": missing from current run",
-             allowed(Allow, AllowPrefixes, B.Key, F.first));
+             waived(AllowPrefixes, F.first));
       else if (*V != F.second)
         Note(B.Key + "." + F.first + ": " + F.second + " -> " + *V,
-             allowed(Allow, AllowPrefixes, B.Key, F.first));
+             waived(AllowPrefixes, F.first));
     }
     for (const auto &F : C->Fields)
       if (!B.field(F.first))
         Note(B.Key + "." + F.first + ": not in baseline",
-             allowed(Allow, AllowPrefixes, B.Key, F.first));
+             waived(AllowPrefixes, F.first));
   }
   for (const Cell &C : Cur.Cells)
     if (!Base.cell(C.Key))
-      Note(C.Key + ": not in baseline (update bench/baselines/)",
-           allowed(Allow, AllowPrefixes, C.Key, ""));
-  return Regressions;
-}
-
-/// Cold-vs-warm comparison (--warm). \p Base is the cold document,
-/// \p Cur the warm rerun against the same cache directory. See the file
-/// header for the per-field rules.
-int compareWarm(const MatrixDoc &Base, const MatrixDoc &Cur,
-                const std::vector<std::string> &Allow,
-                const std::vector<std::string> &AllowPrefixes,
-                std::vector<std::string> &Diffs) {
-  int Regressions = 0;
-  const auto Note = [&](const std::string &Line, bool Waived) {
-    Diffs.push_back((Waived ? "allowed: " : "FAIL: ") + Line);
-    if (!Waived)
-      ++Regressions;
-  };
-
-  if (Base.Scale != Cur.Scale)
-    Note("scale mismatch: cold " + Base.Scale + ", warm " + Cur.Scale, false);
-
-  for (const Cell &B : Base.Cells) {
-    const Cell *C = Cur.cell(B.Key);
-    if (!C) {
-      Note(B.Key + ": missing from warm run", allowed(Allow, AllowPrefixes, B.Key, ""));
-      continue;
-    }
-    const std::string *ColdXlate = B.field("translations");
-    const bool ColdTranslated = ColdXlate && *ColdXlate != "0";
-    for (const auto &F : B.Fields) {
-      const std::string *V = C->field(F.first);
-      if (!V) {
-        Note(B.Key + "." + F.first + ": missing from warm run",
-             allowed(Allow, AllowPrefixes, B.Key, F.first));
-        continue;
-      }
-      if (F.first == "translations" ||
-          F.first == "translated_guest_instrs") {
-        if (*V != "0")
-          Note(B.Key + "." + F.first + ": warm boot still translated (" +
-                   *V + ", must be 0)",
-               allowed(Allow, AllowPrefixes, B.Key, F.first));
-      } else if (F.first == "cache_file_hits") {
-        if (ColdTranslated && *V != "1")
-          Note(B.Key + ".cache_file_hits: warm boot did not load its "
-                       "cache file (" + *V + ", must be 1)",
-               allowed(Allow, AllowPrefixes, B.Key, F.first));
-      } else if (F.first == "cache_file_misses") {
-        if (*V != "0")
-          Note(B.Key + ".cache_file_misses: warm boot rejected a cache "
-                       "file (" + *V + ", must be 0)",
-               allowed(Allow, AllowPrefixes, B.Key, F.first));
-      } else if (F.first == "loaded_tbs") {
-        // Informational: how many blocks the file seeded.
-      } else if (F.first == "rule_covered_instrs" ||
-                 F.first == "fallback_instrs" ||
-                 F.first == "rule_match_attempts" ||
-                 F.first == "rule_match_hits") {
-        // Translation-time statistics: a warm boot that translates
-        // nothing does no rule matching, so these drop to zero by
-        // design. The translations gate above already proves it.
-      } else if (*V != F.second) {
-        Note(B.Key + "." + F.first + ": cold " + F.second + " -> warm " + *V,
-             allowed(Allow, AllowPrefixes, B.Key, F.first));
-      }
-    }
-  }
-  for (const Cell &C : Cur.Cells)
-    if (!Base.cell(C.Key))
-      Note(C.Key + ": not in cold run", allowed(Allow, AllowPrefixes, C.Key, ""));
+      Note(C.Key + ": not in baseline (update bench/baselines/)", false);
   return Regressions;
 }
 
@@ -349,30 +260,28 @@ int selfcheck() {
         "field value parsed");
 
   std::vector<std::string> Diffs;
-  Check(compareMatrices(Base, Same, {}, {}, Diffs) == 0 && Diffs.empty(),
+  Check(compareMatrices(Base, Same, {}, Diffs) == 0 && Diffs.empty(),
         "identical documents must pass");
   Diffs.clear();
-  Check(compareMatrices(Base, Regressed, {}, {}, Diffs) == 1,
+  Check(compareMatrices(Base, Regressed, {}, Diffs) == 1,
         "one changed counter must be one regression");
-  Diffs.clear();
-  Check(compareMatrices(Base, Regressed, {"qemu/a@1:wall"}, {}, Diffs) == 0,
-        "key:field allowlist must waive the regression");
-  Diffs.clear();
-  Check(compareMatrices(Base, Regressed, {"qemu/a@1"}, {}, Diffs) == 0,
-        "whole-key allowlist must waive the regression");
 
-  // A cell present only in one document fails in both directions.
+  // A cell present only in one document fails in both directions, and no
+  // prefix waives a whole cell.
   MatrixDoc OneCell;
   Check(parseMatrix("{\"scale\": 1, \"matrix\": {\"native/a@1\": "
                     "{\"ok\": true, \"wall\": 100, \"guest_instrs\": 100}}}",
                     OneCell, &Err),
         "parse one-cell document");
   Diffs.clear();
-  Check(compareMatrices(Base, OneCell, {}, {}, Diffs) == 1,
+  Check(compareMatrices(Base, OneCell, {}, Diffs) == 1,
         "missing scenario must regress");
   Diffs.clear();
-  Check(compareMatrices(OneCell, Base, {}, {}, Diffs) == 1,
+  Check(compareMatrices(OneCell, Base, {}, Diffs) == 1,
         "new scenario must regress");
+  Diffs.clear();
+  Check(compareMatrices(Base, OneCell, {"q"}, Diffs) == 1,
+        "a field prefix must not waive a missing scenario");
 
   // --allow-prefix: the obs_* field class a trace-armed run appends on
   // top of the exact counters. The counters themselves are still gated:
@@ -393,72 +302,17 @@ int selfcheck() {
   Check(parseMatrix(TracedRegressedText, TracedRegressed, &Err),
         "parse traced-regressed");
   Diffs.clear();
-  Check(compareMatrices(Base, Traced, {}, {}, Diffs) == 2,
+  Check(compareMatrices(Base, Traced, {}, Diffs) == 2,
         "unwaived obs_ fields must regress");
   Diffs.clear();
-  Check(compareMatrices(Base, Traced, {}, {"obs_"}, Diffs) == 0,
+  Check(compareMatrices(Base, Traced, {"obs_"}, Diffs) == 0,
         "--allow-prefix obs_ must waive the whole field class");
   Diffs.clear();
-  Check(compareMatrices(Base, TracedRegressed, {}, {"obs_"}, Diffs) == 1,
+  Check(compareMatrices(Base, TracedRegressed, {"obs_"}, Diffs) == 1,
         "--allow-prefix must not waive an exact-counter regression");
   Diffs.clear();
-  Check(compareMatrices(Traced, Base, {}, {"obs_"}, Diffs) == 0,
+  Check(compareMatrices(Traced, Base, {"obs_"}, Diffs) == 0,
         "--allow-prefix must waive obs_ fields missing from current");
-
-  // --warm mode: guest counters exact, translation counters gated.
-  const char *ColdText =
-      "{\n  \"scale\": 1,\n  \"matrix\": {\n"
-      "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 36,"
-      " \"translated_guest_instrs\": 200, \"cache_file_hits\": 0,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 0}\n  }\n}\n";
-  const char *WarmGoodText =
-      "{\n  \"scale\": 1,\n  \"matrix\": {\n"
-      "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 0,"
-      " \"translated_guest_instrs\": 0, \"cache_file_hits\": 1,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 36}\n  }\n}\n";
-  const char *WarmStillXlates =
-      "{\n  \"scale\": 1,\n  \"matrix\": {\n"
-      "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 7,"
-      " \"translated_guest_instrs\": 40, \"cache_file_hits\": 1,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 29}\n  }\n}\n";
-  const char *WarmRejected =
-      "{\n  \"scale\": 1,\n  \"matrix\": {\n"
-      "    \"qemu/a@1\": {\"ok\": true, \"wall\": 450, \"translations\": 0,"
-      " \"translated_guest_instrs\": 0, \"cache_file_hits\": 0,"
-      " \"cache_file_misses\": 1, \"loaded_tbs\": 0}\n  }\n}\n";
-  const char *WarmDiverged =
-      "{\n  \"scale\": 1,\n  \"matrix\": {\n"
-      "    \"qemu/a@1\": {\"ok\": true, \"wall\": 451, \"translations\": 0,"
-      " \"translated_guest_instrs\": 0, \"cache_file_hits\": 1,"
-      " \"cache_file_misses\": 0, \"loaded_tbs\": 36}\n  }\n}\n";
-
-  MatrixDoc Cold, WGood, WXlate, WReject, WDiverge;
-  Check(parseMatrix(ColdText, Cold, &Err), "parse cold");
-  Check(parseMatrix(WarmGoodText, WGood, &Err), "parse warm-good");
-  Check(parseMatrix(WarmStillXlates, WXlate, &Err), "parse warm-xlates");
-  Check(parseMatrix(WarmRejected, WReject, &Err), "parse warm-rejected");
-  Check(parseMatrix(WarmDiverged, WDiverge, &Err), "parse warm-diverged");
-
-  Diffs.clear();
-  Check(compareWarm(Cold, WGood, {}, {}, Diffs) == 0,
-        "clean warm boot must pass --warm");
-  Diffs.clear();
-  Check(compareWarm(Cold, WXlate, {}, {}, Diffs) == 2,
-        "warm translations must be gated to zero");
-  Diffs.clear();
-  // A rejected file regresses twice: the miss itself, and the hit the
-  // cold-translated cell was required to have.
-  Check(compareWarm(Cold, WReject, {}, {}, Diffs) == 2,
-        "warm cache-file rejection must regress");
-  Diffs.clear();
-  Check(compareWarm(Cold, WDiverge, {}, {}, Diffs) == 1,
-        "warm guest-counter divergence must regress");
-  Diffs.clear();
-  Check(compareWarm(Cold, WXlate,
-                    {"qemu/a@1:translations",
-                     "qemu/a@1:translated_guest_instrs"},
-                    {}, Diffs) == 0,
-        "--warm must honor the allowlist");
 
   if (Failures == 0)
     std::printf("rdbt_perfgate selfcheck: all checks passed\n");
@@ -483,20 +337,15 @@ int main(int argc, char **argv) {
 
   const char *BasePath = nullptr;
   const char *CurPath = nullptr;
-  bool WarmMode = false;
-  std::vector<std::string> Allow;
   std::vector<std::string> AllowPrefixes;
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--allow") == 0 && I + 1 < argc) {
-      Allow.push_back(argv[++I]);
-      continue;
-    }
     if (std::strcmp(argv[I], "--allow-prefix") == 0 && I + 1 < argc) {
-      AllowPrefixes.push_back(argv[++I]);
-      continue;
-    }
-    if (std::strcmp(argv[I], "--warm") == 0) {
-      WarmMode = true;
+      if (!*argv[++I]) {
+        std::fprintf(stderr, "--allow-prefix: an empty prefix would waive "
+                             "every field\n");
+        return 2;
+      }
+      AllowPrefixes.push_back(argv[I]);
       continue;
     }
     if (!BasePath) {
@@ -513,9 +362,7 @@ int main(int argc, char **argv) {
   if (!BasePath || !CurPath) {
     std::fprintf(stderr,
                  "usage: rdbt_perfgate <baseline.json> <current.json> "
-                 "[--allow <key>[:<field>]]... [--allow-prefix <pfx>]...\n"
-                 "       rdbt_perfgate --warm <cold.json> <warm.json> "
-                 "[--allow <key>[:<field>]]... [--allow-prefix <pfx>]...\n"
+                 "[--allow-prefix <pfx>]...\n"
                  "       rdbt_perfgate --selfcheck\n");
     return 2;
   }
@@ -540,30 +387,25 @@ int main(int argc, char **argv) {
   }
 
   std::vector<std::string> Diffs;
-  const int Regressions =
-      WarmMode ? compareWarm(Base, Cur, Allow, AllowPrefixes, Diffs)
-               : compareMatrices(Base, Cur, Allow, AllowPrefixes, Diffs);
+  const int Regressions = compareMatrices(Base, Cur, AllowPrefixes, Diffs);
   for (const std::string &D : Diffs)
     std::fprintf(Regressions ? stderr : stdout, "%s\n", D.c_str());
   if (Regressions) {
-    if (WarmMode)
-      std::fprintf(stderr,
-                   "\nperf-gate: %d warm-boot regression(s) across %zu "
-                   "scenario(s)\n",
-                   Regressions, Base.Cells.size());
-    else
-      std::fprintf(stderr,
-                   "\nperf-gate: %d exact-count regression(s) across %zu "
-                   "baseline scenario(s)\n"
-                   "intentional? update the baseline in the same commit "
-                   "(see bench/README.md)\n",
-                   Regressions, Base.Cells.size());
+    std::fprintf(stderr,
+                 "\nperf-gate: %d exact-count regression(s) across %zu "
+                 "baseline scenario(s)\n"
+                 "intentional? update the baseline in the same commit "
+                 "(see bench/README.md)\n",
+                 Regressions, Base.Cells.size());
     return 1;
   }
-  std::printf(WarmMode ? "perf-gate: %zu scenario(s) compared, warm boots "
-                         "translated nothing\n"
-                       : "perf-gate: %zu scenario(s) compared, every counter "
-                         "exact\n",
-              Base.Cells.size());
+  if (Diffs.empty())
+    std::printf("perf-gate: %zu scenario(s) compared, every counter exact\n",
+                Base.Cells.size());
+  else
+    std::printf("perf-gate: %zu scenario(s) compared, every unwaived "
+                "counter exact; %zu difference(s) waived by "
+                "--allow-prefix\n",
+                Base.Cells.size(), Diffs.size());
   return 0;
 }

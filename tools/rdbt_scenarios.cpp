@@ -29,9 +29,9 @@
 //     translation cache in D (dbt/CodeCacheIo.h): a cold pass that
 //     populates it, then a warm pass that must boot every engine cell
 //     from the saved files alone — identical console and final state,
-//     cache_file_hits == 1, translations == 0. --json additionally
-//     writes the warm pass as BENCH_matrix_warm.json (the
-//     rdbt_perfgate --warm artifact).
+//     cache_file_hits == 1, translations == 0, and every other exact
+//     counter equal to the cold pass (bench::warmBootDiff). --json
+//     writes the cold pass only; the warm pass is gated in-process.
 //
 // --ifp on|off (either mode) selects the interpreter's decoded-
 // instruction cache (DESIGN.md §14; default on). The fastpath is
@@ -109,23 +109,6 @@ std::string sanitizeKey(const std::string &Key) {
     if (C == '/' || C == ':' || C == '=')
       C = '_';
   return Out;
-}
-
-/// Writes a matrix document honoring the RDBT_BENCH_JSON directory
-/// convention ("1"/empty = current directory).
-bool writeMatrixFile(const std::string &Doc, const char *Name) {
-  const char *Env = std::getenv("RDBT_BENCH_JSON");
-  const std::string Dir =
-      (!Env || *Env == '\0' || std::string(Env) == "1") ? "." : Env;
-  const std::string Path = Dir + "/" + Name;
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return false;
-  }
-  OS << Doc;
-  std::printf("\nwrote %s\n", Path.c_str());
-  return true;
 }
 
 /// One planned matrix cell: the stable key, the kind string handed to
@@ -274,26 +257,34 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
   const std::vector<vm::RunReport> Cold = runBatch(
       Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Ifp, Failures);
 
-  if (Json &&
-      !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Cold),
-                                               Scale),
-                       "BENCH_matrix.json"))
-    ++Failures;
+  const std::vector<bench::MatrixCell> ColdCells = toMatrixCells(Cells, Cold);
+  if (Json)
+    bench::writeBenchFile("BENCH_matrix.json",
+                          bench::formatMatrixJson(ColdCells, Scale));
 
   if (!CacheDir.empty()) {
     // Warm pass: every cold cell has destructed — and saved its cache
     // file — so this second batch boots entirely from the directory. The
-    // warm-boot contract is checked per engine cell: identical console,
-    // identical final architectural state, and zero translations (every
-    // block comes from the file, counted in loaded_tbs).
+    // warm-boot contract is checked per cell: zero translations and every
+    // exact counter equal to cold (bench::warmBootDiff), and for engine
+    // cells an identical console and final architectural state from a
+    // cache file that loaded (every block counted in loaded_tbs).
     std::printf("\nwarm pass against %s:\n\n", CacheDir.c_str());
     const std::vector<vm::RunReport> Warm =
         runBatch(Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "-warm",
                  Ifp, Failures);
+    const std::vector<bench::MatrixCell> WarmCells = toMatrixCells(Cells, Warm);
 
     std::printf("\n%-28s %12s %12s %10s %6s\n", "cell", "cold-xlate",
                 "warm-xlate", "loaded", "hits");
     for (size_t I = 0; I < Cells.size(); ++I) {
+      const std::string Diff =
+          bench::warmBootDiff(ColdCells[I].S, WarmCells[I].S);
+      if (!Diff.empty()) {
+        std::fprintf(stderr, "FAIL: %s %s\n", Cells[I].Key.c_str(),
+                     Diff.c_str());
+        ++Failures;
+      }
       const auto *Info = vm::TranslatorRegistry::global().find(Cells[I].Kind);
       if (!Info || !Info->UsesEngine)
         continue;
@@ -321,19 +312,7 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
                      static_cast<unsigned long long>(W.Cache.CacheFileMisses));
         ++Failures;
       }
-      if (W.Engine.Translations != 0) {
-        std::fprintf(stderr, "FAIL: %s warm run still translated %llu "
-                             "block(s)\n", Cells[I].Key.c_str(),
-                     static_cast<unsigned long long>(W.Engine.Translations));
-        ++Failures;
-      }
     }
-
-    if (Json &&
-        !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Warm),
-                                                 Scale),
-                         "BENCH_matrix_warm.json"))
-      ++Failures;
   }
 
   if (Failures) {
