@@ -10,6 +10,7 @@
 #include "dbt/Helpers.h"
 #include "sys/Env.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 
@@ -296,14 +297,17 @@ bool CodeCacheIo::save(const std::string &Path, const CodeCache::Image &Img,
   File.u32(crc32c(Body.Buf.data(), Body.Buf.size()));
   File.Buf += Body.Buf;
 
-  // Atomic publish: a per-process temp file in the same directory, then
-  // rename(2). Concurrent savers of the same key race benignly — both
-  // write identical bytes and the last rename wins.
+  // Atomic publish: a temp file unique to this call (pid plus a
+  // process-wide counter, so threads of one process never share one) in
+  // the same directory, then rename(2). Concurrent savers of the same
+  // key race benignly — both write identical bytes and the last rename
+  // wins.
+  static std::atomic<uint64_t> SaveSeq{0};
+  std::string Tmp = Path + ".tmp.";
 #if defined(__unix__) || defined(__APPLE__)
-  const std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-#else
-  const std::string Tmp = Path + ".tmp";
+  Tmp += std::to_string(::getpid()) + ".";
 #endif
+  Tmp += std::to_string(SaveSeq++);
   std::FILE *F = std::fopen(Tmp.c_str(), "wb");
   if (!F)
     return reject(Err, "cannot create " + Tmp);

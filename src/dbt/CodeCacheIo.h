@@ -10,7 +10,8 @@
 /// them. Three pieces:
 ///
 ///  * **CacheKey** — the identity a cache file is valid for: a crc32c of
-///    the guest image bytes plus a crc32c over everything that changes
+///    the guest image (RAM size plus the index and bytes of each
+///    non-zero page) plus a crc32c over everything that changes
 ///    what the translator would emit (translator kind, optimization
 ///    switches, rule corpus, env layout, host-ISA geometry). The key is
 ///    both the file name (libriscv's `/tmp/rvbintr-%08X` scheme) and an
@@ -60,7 +61,7 @@ uint32_t crc32cWord(uint32_t Word, uint32_t Seed);
 
 /// The identity a persistent cache file is valid for.
 struct CacheKey {
-  uint32_t ImageCrc = 0;  ///< crc32c of the guest RAM image at boot
+  uint32_t ImageCrc = 0;  ///< crc32c of the non-zero guest RAM at boot
   uint32_t ConfigCrc = 0; ///< translator kind + opts + rules + layout
   bool Valid = false;     ///< false: keying failed, never save/load
 

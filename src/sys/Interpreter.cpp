@@ -548,6 +548,12 @@ const Interpreter::ExecFn Interpreter::ExecTable[arm::NumExecGroups] = {
     &Interpreter::execSystem,         // ExecGroup::Invalid (unreachable)
 };
 
+// The two step functions are 64-byte aligned like HostMachine::run, so
+// an unrelated change elsewhere cannot shift them within 64-byte fetch
+// windows and read as an interpreter speed change.
+#if defined(__GNUC__)
+__attribute__((aligned(64)))
+#endif
 StepKind Interpreter::executeGrouped(const Inst &I, ExecGroup G,
                                      uint32_t Pc) {
   Env.Regs[15] = Pc;
@@ -632,6 +638,9 @@ void Interpreter::raiseTbInvalidate(uint32_t Kind, uint32_t Asid,
   onTbInvalidate(Kind, Asid, Page);
 }
 
+#if defined(__GNUC__)
+__attribute__((aligned(64)))
+#endif
 StepKind Interpreter::stepAt(uint32_t Pc, bool *DefinesFlags) {
   uint32_t Word = 0;
   Fault F;

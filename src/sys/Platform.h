@@ -72,6 +72,14 @@ public:
   /// Loads a word image (e.g. AsmBuilder::finish output) at \p Pa.
   void loadWords(uint32_t Pa, const std::vector<uint32_t> &Words);
 
+  /// The current bytes of page \p Page, read in place in either storage
+  /// mode. Valid up to the next write; the last page of a RAM size that
+  /// is not a page multiple holds only size() - (Page << PageShift) bytes.
+  const uint8_t *page(uint32_t Page) const {
+    return Base ? pageForRead(Page)
+                : Bytes.data() + (static_cast<size_t>(Page) << PageShift);
+  }
+
   // --- Copy-on-write forking (vm/Snapshot.h) ------------------------------
 
   /// Flattened copy of the current contents as an immutable shared image.

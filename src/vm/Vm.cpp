@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 using namespace rdbt;
@@ -32,6 +33,28 @@ namespace {
 bool isDirectory(const std::string &Path) {
   struct stat St {};
   return ::stat(Path.c_str(), &St) == 0 && (St.st_mode & S_IFMT) == S_IFDIR;
+}
+
+/// crc32c over the RAM size and the (index, bytes) of every non-zero
+/// page, each page read in place. Zero pages contribute nothing, so a
+/// 4 MiB board holding a few KiB of code hashes only those KiB. The
+/// size and the page indices still determine the whole image, so this
+/// separates images exactly as a crc32c over every byte would.
+uint32_t imageCrc(const sys::PhysMem &Ram) {
+  const uint32_t Size = Ram.size();
+  uint32_t Crc = dbt::crc32cWord(Size, 0);
+  for (uint32_t Pa = 0; Pa < Size; Pa += sys::PhysMem::PageBytes) {
+    const uint32_t Pn = Pa >> sys::PhysMem::PageShift;
+    const uint32_t Len =
+        std::min<uint32_t>(sys::PhysMem::PageBytes, Size - Pa);
+    const uint8_t *P = Ram.page(Pn);
+    // All zero iff the first byte is and every byte equals its successor.
+    if (P[0] == 0 && std::memcmp(P, P + 1, Len - 1) == 0)
+      continue;
+    Crc = dbt::crc32cWord(Pn, Crc);
+    Crc = dbt::crc32c(P, Len, Crc);
+  }
+  return Crc;
 }
 
 } // namespace
@@ -188,31 +211,16 @@ void Vm::init() {
     // the captured session's own save does not.
     Engine_->setTranslationStore(Snap->Store_);
   } else if (!Cfg.persistentCache().empty()) {
-    initPersistentCache(Snap);
+    initPersistentCache();
   }
 }
 
-void Vm::initPersistentCache(const Snapshot *Snap) {
+void Vm::initPersistentCache() {
   // Key the cache file by everything a stored translation depends on:
   // the guest image bytes, and every configuration input that changes
   // what the translator emits (DESIGN.md §12).
   dbt::CacheKey K;
-  if (Snap && Snap->ramImage()) {
-    const std::vector<uint8_t> &Img = *Snap->ramImage();
-    K.ImageCrc = dbt::crc32c(Img.data(), Img.size());
-  } else {
-    // Page-wise so COW-mode RAM never needs flattening.
-    uint8_t Page[sys::PhysMem::PageBytes];
-    const uint32_t Size = Board_->Ram.size();
-    uint32_t Crc = 0;
-    for (uint32_t Pa = 0; Pa < Size; Pa += sys::PhysMem::PageBytes) {
-      const uint32_t Len =
-          std::min<uint32_t>(sys::PhysMem::PageBytes, Size - Pa);
-      Board_->Ram.readBlock(Pa, Page, Len);
-      Crc = dbt::crc32c(Page, Len, Crc);
-    }
-    K.ImageCrc = Crc;
-  }
+  K.ImageCrc = imageCrc(Board_->Ram);
 
   // Translator identity: canonical kind name, explicit opt overrides
   // (the kind name itself pins the preset), and — for rule kinds — the

@@ -185,7 +185,7 @@ private:
   bool AdoptedWarm_ = false; ///< adopted a warm snapshot at construction
 
   void init();
-  void initPersistentCache(const Snapshot *Snap);
+  void initPersistentCache();
 };
 
 } // namespace vm

@@ -42,6 +42,7 @@
 #include <dirent.h>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace rdbt;
@@ -65,15 +66,22 @@ struct TempDir {
   ~TempDir() {
     if (Path.empty())
       return;
+    for (const std::string &Name : files())
+      std::remove((Path + "/" + Name).c_str());
+    std::remove(Path.c_str());
+  }
+  /// Names of the entries in the directory.
+  std::vector<std::string> files() const {
+    std::vector<std::string> Names;
     if (DIR *D = opendir(Path.c_str())) {
       while (dirent *E = readdir(D)) {
         const std::string Name = E->d_name;
         if (Name != "." && Name != "..")
-          std::remove((Path + "/" + Name).c_str());
+          Names.push_back(Name);
       }
       closedir(D);
     }
-    std::remove(Path.c_str());
+    return Names;
   }
 };
 
@@ -379,6 +387,113 @@ TEST(CodeCacheIo, TranslationStoreValidatesGuestWords) {
   Words[0] ^= 1;
   // Different ASID: must miss (distinct cache key).
   EXPECT_FALSE(Store.lookup(Pc, MmuIdx, Asid ^ 0x5, Words, Out));
+}
+
+TEST(CodeCacheIo, Crc32cKnownAnswerAndChaining) {
+  // The standard CRC-32C check value; every cache file name and payload
+  // checksum depends on this function.
+  const std::string Check = "123456789";
+  EXPECT_EQ(0xE3069283u, dbt::crc32c(Check.data(), Check.size()));
+  EXPECT_EQ(0u, dbt::crc32c(nullptr, 0));
+
+  const std::string A = "rule:scheduling", B = "guest image bytes";
+  const std::string AB = A + B;
+  EXPECT_EQ(dbt::crc32c(AB.data(), AB.size()),
+            dbt::crc32c(B.data(), B.size(), dbt::crc32c(A.data(), A.size())));
+
+  const uint32_t Word = 0xE3A0102Au;
+  const uint8_t Le[4] = {0x2A, 0x10, 0xA0, 0xE3};
+  EXPECT_EQ(dbt::crc32c(Le, 4, 0x1234u), dbt::crc32cWord(Word, 0x1234u));
+}
+
+TEST(CodeCacheIo, ConcurrentSavesOfOneKeyAllSucceed) {
+  TempDir Dir;
+  std::string Path;
+  ASSERT_TRUE(runOnce(cfgFor("qemu").persistentCache(Dir.Path), &Path).Ok);
+  vm::Vm Probe(cfgFor("qemu").persistentCache(Dir.Path));
+  ASSERT_TRUE(Probe.valid());
+  const dbt::CacheKey Key = Probe.cacheKey();
+  dbt::CodeCache::Image Img;
+  ASSERT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Img));
+
+  // Threads of one process saving the same key must never share a temp
+  // file: every save succeeds. Each thread records its own failures; the
+  // checks run after joining.
+  constexpr int Threads = 4, Rounds = 25;
+  std::vector<std::vector<std::string>> Errors(Threads);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (int R = 0; R < Rounds; ++R) {
+        std::string Err;
+        if (!dbt::CodeCacheIo::save(Path, Img, Key, &Err))
+          Errors[T].push_back(Err);
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (int T = 0; T < Threads; ++T)
+    EXPECT_TRUE(Errors[T].empty())
+        << Errors[T].size() << " failed saves, first: " << Errors[T][0];
+
+  dbt::CodeCache::Image Back;
+  std::string Err;
+  EXPECT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Back, &Err))
+      << Err;
+  EXPECT_EQ(Img.LiveBlocks, Back.LiveBlocks);
+  // Every temp file was renamed into place: the file is all that is left.
+  EXPECT_EQ(1u, Dir.files().size());
+}
+
+TEST(CodeCacheIo, PreRunForkNamesTheFreshSessionsFile) {
+  TempDir Dir;
+  for (const std::string &Kind : engineKinds()) {
+    const vm::VmConfig Cfg =
+        cfgFor(Kind).persistentCache(Dir.Path).persistentCacheSaveOnExit(false);
+    vm::Vm Fresh(Cfg);
+    ASSERT_TRUE(Fresh.valid()) << Fresh.error();
+    const vm::Snapshot Snap = Fresh.capture();
+    ASSERT_FALSE(Snap.hasRun());
+    vm::VmConfig ForkCfg = Cfg;
+    vm::Vm Fork(ForkCfg.snapshot(&Snap));
+    ASSERT_TRUE(Fork.valid()) << Fork.error();
+    ASSERT_TRUE(Fork.forked());
+    EXPECT_FALSE(Fresh.cacheFilePath().empty());
+    EXPECT_EQ(Fresh.cacheFilePath(), Fork.cacheFilePath()) << Kind;
+  }
+}
+
+TEST(CodeCacheIo, ImageKeySeparatesFlatImages) {
+  TempDir Dir;
+  // The cache file a qemu session over \p Words at \p Base, on a board of
+  // \p Ram bytes, would use.
+  auto pathFor = [&](std::vector<uint32_t> Words, uint32_t Base,
+                     uint32_t Ram) {
+    vm::Vm V(vm::VmConfig()
+                 .translator("qemu")
+                 .ramBytes(Ram)
+                 .flatImage(std::move(Words), Base)
+                 .persistentCache(Dir.Path)
+                 .persistentCacheSaveOnExit(false));
+    EXPECT_TRUE(V.valid()) << V.error();
+    return V.cacheFilePath();
+  };
+  const uint32_t Code = 0xE3A0102Au; // mov r1, #42
+  const uint32_t Ram = 64 << 10;
+  const std::string Ref = pathFor({Code}, 0x1000, Ram);
+  ASSERT_FALSE(Ref.empty());
+  EXPECT_EQ(Ref, pathFor({Code}, 0x1000, Ram));
+
+  // One byte, the last of page 2, which is otherwise zero here and all
+  // zero in Ref.
+  std::vector<uint32_t> OneByte(2 * 1024, 0);
+  OneByte[0] = Code;
+  OneByte.back() = 0x01000000;
+  EXPECT_NE(Ref, pathFor(OneByte, 0x1000, Ram));
+  // The same words at the same offset of a different page.
+  EXPECT_NE(Ref, pathFor({Code}, 0x2000, Ram));
+  // The same image on a larger board: only zero pages are added.
+  EXPECT_NE(Ref, pathFor({Code}, 0x1000, 2 * Ram));
 }
 
 TEST(CodeCacheIo, SpecStringCarriesTheCacheDir) {
