@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The harness behind every table/figure reproduction binary: runs a
-/// workload under a chosen executor configuration (via the vm/ session
-/// facade) and returns the measured counters. Absolute numbers come from
-/// the simulated host (host instructions = wall cycles); see
-/// EXPERIMENTS.md for the paper-vs-measured comparison.
+/// The harness the bench binaries and tools/rdbt_scenarios share: the
+/// counter record of one session (RunStats), the matrix JSON the perf
+/// gate diffs, the paper's tables read off a scenario matrix
+/// (formatPaperFigures), and positive-integer parsing for flags and env
+/// vars. Absolute numbers come from the simulated host (host instructions
+/// = wall cycles); see EXPERIMENTS.md for the paper-vs-measured
+/// comparison.
 ///
-/// RDBT_BENCH_SCALE (env) scales workload iteration counts (default 4; a
-/// value that is not a positive decimal is an error).
+/// RDBT_BENCH_SCALE (env) scales the bench binaries' workload iteration
+/// counts (default 4; a value that is not a positive decimal is an error).
 /// RDBT_BENCH_JSON (env), when set, makes each binary also write its raw
-/// counters and derived figure series to BENCH_<name>.json (the variable's
+/// counters and derived series to BENCH_<name>.json (the variable's
 /// value is the output directory; "1" or empty means the current directory;
 /// a directory that cannot be written is an error).
 ///
@@ -27,56 +29,18 @@
 #include "vm/Vm.h"
 
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace rdbt {
 namespace bench {
-
-/// Executor configurations (the translator-kind axis of the scenario
-/// matrix; each maps to a TranslatorRegistry kind).
-enum class Config {
-  Native, ///< reference interpreter at 1 cycle/instr (Fig. 18 baseline)
-  Qemu,   ///< the QEMU-6.1-like baseline translator
-  RuleBase,
-  RuleReduction,
-  RuleElimination,
-  RuleFull,
-};
-
-/// The registry kind name behind a configuration.
-inline const char *configKind(Config C) {
-  switch (C) {
-  case Config::Native: return "native";
-  case Config::Qemu: return "qemu";
-  case Config::RuleBase: return "rule:base";
-  case Config::RuleReduction: return "rule:reduction";
-  case Config::RuleElimination: return "rule:elimination";
-  case Config::RuleFull: return "rule:scheduling";
-  }
-  return "?";
-}
-
-/// Human-facing table label (the registry's Label for the kind).
-inline const char *configName(Config C) {
-  const vm::TranslatorRegistry::KindInfo *K =
-      vm::TranslatorRegistry::global().find(configKind(C));
-  return K ? K->Label.c_str() : "?";
-}
-
-/// Identifier-safe key for a configuration, used for JSON metric series
-/// names so every binary reports the same quantity under the same key
-/// (configName() stays the human-facing table label).
-inline const char *configKey(Config C) {
-  const vm::TranslatorRegistry::KindInfo *K =
-      vm::TranslatorRegistry::global().find(configKind(C));
-  return K ? K->MetricKey.c_str() : "unknown";
-}
 
 struct RunStats {
   uint64_t Wall = 0;        ///< emulation cost in host cycles
@@ -176,14 +140,6 @@ inline uint32_t benchScale() {
   return Scale;
 }
 
-/// The wall budgets every figure always ran under: the native baseline
-/// is an instruction budget (1 cycle/instr), the engine paths a
-/// host-cycle budget.
-inline uint64_t benchWallBudget(Config C) {
-  return C == Config::Native ? 2000ull * 1000 * 1000
-                             : 400ull * 1000 * 1000 * 1000;
-}
-
 inline RunStats fromReport(const vm::RunReport &R, bool EngineRun = true) {
   RunStats S;
   S.Ok = R.Ok;
@@ -221,24 +177,12 @@ inline RunStats fromReport(const vm::RunReport &R, bool EngineRun = true) {
   return S;
 }
 
-inline RunStats runWorkloadImpl(const std::string &Name, Config C,
-                                uint32_t Scale) {
-  vm::Vm V(vm::VmConfig()
-               .workload(Name)
-               .scale(Scale)
-               .translator(configKind(C))
-               .wallBudget(benchWallBudget(C)));
-  if (!V.valid())
-    return RunStats();
-  return fromReport(V.run(), C != Config::Native);
-}
-
 //===----------------------------------------------------------------------===//
-// Optional BENCH_*.json emission (see RDBT_BENCH_JSON above). Every
-// runWorkload() call is captured with its raw counters; binaries add their
-// derived figure series with recordMetric(). writeBenchJson() at the end of
-// main() dumps both, so downstream tooling can recompute any figure from the
-// raw runs.
+// Optional BENCH_*.json emission (see RDBT_BENCH_JSON above). Binaries
+// push the runs they make into JsonRecorder::Runs with their raw counters
+// and add derived series with recordMetric(). writeBenchJson() at the end
+// of main() dumps both, so downstream tooling can recompute any series
+// from the raw runs.
 //===----------------------------------------------------------------------===//
 
 struct JsonRecorder {
@@ -260,13 +204,6 @@ struct JsonRecorder {
     return R;
   }
 };
-
-inline RunStats runWorkload(const std::string &Name, Config C,
-                            uint32_t Scale) {
-  const RunStats S = runWorkloadImpl(Name, C, Scale);
-  JsonRecorder::get().Runs.push_back({Name, configName(C), S});
-  return S;
-}
 
 /// Records one point of a derived series (e.g. series "speedup_fullopt",
 /// point "perlbench", value 1.36) for BENCH_*.json emission.
@@ -377,6 +314,15 @@ inline std::string warmBootDiff(const RunStats &Cold, const RunStats &Warm) {
   return "";
 }
 
+inline double geomean(const std::vector<double> &Values) {
+  if (Values.empty())
+    return 0;
+  double LogSum = 0;
+  for (const double V : Values)
+    LogSum += std::log(V);
+  return std::exp(LogSum / static_cast<double>(Values.size()));
+}
+
 /// One cell of a scenario matrix: a stable "<kind>/<workload>@<scale>"
 /// key and the measured counters.
 struct MatrixCell {
@@ -402,6 +348,206 @@ inline std::string formatMatrixJson(const std::vector<MatrixCell> &Cells,
   }
   OS << "\n  }\n}\n";
   return OS.str();
+}
+
+/// printf into the end of \p Out.
+inline __attribute__((format(printf, 2, 3))) void
+appendf(std::string &Out, const char *Fmt, ...) {
+  char Buf[256];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Out += Buf;
+}
+
+/// The paper's Table I and Figs. 14-19, read off the cells of a scenario
+/// matrix run at \p Scale (keys "<kind>/<workload>@<scale>"). A workload
+/// enters a figure only if every cell that figure reads for it is Ok;
+/// otherwise its row reads FAILED and it joins no GEOMEAN.
+inline std::string formatPaperFigures(const std::vector<MatrixCell> &Cells,
+                                      uint32_t Scale) {
+  std::map<std::string, const RunStats *> ByKey;
+  for (const MatrixCell &C : Cells)
+    ByKey[C.Key] = &C.S;
+  std::vector<std::string> Spec, RealWorld;
+  for (const auto &W : guestsw::workloads()) {
+    if (W.IsSpecProxy)
+      Spec.push_back(W.Name);
+    if (W.IsRealWorld)
+      RealWorld.push_back(W.Name);
+  }
+  std::string Out;
+  using Stats = std::vector<const RunStats *>;
+  // One row per workload of Names: Row(Name, S), with S[I] its cell
+  // under Kinds[I], appends the row and returns its NumCols values; a
+  // workload with a missing or failed cell gets a FAILED row instead.
+  // Returns each value column's GEOMEAN.
+  const auto Rows = [&](const std::vector<std::string> &Names,
+                        const std::vector<std::string> &Kinds,
+                        size_t NumCols, auto Row) {
+    std::vector<std::vector<double>> Cols(NumCols);
+    for (const std::string &Name : Names) {
+      Stats S;
+      for (const std::string &Kind : Kinds) {
+        const auto It =
+            ByKey.find(Kind + "/" + Name + "@" + std::to_string(Scale));
+        if (It != ByKey.end() && It->second->Ok)
+          S.push_back(It->second);
+      }
+      if (S.size() != Kinds.size()) {
+        appendf(Out, "%-12s  FAILED\n", Name.c_str());
+        continue;
+      }
+      const std::vector<double> V = Row(Name, S);
+      for (size_t I = 0; I < NumCols; ++I)
+        Cols[I].push_back(V[I]);
+    }
+    std::vector<double> G;
+    for (const std::vector<double> &C : Cols)
+      G.push_back(geomean(C));
+    return G;
+  };
+  // A's wall over B's: a speedup of B over A, or a slowdown of A vs B.
+  const auto WallRatio = [](const RunStats *A, const RunStats *B) {
+    return static_cast<double>(A->Wall) / B->Wall;
+  };
+
+  appendf(Out, "Table I: distribution of guest instructions requiring CPU "
+               "state coordination\n"
+               "(measured under the QEMU-like baseline, scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %16s %14s %16s\n", "Benchmark", "System-level",
+          "Memory", "Interrupt check");
+  std::vector<double> G =
+      Rows(Spec, {"qemu"}, 3, [&](const std::string &Name, const Stats &S) {
+        const double Guest = static_cast<double>(S[0]->GuestInstrs);
+        const std::vector<double> V = {100.0 * S[0]->SysInstrs / Guest,
+                                       100.0 * S[0]->MemInstrs / Guest,
+                                       100.0 * S[0]->IrqChecks / Guest};
+        appendf(Out, "%-12s %15.2f%% %13.2f%% %15.2f%%\n", Name.c_str(), V[0],
+                V[1], V[2]);
+        return V;
+      });
+  appendf(Out, "%-12s %15.2f%% %13.2f%% %15.2f%%\n", "GEOMEAN", G[0], G[1],
+          G[2]);
+  Out += "\npaper (Table I geomean): system 0.25%, memory 33.46%, "
+         "interrupt check 15.12%\n";
+
+  appendf(Out, "\nFig. 14: speedup over the QEMU baseline (scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %10s %10s %10s  %s\n", "Benchmark", "qemu",
+          "rule-base", "full-opt", "(coordination-instr share base->full)");
+  G = Rows(Spec, {"qemu", "rule:base", "rule:scheduling"}, 2,
+           [&](const std::string &Name, const Stats &S) {
+             const RunStats &B = *S[1];
+             const double CoordBase =
+                 100.0 * (B.SysInstrs + B.MemInstrs + B.IrqChecks) /
+                 B.GuestInstrs;
+             const double SyncOpsBase = static_cast<double>(B.SyncOps);
+             const double SyncOpsFull = static_cast<double>(S[2]->SyncOps);
+             const std::vector<double> V = {WallRatio(S[0], S[1]),
+                                            WallRatio(S[0], S[2])};
+             appendf(Out,
+                     "%-12s %9.2fx %9.2fx %9.2fx  (%.1f%% -> %.1f%% sync "
+                     "ops)\n",
+                     Name.c_str(), 1.0, V[0], V[1], CoordBase,
+                     CoordBase * (SyncOpsFull / SyncOpsBase));
+             return V;
+           });
+  appendf(Out, "%-12s %9.2fx %9.2fx %9.2fx\n", "GEOMEAN", 1.0, G[0], G[1]);
+  Out += "\npaper: rule-base 0.95x (5% slowdown), full-opt 1.36x;\n"
+         "       48.83% of instructions need coordination, reduced to "
+         "24.61%\n";
+
+  appendf(Out,
+          "\nFig. 15: host instructions per guest instruction (scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %12s %12s\n", "Benchmark", "qemu", "full-opt");
+  G = Rows(Spec, {"qemu", "rule:scheduling"}, 2,
+           [&](const std::string &Name, const Stats &S) {
+             const std::vector<double> V = {S[0]->hostPerGuest(),
+                                            S[1]->hostPerGuest()};
+             appendf(Out, "%-12s %12.2f %12.2f\n", Name.c_str(), V[0], V[1]);
+             return V;
+           });
+  appendf(Out, "%-12s %12.2f %12.2f   (-%.1f%%)\n", "GEOMEAN", G[0], G[1],
+          100.0 * (1.0 - G[1] / G[0]));
+  Out += "\npaper: qemu 17.39, full-opt 15.40 (-11.44%)\n";
+
+  appendf(Out, "\nFig. 16: cumulative speedup over QEMU (scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %10s %12s %13s %12s\n", "Benchmark", "base",
+          "+reduction", "+elimination", "+scheduling");
+  G = Rows(Spec,
+           {"qemu", "rule:base", "rule:reduction", "rule:elimination",
+            "rule:scheduling"},
+           4, [&](const std::string &Name, const Stats &S) {
+             const std::vector<double> V = {
+                 WallRatio(S[0], S[1]), WallRatio(S[0], S[2]),
+                 WallRatio(S[0], S[3]), WallRatio(S[0], S[4])};
+             appendf(Out, "%-12s %9.2fx %11.2fx %12.2fx %11.2fx\n",
+                     Name.c_str(), V[0], V[1], V[2], V[3]);
+             return V;
+           });
+  appendf(Out, "%-12s %9.2fx %11.2fx %12.2fx %11.2fx\n", "GEOMEAN", G[0],
+          G[1], G[2], G[3]);
+  Out += "\npaper: base 0.95x, +reduction 1.22x, +elimination 1.30x, "
+         "+scheduling 1.36x\n";
+
+  appendf(Out,
+          "\nFig. 17: sync host-instructions per guest instruction "
+          "(scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %10s %12s %13s %12s\n", "Benchmark", "base",
+          "+reduction", "+elimination", "+scheduling");
+  G = Rows(Spec,
+           {"rule:base", "rule:reduction", "rule:elimination",
+            "rule:scheduling"},
+           4, [&](const std::string &Name, const Stats &S) {
+             const std::vector<double> V = {
+                 S[0]->syncPerGuest(), S[1]->syncPerGuest(),
+                 S[2]->syncPerGuest(), S[3]->syncPerGuest()};
+             appendf(Out, "%-12s %10.2f %12.2f %13.2f %12.2f\n",
+                     Name.c_str(), V[0], V[1], V[2], V[3]);
+             return V;
+           });
+  appendf(Out, "%-12s %10.2f %12.2f %13.2f %12.2f\n", "GEOMEAN", G[0], G[1],
+          G[2], G[3]);
+  Out += "\npaper: base 8.36, +reduction 1.79, +elimination 1.33, "
+         "+scheduling 0.89\n";
+
+  appendf(Out,
+          "\nFig. 18: slowdown vs native execution (lower is better, "
+          "scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %12s %12s\n", "Benchmark", "qemu", "full-opt");
+  G = Rows(Spec, {"native", "qemu", "rule:scheduling"}, 2,
+           [&](const std::string &Name, const Stats &S) {
+             const std::vector<double> V = {WallRatio(S[1], S[0]),
+                                            WallRatio(S[2], S[0])};
+             appendf(Out, "%-12s %11.2fx %11.2fx\n", Name.c_str(), V[0],
+                     V[1]);
+             return V;
+           });
+  appendf(Out, "%-12s %11.2fx %11.2fx\n", "GEOMEAN", G[0], G[1]);
+  Out += "\npaper: qemu 18.73x, full-opt 13.83x\n";
+
+  appendf(Out,
+          "\nFig. 19: real-world application speedup over QEMU "
+          "(scale %u)\n\n",
+          Scale);
+  appendf(Out, "%-12s %10s %10s\n", "Application", "qemu", "full-opt");
+  G = Rows(RealWorld, {"qemu", "rule:scheduling"}, 1,
+           [&](const std::string &Name, const Stats &S) {
+             const std::vector<double> V = {WallRatio(S[0], S[1])};
+             appendf(Out, "%-12s %9.2fx %9.2fx\n", Name.c_str(), 1.0, V[0]);
+             return V;
+           });
+  appendf(Out, "%-12s %9.2fx %9.2fx\n", "GEOMEAN", 1.0, G[0]);
+  Out += "\npaper: memcached 1.13x, sqlite ~1.2x, fileio 1.08x, untar "
+         "1.09x, cpu-prime ~1.3x; geomean 1.15x\n";
+  return Out;
 }
 
 /// Writes \p Doc to \p FileName in the RDBT_BENCH_JSON directory (unset,
@@ -447,31 +593,6 @@ inline void writeBenchJson(const char *BenchName) {
   }
   OS << "\n  ]\n}\n";
   writeBenchFile(std::string("BENCH_") + BenchName + ".json", OS.str());
-}
-
-inline std::vector<std::string> specNames() {
-  std::vector<std::string> Names;
-  for (const auto &W : guestsw::workloads())
-    if (W.IsSpecProxy)
-      Names.push_back(W.Name);
-  return Names;
-}
-
-inline std::vector<std::string> realWorldNames() {
-  std::vector<std::string> Names;
-  for (const auto &W : guestsw::workloads())
-    if (W.IsRealWorld)
-      Names.push_back(W.Name);
-  return Names;
-}
-
-inline double geomean(const std::vector<double> &Values) {
-  if (Values.empty())
-    return 0;
-  double LogSum = 0;
-  for (const double V : Values)
-    LogSum += std::log(V);
-  return std::exp(LogSum / static_cast<double>(Values.size()));
 }
 
 } // namespace bench

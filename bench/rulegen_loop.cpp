@@ -47,7 +47,6 @@ CorpusRun runWith(const char *Workload, uint32_t Scale,
                          .workload(Workload)
                          .scale(Scale)
                          .translator("rule:scheduling")
-                         .wallBudget(benchWallBudget(Config::RuleFull))
                          .rules(&RS);
   if (Miner)
     Cfg.gapMiner(Miner);

@@ -19,6 +19,9 @@
 ///    batch.
 ///  * The warm-boot gate: bench::warmBootDiff passes a real cache-booted
 ///    rerun and names what a translating, rejected or diverged one broke.
+///  * The paper's figures: bench::formatPaperFigures reads Table I and
+///    Figs. 14-19 off matrix cells, and a failed cell fails its workload's
+///    row in exactly the figures that read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -206,3 +209,126 @@ TEST(BatchRunner, EmptyBatchAndZeroJobsAreSafe) {
 }
 
 } // namespace
+
+namespace {
+
+/// A hand-built scale-1 matrix. Every workload runs 1000 guest
+/// instructions; the engine kinds' walls make qemu 20x native and the
+/// rule levels 0.80x / 1.25x / 1.60x / 2.00x faster than qemu, with 8 /
+/// 2 / 1 / 0.5 sync host instructions per guest instruction. mcf's rule
+/// levels alone are slower (0.50x ... 1.60x, sync 16 ... 1), so whether
+/// mcf joins a GEOMEAN shows in its value. Scheduling halves base's
+/// sync ops, so Fig. 14's coordination share reads 46.0% -> 23.0%.
+std::vector<bench::MatrixCell> figureCells() {
+  struct KindCost {
+    const char *Kind;
+    uint64_t Wall, McfWall, Sync, McfSync, SyncOps;
+  };
+  const KindCost Kinds[] = {
+      {"native", 1000, 1000, 0, 0, 0},
+      {"qemu", 20000, 20000, 0, 0, 0},
+      {"rule:base", 25000, 40000, 8000, 16000, 400},
+      {"rule:reduction", 16000, 20000, 2000, 4000, 300},
+      {"rule:elimination", 12500, 16000, 1000, 2000, 250},
+      {"rule:scheduling", 10000, 12500, 500, 1000, 200},
+  };
+  std::vector<bench::MatrixCell> Cells;
+  for (const KindCost &K : Kinds)
+    for (const auto &W : guestsw::workloads()) {
+      const bool Mcf = std::string(W.Name) == "mcf";
+      bench::MatrixCell C;
+      C.Key = std::string(K.Kind) + "/" + W.Name + "@1";
+      C.S.Ok = true;
+      C.S.GuestInstrs = 1000;
+      C.S.SysInstrs = 10;
+      C.S.MemInstrs = 300;
+      C.S.IrqChecks = 150;
+      C.S.Wall = Mcf ? K.McfWall : K.Wall;
+      C.S.SyncInstrs = Mcf ? K.McfSync : K.Sync;
+      C.S.SyncOps = K.SyncOps;
+      Cells.push_back(C);
+    }
+  return Cells;
+}
+
+/// The text of the figure titled \p Title, up to its "paper:" line.
+std::string figure(const std::string &Out, const std::string &Title) {
+  const size_t Begin = Out.find(Title);
+  if (Begin == std::string::npos)
+    return "";
+  return Out.substr(Begin, Out.find("\npaper", Begin) - Begin);
+}
+
+} // namespace
+
+TEST(PaperFigures, AllOkCellsFillEveryRowAndGeomean) {
+  const std::string Out = bench::formatPaperFigures(figureCells(), 1);
+  EXPECT_EQ(Out.find("FAILED"), std::string::npos);
+  const std::string Fig16 = figure(Out, "Fig. 16:");
+  EXPECT_NE(Fig16.find("Fig. 16: cumulative speedup over QEMU (scale 1)"),
+            std::string::npos);
+  EXPECT_NE(Fig16.find("\nmcf               0.50x        1.00x         "
+                       "1.25x        1.60x\n"),
+            std::string::npos);
+  EXPECT_NE(Fig16.find("\nhmmer             0.80x        1.25x         "
+                       "1.60x        2.00x\n"),
+            std::string::npos);
+  // mcf's slower levels pull every GEOMEAN below the others' value.
+  EXPECT_EQ(Fig16.find("GEOMEAN           0.80x"), std::string::npos);
+  EXPECT_NE(Fig16.find("GEOMEAN           0.77x"), std::string::npos)
+      << Fig16;
+  EXPECT_NE(figure(Out, "Fig. 19:").find("\nGEOMEAN           1.00x      "
+                                         "2.00x\n"),
+            std::string::npos);
+  EXPECT_NE(figure(Out, "Table I:").find("\nGEOMEAN                 1.00%"
+                                         "         30.00%           "
+                                         "15.00%\n"),
+            std::string::npos);
+  EXPECT_NE(Out.find("\npaper: qemu 18.73x, full-opt 13.83x\n"),
+            std::string::npos);
+}
+
+TEST(PaperFigures, FailedCellFailsOnlyTheFiguresThatReadIt) {
+  std::vector<bench::MatrixCell> Cells = figureCells();
+  for (bench::MatrixCell &C : Cells)
+    if (C.Key == "rule:reduction/mcf@1")
+      C.S.Ok = false;
+  const std::string Out = bench::formatPaperFigures(Cells, 1);
+
+  // Figs. 16 and 17 read rule:reduction: mcf fails there and leaves
+  // every level's GEOMEAN to the other workloads.
+  const std::string Fig16 = figure(Out, "Fig. 16:");
+  EXPECT_NE(Fig16.find("\nmcf           FAILED\n"), std::string::npos);
+  EXPECT_NE(Fig16.find("\nGEOMEAN           0.80x        1.25x         "
+                       "1.60x        2.00x"),
+            std::string::npos)
+      << Fig16;
+  const std::string Fig17 = figure(Out, "Fig. 17:");
+  EXPECT_NE(Fig17.find("\nmcf           FAILED\n"), std::string::npos);
+  EXPECT_NE(Fig17.find("\nGEOMEAN            8.00         2.00          "
+                       "1.00         0.50"),
+            std::string::npos)
+      << Fig17;
+
+  // The figures that do not read it still list mcf.
+  EXPECT_NE(figure(Out, "Table I:")
+                .find("\nmcf                     1.00%         30.00%  "
+                      "         15.00%\n"),
+            std::string::npos);
+  EXPECT_NE(figure(Out, "Fig. 14:")
+                .find("\nmcf               1.00x      0.50x      1.60x  "
+                      "(46.0% -> 23.0% sync ops)\n"),
+            std::string::npos)
+      << figure(Out, "Fig. 14:");
+  EXPECT_NE(figure(Out, "Fig. 15:")
+                .find("\nmcf                 20.00        12.50\n"),
+            std::string::npos);
+  EXPECT_NE(figure(Out, "Fig. 18:")
+                .find("\nmcf                20.00x       12.50x\n"),
+            std::string::npos);
+  size_t Failed = 0;
+  for (size_t At = Out.find("FAILED"); At != std::string::npos;
+       At = Out.find("FAILED", At + 1))
+    ++Failed;
+  EXPECT_EQ(Failed, 2u) << "mcf's rows in Figs. 16 and 17 only";
+}

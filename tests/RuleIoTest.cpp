@@ -438,6 +438,50 @@ TEST(GapMiner, VmSessionMinesAndReportsProfile) {
   EXPECT_GE(Report.Gaps[0].weight(), Report.Gaps[1].weight());
 }
 
+TEST(GapMiner, LearnedGapsReloadAndRecoverHitRate) {
+  // The whole mine -> learn -> persist -> reload loop: gaps mined from a
+  // shift-thinned run learn into verified rules; the thinned corpus plus
+  // those rules, reloaded through the rule-file text, must reproduce the
+  // guest console and match more often than the thinned corpus did.
+  const RuleSet Thinned = filterRuleSetByShape(buildReferenceRuleSet(),
+                                               PatShape::DpRegShiftImm);
+  profile::GapMiner Miner;
+  vm::Vm Mine(vm::VmConfig::fromSpec("rule:scheduling/libquantum@1")
+                  .rules(&Thinned)
+                  .gapMiner(&Miner));
+  ASSERT_TRUE(Mine.valid()) << Mine.error();
+  const vm::RunReport Before = Mine.run();
+  ASSERT_TRUE(Before.Ok);
+
+  std::vector<std::vector<arm::Inst>> Seqs;
+  for (const profile::Gap &G : Miner.report().Gaps)
+    Seqs.push_back(G.Seq);
+  LearnStats Stats;
+  const RuleSet Learned = learnFromGapSequences(Seqs, &Stats);
+  EXPECT_GT(Stats.VerifiedPairs, 0u);
+  RuleSet Recovered = Thinned;
+  for (size_t I = 0; I < Learned.size(); ++I)
+    Recovered.add(Learned.rule(I));
+
+  RuleSet Reloaded;
+  std::string Err;
+  ASSERT_TRUE(readRuleSet(writeRuleSet(Recovered), Reloaded, &Err)) << Err;
+  vm::Vm Redeploy(vm::VmConfig::fromSpec("rule:scheduling/libquantum@1")
+                      .rules(&Reloaded));
+  ASSERT_TRUE(Redeploy.valid()) << Redeploy.error();
+  const vm::RunReport After = Redeploy.run();
+  ASSERT_TRUE(After.Ok);
+  EXPECT_EQ(After.Console, Before.Console);
+
+  ASSERT_GT(Before.RuleMatchAttempts, 0u);
+  ASSERT_GT(After.RuleMatchAttempts, 0u);
+  const double HitBefore = static_cast<double>(Before.RuleMatchHits) /
+                           static_cast<double>(Before.RuleMatchAttempts);
+  const double HitAfter = static_cast<double>(After.RuleMatchHits) /
+                          static_cast<double>(After.RuleMatchAttempts);
+  EXPECT_GT(HitAfter, HitBefore) << "learned rules must close mined gaps";
+}
+
 //===----------------------------------------------------------------------===//
 // Deploying a persisted corpus (rule:file=)
 //===----------------------------------------------------------------------===//

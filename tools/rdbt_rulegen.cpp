@@ -11,9 +11,10 @@
 //       serialize the built-in reference corpus
 //   rdbt_rulegen mine SPEC -o FILE [--drop-shift | --rules FILE] [--top N]
 //       run SPEC (a VmConfig spec string naming a rule kind) with a gap
-//       miner attached and write the gap report; --drop-shift thins the
-//       reference corpus by every shifted-operand rule first (the
-//       deliberate-gap knob behind bench/rulegen_loop)
+//       miner attached and write the gap report (the N heaviest gaps
+//       with --top N); --drop-shift thins the reference corpus by every
+//       shifted-operand rule first (the deliberate-gap knob behind
+//       bench/rulegen_loop), --rules deploys a corpus file instead
 //   rdbt_rulegen learn GAPS -o FILE [--base FILE] [--origin TEXT]
 //       learn rules from a mined gap report (verifying each candidate via
 //       rules/SymExec) and write a rule file; --base appends the learned
@@ -23,12 +24,11 @@
 //       for files this tool wrote — the CI round-trip check)
 //   rdbt_rulegen show FILE
 //       human summary of a rule file
-//   rdbt_rulegen selfcheck
-//       in-process end-to-end check of the whole loop (CTest entry)
 //
 //===----------------------------------------------------------------------===//
 
 #include "arm/Disasm.h"
+#include "bench/BenchCommon.h"
 #include "profile/GapMiner.h"
 #include "rules/Learner.h"
 #include "rules/RuleIo.h"
@@ -52,8 +52,7 @@ int usage() {
       "  mine SPEC -o FILE [--drop-shift | --rules FILE] [--top N]\n"
       "  learn GAPS -o FILE [--base FILE] [--origin TEXT]\n"
       "  reserialize FILE [-o FILE]\n"
-      "  show FILE\n"
-      "  selfcheck\n");
+      "  show FILE\n");
   return 2;
 }
 
@@ -222,83 +221,6 @@ int cmdShow(const std::string &InPath) {
   return 0;
 }
 
-/// One in-process pass over the whole loop, registered with CTest.
-int cmdSelfcheck() {
-  const auto Check = [](bool Ok, const char *What) {
-    std::printf("%-52s %s\n", What, Ok ? "ok" : "FAIL");
-    return Ok;
-  };
-  bool Ok = true;
-  std::string Err;
-
-  // 1. Reference corpus round-trips byte-identically.
-  const rules::RuleSet Ref = rules::buildReferenceRuleSet();
-  const std::string Text = rules::writeRuleSet(Ref);
-  rules::RuleSet Back;
-  Ok &= Check(rules::readRuleSet(Text, Back, &Err), "reference parses");
-  Ok &= Check(rules::writeRuleSet(Back) == Text,
-              "reference re-serializes byte-identically");
-
-  // 2. A learned corpus (merged classes, Distinct constraints) too.
-  const rules::RuleSet Learned = rules::learnRuleSet(600, 0xABCDE, nullptr);
-  const std::string LearnedText = rules::writeRuleSet(Learned);
-  rules::RuleSet LearnedBack;
-  Ok &= Check(rules::readRuleSet(LearnedText, LearnedBack, &Err),
-              "learned corpus parses");
-  Ok &= Check(rules::writeRuleSet(LearnedBack) == LearnedText,
-              "learned corpus re-serializes byte-identically");
-
-  // 3. Mine a thinned run, learn the gaps back, and verify recovery.
-  const rules::RuleSet Thinned = rules::filterRuleSetByShape(
-      Ref, rules::PatShape::DpRegShiftImm);
-  profile::GapMiner Miner;
-  vm::Vm Mine(vm::VmConfig::fromSpec("rule:scheduling/libquantum@1")
-                  .rules(&Thinned)
-                  .gapMiner(&Miner));
-  const vm::RunReport MineRun = Mine.run();
-  Ok &= Check(MineRun.Ok, "thinned-corpus run shuts down cleanly");
-  Ok &= Check(Miner.distinctGaps() > 0, "miner found gaps");
-
-  const profile::GapReport Report = Miner.report();
-  const std::string GapText = profile::writeGapReport(Report);
-  profile::GapReport GapBack;
-  Ok &= Check(profile::readGapReport(GapText, GapBack, &Err) &&
-                  profile::writeGapReport(GapBack) == GapText,
-              "gap report round-trips byte-identically");
-
-  rules::LearnStats Stats;
-  const rules::RuleSet Merged =
-      rules::learnFromGapSequences(sequencesOf(Report), &Stats);
-  Ok &= Check(Stats.VerifiedPairs > 0, "gaps learn into verified rules");
-  rules::RuleSet Recovered = Thinned;
-  appendRules(Recovered, Merged);
-
-  // Reload through the persistence layer, then re-run.
-  rules::RuleSet Reloaded;
-  Ok &= Check(rules::readRuleSet(rules::writeRuleSet(Recovered), Reloaded,
-                                 &Err),
-              "recovered corpus reloads");
-  vm::Vm Redeploy(vm::VmConfig::fromSpec("rule:scheduling/libquantum@1")
-                      .rules(&Reloaded));
-  const vm::RunReport Rerun = Redeploy.run();
-  Ok &= Check(Rerun.Ok && Rerun.Console == MineRun.Console,
-              "reloaded corpus reproduces the guest console");
-  const double HitBefore =
-      MineRun.RuleMatchAttempts
-          ? static_cast<double>(MineRun.RuleMatchHits) /
-                static_cast<double>(MineRun.RuleMatchAttempts)
-          : 0;
-  const double HitAfter =
-      Rerun.RuleMatchAttempts
-          ? static_cast<double>(Rerun.RuleMatchHits) /
-                static_cast<double>(Rerun.RuleMatchAttempts)
-          : 0;
-  Ok &= Check(HitAfter > HitBefore, "match-hit rate recovers");
-  std::printf("hit rate: thinned %.4f -> recovered %.4f\n", HitBefore,
-              HitAfter);
-  return Ok ? 0 : 1;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -308,7 +230,7 @@ int main(int argc, char **argv) {
 
   std::string Positional, OutPath, RulesPath, BasePath, Origin;
   bool DropShift = false;
-  size_t TopN = 0;
+  uint32_t TopN = 0; // 0: every gap
   for (int I = 2; I < argc; ++I) {
     const std::string A = argv[I];
     const auto Value = [&](std::string &Into) {
@@ -331,13 +253,20 @@ int main(int argc, char **argv) {
     else if (A == "--top") {
       std::string N;
       Value(N);
-      TopN = static_cast<size_t>(std::atol(N.c_str()));
+      if (!bench::parsePositive("--top", N.c_str(), TopN))
+        return 2;
     } else if (!A.empty() && A[0] == '-')
       return usage();
     else if (Positional.empty())
       Positional = A;
     else
       return usage();
+  }
+
+  if (DropShift && !RulesPath.empty()) {
+    std::fprintf(stderr, "rdbt_rulegen: --drop-shift and --rules each pick "
+                         "the corpus; pass one\n");
+    return 2;
   }
 
   if (Cmd == "write-reference")
@@ -354,7 +283,5 @@ int main(int argc, char **argv) {
     return Positional.empty() ? usage() : cmdReserialize(Positional, OutPath);
   if (Cmd == "show")
     return Positional.empty() ? usage() : cmdShow(Positional);
-  if (Cmd == "selfcheck")
-    return cmdSelfcheck();
   return usage();
 }

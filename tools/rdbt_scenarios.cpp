@@ -23,7 +23,9 @@
 //     --json writes the merged BENCH_matrix.json — cells keyed
 //     "<kind>/<workload>@<scale>" in submission order, byte-identical
 //     regardless of N (the perf-gate baseline artifact; see
-//     tools/rdbt_perfgate and bench/README.md).
+//     tools/rdbt_perfgate and bench/README.md). After the cold pass it
+//     prints the paper's Table I and Figs. 14-19, read off the cold
+//     cells (bench::formatPaperFigures).
 //
 //     --cache-dir D runs the matrix twice against the persistent
 //     translation cache in D (dbt/CodeCacheIo.h): a cold pass that
@@ -258,6 +260,7 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
       Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Ifp, Failures);
 
   const std::vector<bench::MatrixCell> ColdCells = toMatrixCells(Cells, Cold);
+  std::printf("\n%s", bench::formatPaperFigures(ColdCells, Scale).c_str());
   if (Json)
     bench::writeBenchFile("BENCH_matrix.json",
                           bench::formatMatrixJson(ColdCells, Scale));
