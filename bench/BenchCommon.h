@@ -569,13 +569,17 @@ inline void writeBenchFile(const std::string &FileName,
 
 /// Writes BENCH_<BenchName>.json when RDBT_BENCH_JSON is set; no-op
 /// otherwise. Call once at the end of each bench binary's main().
-inline void writeBenchJson(const char *BenchName) {
+/// \p Scale is the workload scale the binary ran at; 0 (a binary that
+/// runs no workload) leaves the "scale" field out.
+inline void writeBenchJson(const char *BenchName, uint32_t Scale) {
   if (!std::getenv("RDBT_BENCH_JSON"))
     return;
   const JsonRecorder &R = JsonRecorder::get();
   std::ostringstream OS;
-  OS << "{\n  \"bench\": \"" << jsonEscape(BenchName) << "\",\n"
-     << "  \"scale\": " << benchScale() << ",\n  \"runs\": [";
+  OS << "{\n  \"bench\": \"" << jsonEscape(BenchName) << "\",\n";
+  if (Scale)
+    OS << "  \"scale\": " << Scale << ",\n";
+  OS << "  \"runs\": [";
   for (size_t I = 0; I < R.Runs.size(); ++I) {
     const JsonRecorder::Run &Run = R.Runs[I];
     OS << (I ? ",\n" : "\n") << "    {\"workload\": \""

@@ -102,6 +102,6 @@ int main() {
   std::printf("\nNotes: III-C tracking subsumes most of III-B's win once "
               "enabled; the\nscheduling passes matter most on "
               "define-use-split code (hmmer).\n");
-  writeBenchJson("ablation_opts");
+  writeBenchJson("ablation_opts", Scale);
   return 0;
 }

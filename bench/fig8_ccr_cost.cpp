@@ -83,6 +83,6 @@ int main() {
               100.0 * (ParseCost - PackedCost) / ParseCost);
   bench::recordMetric("ccr_save_cost", "parse_and_save", ParseCost);
   bench::recordMetric("ccr_save_cost", "packed", PackedCost);
-  bench::writeBenchJson("fig8_ccr_cost");
+  bench::writeBenchJson("fig8_ccr_cost", /*Scale=*/0);
   return 0;
 }

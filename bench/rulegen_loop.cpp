@@ -145,6 +145,6 @@ int main() {
                  static_cast<double>(Gaps.Gaps.size()));
   }
 
-  writeBenchJson("rulegen_loop");
+  writeBenchJson("rulegen_loop", Scale);
   return 0;
 }

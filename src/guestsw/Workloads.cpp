@@ -808,29 +808,30 @@ Emitter emitterFor(const std::string &Name) {
   return nullptr;
 }
 
-/// Seeds the virtual disk with pseudo-random sectors plus the "untar"
-/// archive structure (header sector with payload length, payload,
-/// repeated, then a zero header).
-void seedDisk(sys::Platform &Board) {
-  std::vector<uint8_t> &Media = Board.disk().media();
-  Rng R(0xD15C);
-  for (uint8_t &Byte : Media)
-    Byte = static_cast<uint8_t>(R.next32());
-  // Archive: 6 entries of 1-4 payload sectors.
-  uint32_t Sector = 0;
-  uint32_t Sizes[] = {2, 1, 4, 3, 1, 2};
-  for (uint32_t Size : Sizes) {
-    const uint32_t Off = Sector * sys::DiskDevice::SectorSize;
-    Media[Off] = static_cast<uint8_t>(Size);
-    Media[Off + 1] = Media[Off + 2] = Media[Off + 3] = 0;
-    Sector += 1 + Size;
-  }
-  const uint32_t EndOff = Sector * sys::DiskDevice::SectorSize;
-  Media[EndOff] = Media[EndOff + 1] = Media[EndOff + 2] =
-      Media[EndOff + 3] = 0;
-}
-
 } // namespace
+
+const std::shared_ptr<const std::vector<uint8_t>> &guestsw::seededDisk() {
+  static const std::shared_ptr<const std::vector<uint8_t>> Image = [] {
+    auto Media = std::make_shared<std::vector<uint8_t>>(
+        sys::DiskDevice::DefaultSectors * sys::DiskDevice::SectorSize);
+    Rng R(0xD15C);
+    for (uint8_t &Byte : *Media)
+      Byte = static_cast<uint8_t>(R.next32());
+    // Archive: 6 entries of 1-4 payload sectors.
+    uint32_t Sector = 0;
+    uint32_t Sizes[] = {2, 1, 4, 3, 1, 2};
+    for (uint32_t Size : Sizes) {
+      uint8_t *Header = &(*Media)[Sector * sys::DiskDevice::SectorSize];
+      Header[0] = static_cast<uint8_t>(Size);
+      Header[1] = Header[2] = Header[3] = 0;
+      Sector += 1 + Size;
+    }
+    uint8_t *End = &(*Media)[Sector * sys::DiskDevice::SectorSize];
+    End[0] = End[1] = End[2] = End[3] = 0;
+    return Media;
+  }();
+  return Image;
+}
 
 const std::vector<WorkloadInfo> &guestsw::workloads() {
   return allWorkloads();
@@ -855,7 +856,7 @@ bool guestsw::setupGuest(sys::Platform &Board, const std::string &Name,
   std::vector<uint32_t> Image = buildWorkloadImage(Name, Scale);
   if (Image.empty())
     return false;
-  seedDisk(Board);
+  Board.disk().adoptMedia(seededDisk());
   if (Name == "ctxswitch")
     installGuestProcs(Board, Image, CtxSwitchNumProcs);
   else

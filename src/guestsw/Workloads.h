@@ -24,6 +24,7 @@
 #include "sys/Platform.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,8 +57,14 @@ std::vector<uint32_t> buildWorkloadImage(const std::string &Name,
 /// per-process physical windows).
 uint32_t requiredWorkloadRam(const std::string &Name);
 
+/// The disk every guest boots with: pseudo-random sectors plus the
+/// "untar" archive (header sector with payload length, payload,
+/// repeated, then a zero header), DiskDevice::DefaultSectors long. Built
+/// once per process and never written; boards share it copy-on-write.
+const std::shared_ptr<const std::vector<uint8_t>> &seededDisk();
+
 /// Convenience: builds the workload, installs kernel + program into
-/// \p Board and seeds the virtual disk for the I/O workloads. Returns
+/// \p Board and gives its disk the shared seededDisk() image. Returns
 /// false for unknown names.
 bool setupGuest(sys::Platform &Board, const std::string &Name,
                 uint32_t Scale);

@@ -243,6 +243,8 @@ void DiskDevice::mmioWrite(uint32_t Offset, uint32_t Value) {
 uint64_t DiskDevice::nextDeadline() const { return Deadline; }
 
 void DiskDevice::onDeadline() {
+  if (!Media) // first access of an untouched disk: allocate its zeros
+    ensureOwnedMedia();
   const uint32_t Bytes = Count * SectorSize;
   const uint32_t MediaOff = Sector * SectorSize;
   if (MediaOff + Bytes <= Media->size() &&

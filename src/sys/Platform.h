@@ -22,6 +22,7 @@
 
 #include "sys/Env.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -257,13 +258,14 @@ public:
     RegStatus = 0x10,
   };
   enum : uint32_t { CmdRead = 1, CmdWrite = 2 };
-  enum : uint32_t { SectorSize = 512 };
+  enum : uint32_t { SectorSize = 512, DefaultSectors = 4096 };
 
+  /// Allocates no media: an untouched disk reads as zeros, and its bytes
+  /// are allocated on first access unless adoptMedia() or a restored
+  /// snapshot supplies them first.
   DiskDevice(Platform &P, uint32_t Base, uint32_t NumSectors,
              uint64_t LatencyPerSector)
-      : Device(P, Base),
-        Media(std::make_shared<std::vector<uint8_t>>(
-            NumSectors * SectorSize, 0)),
+      : Device(P, Base), MediaBytes(NumSectors * SectorSize),
         Latency(LatencyPerSector) {}
 
   const char *name() const override { return "disk"; }
@@ -272,12 +274,20 @@ public:
   uint64_t nextDeadline() const override;
   void onDeadline() override;
 
-  /// Host-side access to the media for preloading images. Privatizes a
-  /// media image shared with snapshots/forks before handing out the
-  /// mutable reference.
+  /// Host-side access to the media for preloading images. Allocates an
+  /// untouched disk's zeros, or privatizes a shared image, before handing
+  /// out the mutable reference.
   std::vector<uint8_t> &media() {
     ensureOwnedMedia();
     return *Media;
+  }
+
+  /// Shares \p Image as the media, exactly the disk's size. The device
+  /// never writes it: while anyone else holds \p Image, the first sector
+  /// write clones it (ensureOwnedMedia).
+  void adoptMedia(std::shared_ptr<const std::vector<uint8_t>> Image) {
+    assert(Image && Image->size() == MediaBytes && "media size mismatch");
+    Media = std::const_pointer_cast<std::vector<uint8_t>>(std::move(Image));
   }
 
   void saveState(PlatformState &S) const {
@@ -300,17 +310,22 @@ public:
   }
 
 private:
-  /// Media image; shared with snapshots after saveState(). use_count == 1
-  /// means this device is the sole owner, so mutating in place is safe
-  /// (same clone-if-shared protocol as the RAM pages and the code cache).
+  /// Media image, null until first access or adoptMedia(); shared with
+  /// snapshots after saveState() and with the image adoptMedia() took.
+  /// use_count == 1 means this device is the sole owner, so mutating in
+  /// place is safe (same clone-if-shared protocol as the RAM pages and the
+  /// code cache).
   std::shared_ptr<std::vector<uint8_t>> Media;
+  uint32_t MediaBytes;
   uint64_t Latency;
   uint32_t Sector = 0, DmaAddr = 0, Count = 1;
   uint32_t PendingCmd = 0;
   uint64_t Deadline = ~0ull;
 
   void ensureOwnedMedia() {
-    if (Media.use_count() > 1)
+    if (!Media)
+      Media = std::make_shared<std::vector<uint8_t>>(MediaBytes, 0);
+    else if (Media.use_count() > 1)
       Media = std::make_shared<std::vector<uint8_t>>(*Media);
   }
 };
@@ -330,14 +345,15 @@ class Platform {
 public:
   /// \p RamSize guest RAM bytes; \p DiskSectors size of the block device;
   /// \p DiskLatency wall cycles per sector access.
-  explicit Platform(uint32_t RamSize, uint32_t DiskSectors = 4096,
+  explicit Platform(uint32_t RamSize,
+                    uint32_t DiskSectors = DiskDevice::DefaultSectors,
                     uint64_t DiskLatency = 50000);
 
   /// Fork construction: RAM starts in COW mode over \p RamImage (see
   /// PhysMem). Device and env state still reset; the caller re-applies a
   /// captured PlatformState/CpuEnv on top (vm/Snapshot.h).
   explicit Platform(std::shared_ptr<const std::vector<uint8_t>> RamImage,
-                    uint32_t DiskSectors = 4096,
+                    uint32_t DiskSectors = DiskDevice::DefaultSectors,
                     uint64_t DiskLatency = 50000);
 
   CpuEnv Env;

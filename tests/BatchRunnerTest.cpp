@@ -33,6 +33,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 using namespace rdbt;
 
@@ -155,6 +157,36 @@ TEST(BatchRunner, InvalidConfigFailsItsCellNotTheBatch) {
       << "the invalid cell must carry its construction error";
   EXPECT_TRUE(Reports[1].Ok)
       << "a bad cell must not poison the rest of the batch";
+}
+
+TEST(BenchJson, RecordsTheScaleTheCallerRanAt) {
+  // The file records the scale its caller ran at, never
+  // RDBT_BENCH_SCALE's, and no scale for a caller that runs no workload.
+  char Buf[] = "/tmp/rdbt-json-XXXXXX";
+  ASSERT_NE(nullptr, mkdtemp(Buf));
+  setenv("RDBT_BENCH_SCALE", "4", /*overwrite=*/1);
+  setenv("RDBT_BENCH_JSON", Buf, /*overwrite=*/1);
+  bench::writeBenchJson("scaled", 1);
+  bench::writeBenchJson("unscaled", 0);
+  unsetenv("RDBT_BENCH_JSON");
+  unsetenv("RDBT_BENCH_SCALE");
+  const auto Slurp = [&](const char *Name) {
+    const std::string Path = std::string(Buf) + "/" + Name;
+    std::ifstream In(Path);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    std::remove(Path.c_str());
+    return SS.str();
+  };
+  const std::string Scaled = Slurp("BENCH_scaled.json");
+  const std::string Unscaled = Slurp("BENCH_unscaled.json");
+  std::remove(Buf);
+  EXPECT_NE(Scaled.find("\"bench\": \"scaled\",\n  \"scale\": 1,\n"),
+            std::string::npos)
+      << Scaled;
+  EXPECT_NE(Unscaled.find("\"bench\": \"unscaled\",\n  \"runs\": ["),
+            std::string::npos)
+      << Unscaled;
 }
 
 TEST(BatchRunner, WarmBootDiffGatesTheWarmPass) {

@@ -9,17 +9,22 @@
 /// factory-constructs every kind, a Vm run reproduces a hand-assembled
 /// engine stack counter-for-counter, the budget/guard knobs surface
 /// the WallLimit and Runaway stop reasons no other suite exercises, and
-/// a missing cache or trace directory fails construction.
+/// a missing cache or trace directory fails construction, and every board
+/// shares the one seeded disk image without ever writing it.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/RuleTranslator.h"
+#include "dbt/CodeCacheIo.h"
 #include "dbt/Engine.h"
 #include "guestsw/MiniKernel.h"
 #include "guestsw/Workloads.h"
+#include "vm/BatchRunner.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace rdbt;
 
@@ -374,6 +379,106 @@ TEST(Vm, MissingOutputDirectoryFailsConstruction) {
   // An existing directory is accepted.
   vm::Vm V(vm::VmConfig::fromSpec("qemu/mcf,cache=."));
   EXPECT_TRUE(V.valid()) << V.error();
+}
+
+//===----------------------------------------------------------------------===//
+// The seeded disk: one image per process, shared copy-on-write
+//===----------------------------------------------------------------------===//
+
+/// crc32c of the 2 MiB seeded disk. Guests read these bytes, so they
+/// must never change, however the image is built or shared.
+constexpr uint32_t SeededDiskCrc = 0x801815bfu;
+
+/// The disk media a board would hand to a snapshot: no copy, no clone.
+std::shared_ptr<const std::vector<uint8_t>> mediaOf(sys::Platform &Board) {
+  sys::PlatformState S;
+  Board.captureState(S);
+  return S.DiskMedia;
+}
+
+uint32_t crcOf(const std::vector<uint8_t> &Media) {
+  return dbt::crc32c(Media.data(), Media.size());
+}
+
+TEST(SeededDisk, FreshBoardSharesTheKnownImage) {
+  const auto &Image = guestsw::seededDisk();
+  ASSERT_EQ(Image->size(), sys::DiskDevice::DefaultSectors *
+                               sys::DiskDevice::SectorSize);
+  EXPECT_EQ(crcOf(*Image), SeededDiskCrc);
+
+  sys::Platform Board(guestsw::KernelLayout::MinRam);
+  ASSERT_TRUE(guestsw::setupGuest(Board, "untar", 1));
+  EXPECT_EQ(mediaOf(Board).get(), Image.get())
+      << "a seeded board must not copy";
+  EXPECT_EQ(crcOf(Board.disk().media()), SeededDiskCrc);
+
+  // An unseeded disk allocates nothing until first touched, then reads
+  // as zeros.
+  sys::Platform Blank(1 << 20, /*DiskSectors=*/16);
+  EXPECT_EQ(mediaOf(Blank).get(), nullptr);
+  EXPECT_EQ(Blank.disk().media(),
+            std::vector<uint8_t>(16 * sys::DiskDevice::SectorSize, 0));
+}
+
+TEST(SeededDisk, SectorWritesNeverReachTheSharedImage) {
+  // fileio reads sectors 0-63 and writes what it read 64 sectors
+  // further on: the only workload that writes the disk.
+  vm::Vm Writer(vm::VmConfig::fromSpec("rule/fileio@1"));
+  ASSERT_TRUE(Writer.valid()) << Writer.error();
+  // Mid-boot, before the first sector write.
+  ASSERT_EQ(Writer.run(20000).Stop, dbt::StopReason::WallLimit);
+  const vm::Snapshot BeforeWrites = Writer.capture();
+  EXPECT_EQ(mediaOf(Writer.board()).get(), guestsw::seededDisk().get());
+  ASSERT_TRUE(Writer.run().Ok);
+  const auto Written = mediaOf(Writer.board());
+  EXPECT_NE(Written.get(), guestsw::seededDisk().get());
+  EXPECT_NE(crcOf(*Written), SeededDiskCrc) << "fileio must have written";
+
+  EXPECT_EQ(crcOf(*guestsw::seededDisk()), SeededDiskCrc);
+  vm::Vm Fresh(vm::VmConfig::fromSpec("rule/fileio@1"));
+  ASSERT_TRUE(Fresh.valid()) << Fresh.error();
+  EXPECT_EQ(mediaOf(Fresh.board()).get(), guestsw::seededDisk().get());
+  EXPECT_EQ(crcOf(*mediaOf(Fresh.board())), SeededDiskCrc);
+
+  std::unique_ptr<vm::Vm> Fork = vm::Vm::forkFrom(BeforeWrites);
+  ASSERT_TRUE(Fork && Fork->valid());
+  EXPECT_EQ(mediaOf(Fork->board()).get(), guestsw::seededDisk().get());
+  EXPECT_EQ(crcOf(*mediaOf(Fork->board())), SeededDiskCrc);
+  // The fork writes too, into its own clone; the image stays pinned.
+  ASSERT_TRUE(Fork->run().Ok);
+  EXPECT_EQ(crcOf(*mediaOf(Fork->board())), crcOf(*Written));
+  EXPECT_EQ(crcOf(*guestsw::seededDisk()), SeededDiskCrc);
+}
+
+TEST(SeededDisk, ConcurrentDiskSessionsMatchTheSerialRun) {
+  // Writers clone the shared image while readers DMA from it, on four
+  // threads; each report must equal the serial schedule's.
+  std::vector<vm::VmConfig> Configs;
+  for (int Round = 0; Round < 2; ++Round)
+    for (const char *Kind : {"native", "qemu", "rule:scheduling"})
+      for (const char *Workload : {"fileio", "untar"})
+        Configs.push_back(
+            vm::VmConfig().translator(Kind).workload(Workload).scale(1));
+
+  const std::vector<vm::RunReport> Serial = vm::BatchRunner(1).run(Configs);
+  const std::vector<vm::RunReport> Parallel =
+      vm::BatchRunner(4).run(Configs);
+  ASSERT_EQ(Serial.size(), Configs.size());
+  ASSERT_EQ(Parallel.size(), Configs.size());
+  for (size_t I = 0; I < Configs.size(); ++I) {
+    const vm::RunReport &S = Serial[I], &P = Parallel[I];
+    EXPECT_TRUE(S.Ok) << S.Spec << ": " << S.stopName();
+    EXPECT_EQ(P.Ok, S.Ok) << S.Spec;
+    EXPECT_EQ(P.Console, S.Console) << S.Spec;
+    EXPECT_EQ(0, std::memcmp(&P.Counters, &S.Counters, sizeof(S.Counters)))
+        << S.Spec << ": exec counters diverged";
+    EXPECT_EQ(0, std::memcmp(&P.Engine, &S.Engine, sizeof(S.Engine)))
+        << S.Spec << ": engine stats diverged";
+    for (int R = 0; R < 16; ++R)
+      EXPECT_EQ(P.Final.Regs[R], S.Final.Regs[R]) << S.Spec << ": r" << R;
+    EXPECT_EQ(P.Final.Nzcv, S.Final.Nzcv) << S.Spec;
+  }
+  EXPECT_EQ(crcOf(*guestsw::seededDisk()), SeededDiskCrc);
 }
 
 TEST(StopReason, NamesAreDistinct) {

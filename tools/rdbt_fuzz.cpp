@@ -367,7 +367,7 @@ int main(int Argc, char **Argv) {
     }
     bench::recordMetric("fuzz_mismatches", "total",
                         static_cast<double>(Mismatches.size()));
-    bench::writeBenchJson("fuzz");
+    bench::writeBenchJson("fuzz", /*Scale=*/0);
   }
 
   // --- Exit ---------------------------------------------------------------

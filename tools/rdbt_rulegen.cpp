@@ -34,9 +34,11 @@
 #include "rules/RuleIo.h"
 #include "vm/Vm.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -221,18 +223,42 @@ int cmdShow(const std::string &InPath) {
   return 0;
 }
 
+/// The flags \p Cmd reads, or null for an unknown command. Any other
+/// flag is an error: a flag the command would ignore never passes
+/// silently.
+const std::vector<std::string> *flagsOf(const std::string &Cmd) {
+  static const std::map<std::string, std::vector<std::string>> Table = {
+      {"write-reference", {"-o"}},
+      {"mine", {"-o", "--drop-shift", "--rules", "--top"}},
+      {"learn", {"-o", "--base", "--origin"}},
+      {"reserialize", {"-o"}},
+      {"show", {}},
+  };
+  const auto It = Table.find(Cmd);
+  return It == Table.end() ? nullptr : &It->second;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
   if (argc < 2)
     return usage();
   const std::string Cmd = argv[1];
+  const std::vector<std::string> *Flags = flagsOf(Cmd);
+  if (!Flags)
+    return usage();
 
   std::string Positional, OutPath, RulesPath, BasePath, Origin;
   bool DropShift = false;
   uint32_t TopN = 0; // 0: every gap
   for (int I = 2; I < argc; ++I) {
     const std::string A = argv[I];
+    if (!A.empty() && A[0] == '-' &&
+        std::find(Flags->begin(), Flags->end(), A) == Flags->end()) {
+      std::fprintf(stderr, "rdbt_rulegen: %s does not take %s\n",
+                   Cmd.c_str(), A.c_str());
+      return 2;
+    }
     const auto Value = [&](std::string &Into) {
       if (I + 1 >= argc) {
         usage();
@@ -255,9 +281,7 @@ int main(int argc, char **argv) {
       Value(N);
       if (!bench::parsePositive("--top", N.c_str(), TopN))
         return 2;
-    } else if (!A.empty() && A[0] == '-')
-      return usage();
-    else if (Positional.empty())
+    } else if (Positional.empty())
       Positional = A;
     else
       return usage();

@@ -572,7 +572,7 @@ int main(int argc, char **argv) {
     // --json defaults the output directory to the current one.
     if (!std::getenv("RDBT_BENCH_JSON"))
       setenv("RDBT_BENCH_JSON", "1", /*overwrite=*/0);
-    bench::writeBenchJson("scenarios");
+    bench::writeBenchJson("scenarios", Scale);
   }
 
   if (Failures) {
