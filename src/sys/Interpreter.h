@@ -26,6 +26,14 @@
 /// counters move. Invalidation rides the TbInvKind pipeline (Env.h), and
 /// the cache is rebuilt from scratch after snapshot capture/fork.
 ///
+/// The fetch under it does not walk the page tables each step either:
+/// Mmu::fetchWord memoizes Execute translations keyed by (page, TTBR0,
+/// MmuIdx). That memo cannot ride the TbInvKind pipeline, because a guest
+/// page-table store raises no request and the model has no I-TLB to hide
+/// it; it is voided by write marks on the pages walks read instead
+/// (sys/Mmu.h). The word itself is still read on every step, so the
+/// RawWord check above sees every store.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RDBT_SYS_INTERPRETER_H

@@ -6,6 +6,8 @@
 
 #include "sys/Mmu.h"
 
+#include <cassert>
+
 using namespace rdbt;
 using namespace rdbt::sys;
 
@@ -27,17 +29,36 @@ static bool apAllows(uint32_t Ap, AccessKind Kind, bool Privileged) {
 
 bool Mmu::translate(uint32_t Va, AccessKind Kind, bool Privileged,
                     uint32_t &Pa, Fault &F, unsigned &WalkAccesses) {
+  bool RamOnly = true;
+  return walk(Va, Kind, Privileged, Pa, F, WalkAccesses, RamOnly);
+}
+
+bool Mmu::walk(uint32_t Va, AccessKind Kind, bool Privileged, uint32_t &Pa,
+               Fault &F, unsigned &WalkAccesses, bool &RamOnly) {
   WalkAccesses = 0;
   if (!(Env.Sctlr & SctlrMmuEnable)) {
     Pa = Va;
     return true;
   }
 
+  // Every descriptor read marks its RAM page (PhysMem::markWalked), so a
+  // later store there voids the fetch memo. MMIO descriptors cannot be
+  // marked, which makes the walk unmemoizable.
+  auto ReadEntry = [&](uint32_t Addr, uint32_t &Entry) {
+    ++WalkAccesses;
+    if (!Board.physRead(Addr, 4, Entry))
+      return false;
+    if (Board.isIoPage(Addr))
+      RamOnly = false;
+    else
+      Board.Ram.markWalked(Addr);
+    return true;
+  };
+
   const uint32_t L1Base = Env.Ttbr0 & ~0x3FFFu;
   const uint32_t L1Addr = L1Base + ((Va >> 20) << 2);
   uint32_t L1Entry = 0;
-  ++WalkAccesses;
-  if (!Board.physRead(L1Addr, 4, L1Entry)) {
+  if (!ReadEntry(L1Addr, L1Entry)) {
     F = {true, FsrExternal, Va};
     return false;
   }
@@ -56,8 +77,7 @@ bool Mmu::translate(uint32_t Va, AccessKind Kind, bool Privileged,
     const uint32_t L2Base = L1Entry & ~0x3FFu;
     const uint32_t L2Addr = L2Base + (((Va >> 12) & 0xFF) << 2);
     uint32_t L2Entry = 0;
-    ++WalkAccesses;
-    if (!Board.physRead(L2Addr, 4, L2Entry)) {
+    if (!ReadEntry(L2Addr, L2Entry)) {
       F = {true, FsrExternal, Va};
       return false;
     }
@@ -195,14 +215,38 @@ bool Mmu::fetchWord(uint32_t Va, uint32_t &Word, Fault &F) {
     F = {true, FsrAlignment, Va};
     return false;
   }
-  const bool Privileged = Env.MmuIdx == 0;
-  uint32_t Pa = 0;
-  unsigned WalkAccesses = 0;
-  if (!translate(Va, AccessKind::Execute, Privileged, Pa, F, WalkAccesses))
-    return false;
+  uint32_t Pa = Va;
+  if (Env.Sctlr & SctlrMmuEnable) {
+    const uint32_t Vpn = Va >> 12;
+    const uint64_t Gen = Board.Ram.walkGeneration();
+    FetchMemoEntry &M =
+        FetchMemo[(Vpn ^ (Env.Ttbr0 >> 14)) & (FetchMemoSize - 1)];
+    if (M.Vpn == Vpn && M.Ttbr0 == Env.Ttbr0 && M.MmuIdx == Env.MmuIdx &&
+        M.Gen == Gen) {
+      Pa = M.PaPage | (Va & 0xFFFu);
+      assert(walksTo(Va, Pa) && "fetch memo disagrees with a fresh walk");
+    } else {
+      unsigned WalkAccesses = 0;
+      bool RamOnly = true;
+      if (!walk(Va, AccessKind::Execute, Env.MmuIdx == 0, Pa, F,
+                WalkAccesses, RamOnly))
+        return false;
+      if (RamOnly)
+        M = {Vpn, Env.Ttbr0, Env.MmuIdx, Pa & ~0xFFFu, Gen};
+    }
+  }
   if (!Board.physRead(Pa, 4, Word)) {
     F = {true, FsrExternal, Va};
     return false;
   }
   return true;
+}
+
+bool Mmu::walksTo(uint32_t Va, uint32_t Pa) {
+  uint32_t Fresh = 0;
+  Fault F;
+  unsigned WalkAccesses = 0;
+  return translate(Va, AccessKind::Execute, Env.MmuIdx == 0, Fresh, F,
+                   WalkAccesses) &&
+         Fresh == Pa;
 }

@@ -11,6 +11,18 @@
 /// generated host code probes inline — the QEMU softmmu design the paper's
 /// "address translation" context switches revolve around.
 ///
+/// Instruction fetches never use that TLB: the model has no I-TLB, so a
+/// guest page-table edit must show on the very next fetch with no TLB
+/// maintenance. Instead of walking on every fetch, fetchWord keeps a small
+/// direct-mapped memo of successful Execute translations keyed by (page,
+/// TTBR0, MmuIdx), bypassed with the MMU off. Like the interpreter's
+/// decode cache it is host-side state, never captured. It cannot ride the
+/// TbInv pipeline (Env.h) because a page-table store raises no TbInv
+/// request; instead every walk marks the RAM pages it read in PhysMem, and
+/// any write to a marked page (interpreter and host-code stores, disk DMA,
+/// host loads) bumps a generation that voids the whole memo. A walk that
+/// read a descriptor from MMIO is not memoized. DESIGN.md §14.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RDBT_SYS_MMU_H
@@ -53,8 +65,9 @@ enum : uint32_t {
   L2TypeSmall = 2,
 };
 
-/// The MMU bound to one env and one platform. Stateless apart from the
-/// TLB that lives in the env (so generated code and C++ agree).
+/// The MMU bound to one env and one platform. Its architectural state is
+/// the TLB that lives in the env (so generated code and C++ agree); the
+/// fetch memo is a host-side cache of the table walk.
 class Mmu {
 public:
   Mmu(CpuEnv &E, Platform &P) : Env(E), Board(P) {}
@@ -93,7 +106,9 @@ public:
   bool readVirt(uint32_t Va, unsigned Size, uint32_t &Value, Fault &F);
   bool writeVirt(uint32_t Va, unsigned Size, uint32_t Value, Fault &F);
 
-  /// Instruction fetch (translate + read, Execute permission).
+  /// Instruction fetch (translate + read, Execute permission). The
+  /// translation comes from the fetch memo when it holds one; the word is
+  /// always read through Platform::physRead.
   bool fetchWord(uint32_t Va, uint32_t &Word, Fault &F);
 
   /// TLB statistics (reset by the owner between runs).
@@ -103,6 +118,28 @@ public:
 private:
   CpuEnv &Env;
   Platform &Board;
+
+  /// One memoized successful Execute translation. The key is every input
+  /// a walk reads besides RAM: the page, TTBR0 and MmuIdx (SCTLR.M is on,
+  /// or the memo is bypassed). Gen is PhysMem::walkGeneration() at fill
+  /// time; any store to a page a walk read bumps it, voiding the entry.
+  struct FetchMemoEntry {
+    uint32_t Vpn = ~0u; ///< ~0u = empty (no page number reaches it)
+    uint32_t Ttbr0 = 0;
+    uint32_t MmuIdx = 0;
+    uint32_t PaPage = 0;
+    uint64_t Gen = 0;
+  };
+  static constexpr uint32_t FetchMemoSize = 64; // direct-mapped slots
+  FetchMemoEntry FetchMemo[FetchMemoSize];
+
+  /// translate(), also reporting whether every descriptor came from RAM
+  /// (\p RamOnly stays true) and marking the RAM pages it read.
+  bool walk(uint32_t Va, AccessKind Kind, bool Privileged, uint32_t &Pa,
+            Fault &F, unsigned &WalkAccesses, bool &RamOnly);
+  /// Whether an uncached Execute walk of \p Va yields \p Pa (the debug
+  /// cross-check on every memo hit).
+  bool walksTo(uint32_t Va, uint32_t Pa);
 
   TlbEntry &entryFor(uint32_t Va) {
     return Env.Tlb[Env.MmuIdx][(Va >> 12) & (TlbSize - 1)];

@@ -38,6 +38,8 @@ uint8_t *PhysMem::pageForWrite(uint32_t Page) {
 
 void PhysMem::write(uint32_t Pa, unsigned Size, uint32_t Value) {
   assert(contains(Pa, Size) && "physical write out of RAM");
+  if (WalkMarks[Pa >> PageShift])
+    ++WalkGen;
   std::memcpy(Base ? pageForWrite(Pa >> PageShift) + (Pa & (PageBytes - 1))
                    : &Bytes[Pa],
               &Value, Size);
@@ -45,6 +47,7 @@ void PhysMem::write(uint32_t Pa, unsigned Size, uint32_t Value) {
 
 void PhysMem::writeBlock(uint32_t Pa, const void *Src, uint32_t Len) {
   assert(contains(Pa, Len) && "physical block write out of RAM");
+  noteWrite(Pa, Len);
   if (!Base) {
     std::memcpy(&Bytes[Pa], Src, Len);
     return;
@@ -88,18 +91,6 @@ std::shared_ptr<const std::vector<uint8_t>> PhysMem::snapshotBytes() const {
   auto Image = std::make_shared<std::vector<uint8_t>>(size());
   readBlock(0, Image->data(), size());
   return Image;
-}
-
-void PhysMem::adoptCow(std::shared_ptr<const std::vector<uint8_t>> Image) {
-  assert(Image && Image->size() == size() &&
-         "COW image must match the configured RAM size");
-  assert(Image->size() % PageBytes == 0 && "RAM sizes are page multiples");
-  Base = std::move(Image);
-  Bytes.clear();
-  Bytes.shrink_to_fit();
-  Pages.clear();
-  Pages.resize(Base->size() >> PageShift);
-  PrivatePages = 0;
 }
 
 Device::~Device() = default;
@@ -187,8 +178,9 @@ void TimerDevice::mmioWrite(uint32_t Offset, uint32_t Value) {
       Deadline = Parent.now() + Interval;
     break;
   default:
-    break;
+    return;
   }
+  Parent.refreshDeadline();
 }
 
 uint64_t TimerDevice::nextDeadline() const { return Deadline; }
@@ -197,6 +189,7 @@ void TimerDevice::onDeadline() {
   ++Ticks;
   Parent.intc().raise(IrqLineTimer);
   Deadline = Interval ? Parent.now() + Interval : ~0ull;
+  Parent.refreshDeadline();
 }
 
 //===----------------------------------------------------------------------===//
@@ -234,6 +227,7 @@ void DiskDevice::mmioWrite(uint32_t Offset, uint32_t Value) {
       return;
     PendingCmd = Value;
     Deadline = Parent.now() + Latency * Count;
+    Parent.refreshDeadline();
     break;
   default:
     break;
@@ -260,6 +254,7 @@ void DiskDevice::onDeadline() {
   }
   PendingCmd = 0;
   Deadline = ~0ull;
+  Parent.refreshDeadline();
   Parent.intc().raise(IrqLineDisk);
 }
 
@@ -290,6 +285,7 @@ void Platform::initBoard(uint32_t DiskSectors, uint64_t DiskLatency) {
   Devices[1] = Intc.get();
   Devices[2] = Timer.get();
   Devices[3] = Disk.get();
+  refreshDeadline();
 }
 
 void Platform::refreshIrq() {
@@ -298,9 +294,8 @@ void Platform::refreshIrq() {
     Env.ExitRequest = 1;
 }
 
-void Platform::advance(uint64_t Cycles) {
-  Now += Cycles;
-  // Service all deadlines that have become due (devices may re-arm).
+void Platform::serviceDeadlines() {
+  // Devices may re-arm inside onDeadline(), so sweep until none is due.
   for (bool Fired = true; Fired;) {
     Fired = false;
     for (Device *D : Devices) {
@@ -312,11 +307,11 @@ void Platform::advance(uint64_t Cycles) {
   }
 }
 
-uint64_t Platform::nextDeadline() const {
+void Platform::refreshDeadline() {
   uint64_t Min = ~0ull;
   for (const Device *D : Devices)
     Min = D->nextDeadline() < Min ? D->nextDeadline() : Min;
-  return Min;
+  NextDue = Min;
 }
 
 uint64_t Platform::fastForward() {
@@ -344,6 +339,7 @@ void Platform::restoreState(const PlatformState &S) {
   Disk->loadState(S);
   Now = S.Now;
   ShutdownRequested = S.ShutdownRequested;
+  refreshDeadline();
 }
 
 Device *Platform::deviceAt(uint32_t Pa) {

@@ -15,6 +15,10 @@
 /// latencies (disk) are wall-clock deadlines, which is what makes the
 /// I/O-bound workloads of Fig. 19 insensitive to translator quality.
 ///
+/// The board caches the earliest device deadline, refreshed whenever a
+/// device arms or disarms, so the per-instruction advance() of the
+/// interpreter is one compare until a deadline is due.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RDBT_SYS_PLATFORM_H
@@ -38,22 +42,33 @@ namespace sys {
 ///  * **Owned** (the default): one flat byte vector, exactly the
 ///    pre-snapshot behavior and cost.
 ///
-///  * **Copy-on-write fork**: after adoptCow(), reads come from an
+///  * **Copy-on-write fork** (the image constructor): reads come from an
 ///    immutable shared base image and the first write to a 4 KiB page
 ///    allocates a private copy of just that page. The base is never
 ///    mutated, so any number of forked boards can share it concurrently;
 ///    naturally-aligned 1/2/4-byte accesses never cross a page, and the
 ///    block operations split per page.
+///
+/// Both modes keep one walk mark per page (markWalked): an MMU table walk
+/// marks every RAM page it reads, and a write or writeBlock that touches a
+/// marked page bumps walkGeneration(). The Mmu's fetch memo compares that
+/// generation, so a page-table edit voids it with no TLB maintenance.
 class PhysMem {
 public:
   enum : uint32_t { PageBytes = 4096, PageShift = 12 };
 
-  explicit PhysMem(uint32_t Size) : Bytes(Size, 0) {}
+  explicit PhysMem(uint32_t Size)
+      : Bytes(Size, 0), WalkMarks((Size + PageBytes - 1) >> PageShift) {}
 
   /// Constructs directly in COW mode over \p Image — the fork fast path:
   /// no owned allocation, no zero-fill, just page-table bookkeeping.
   explicit PhysMem(std::shared_ptr<const std::vector<uint8_t>> Image)
-      : Base(std::move(Image)), Pages(Base->size() >> PageShift) {}
+      : Base(std::move(Image)), Pages(Base->size() >> PageShift),
+        WalkMarks(Pages.size()) {}
+
+  /// Not assignable: replacing the contents under a live Mmu would
+  /// restart walkGeneration() and revive stale fetch-memo entries.
+  PhysMem &operator=(const PhysMem &) = delete;
 
   uint32_t size() const {
     return static_cast<uint32_t>(Base ? Base->size() : Bytes.size());
@@ -87,19 +102,30 @@ public:
   /// In COW mode with no private pages this is the base itself (free).
   std::shared_ptr<const std::vector<uint8_t>> snapshotBytes() const;
 
-  /// Switches to COW mode over \p Image (must match size()): owned bytes
-  /// are released, reads hit the shared image, writes privatize pages.
-  void adoptCow(std::shared_ptr<const std::vector<uint8_t>> Image);
-
-  bool isCow() const { return Base != nullptr; }
-  /// Pages privatized by writes since adoptCow() (the fork's working set).
+  /// Pages privatized by writes since the fork (its working set).
   uint64_t cowPrivatePages() const { return PrivatePages; }
+
+  // --- Walk marks (sys/Mmu.h fetch memo) ----------------------------------
+
+  /// Marks the page holding \p Pa as read by an MMU table walk.
+  void markWalked(uint32_t Pa) { WalkMarks[Pa >> PageShift] = 1; }
+  /// Bumped by every write to a marked page.
+  uint64_t walkGeneration() const { return WalkGen; }
 
 private:
   std::vector<uint8_t> Bytes; ///< owned storage; unused in COW mode
   std::shared_ptr<const std::vector<uint8_t>> Base; ///< COW base image
   std::vector<std::unique_ptr<uint8_t[]>> Pages; ///< COW private pages
   uint64_t PrivatePages = 0;
+  std::vector<uint8_t> WalkMarks; ///< one flag per page; see markWalked
+  uint64_t WalkGen = 0;
+
+  /// Bumps WalkGen if [Pa, Pa + Len) touches a marked page.
+  void noteWrite(uint32_t Pa, uint32_t Len) {
+    for (uint32_t P = Pa >> PageShift; (P << PageShift) < Pa + Len; ++P)
+      if (WalkMarks[P])
+        ++WalkGen;
+  }
 
   const uint8_t *pageForRead(uint32_t Page) const {
     return Pages[Page] ? Pages[Page].get()
@@ -147,7 +173,8 @@ public:
   virtual const char *name() const = 0;
   virtual uint32_t mmioRead(uint32_t Offset) = 0;
   virtual void mmioWrite(uint32_t Offset, uint32_t Value) = 0;
-  /// Earliest wall-clock time this device needs service, or ~0ull.
+  /// Earliest wall-clock time this device needs service, or ~0ull. A
+  /// device that changes it calls Platform::refreshDeadline().
   virtual uint64_t nextDeadline() const { return ~0ull; }
   /// Called when the wall clock reaches nextDeadline().
   virtual void onDeadline() {}
@@ -370,10 +397,19 @@ public:
   // --- Wall clock ---------------------------------------------------------
 
   uint64_t now() const { return Now; }
-  /// Advances the wall clock and services due device deadlines.
-  void advance(uint64_t Cycles);
-  /// Earliest pending device deadline (~0ull if none).
-  uint64_t nextDeadline() const;
+  /// Advances the wall clock and services due device deadlines. While no
+  /// deadline is due this is one compare against the cached deadline.
+  void advance(uint64_t Cycles) {
+    Now += Cycles;
+    if (Now >= NextDue)
+      serviceDeadlines();
+  }
+  /// Earliest pending device deadline (~0ull if none). A cached value:
+  /// TimerDevice and DiskDevice call refreshDeadline() whenever they arm
+  /// or disarm, and initBoard/restoreState recompute it.
+  uint64_t nextDeadline() const { return NextDue; }
+  /// Recomputes nextDeadline() from the devices.
+  void refreshDeadline();
   /// Jumps the clock to the next deadline (WFI sleep). Returns the number
   /// of cycles skipped.
   uint64_t fastForward();
@@ -411,8 +447,11 @@ private:
   std::unique_ptr<DiskDevice> Disk;
   Device *Devices[4];
   uint64_t Now = 0;
+  uint64_t NextDue = ~0ull; ///< min of the devices' nextDeadline()
 
   void initBoard(uint32_t DiskSectors, uint64_t DiskLatency);
+  /// Fires every device whose deadline is due, until none is.
+  void serviceDeadlines();
   Device *deviceAt(uint32_t Pa);
 };
 

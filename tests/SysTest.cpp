@@ -5,17 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Unit tests for the system substrate: env/CPSR/banking, MMU walks and
-/// permissions, the software TLB, devices and the wall clock, and the
-/// interpreter's architectural corner cases.
+/// permissions, the software TLB, instruction-fetch semantics (the model
+/// has no I-TLB, so a page-table change shows on the very next fetch),
+/// devices and the wall clock, and the interpreter's architectural corner
+/// cases.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "arm/AsmBuilder.h"
+#include "guestsw/Workloads.h"
 #include "sys/Interpreter.h"
 #include "sys/Mmu.h"
 #include "sys/Platform.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 using namespace rdbt;
 using namespace rdbt::sys;
@@ -85,6 +91,20 @@ protected:
     Board.Ram.write(L1 + 3 * 4, 4, L2 | 1u);
     Board.Ram.write(L2 + 0 * 4, 4, 0x00300000u | (2u << 4) | 2u);
     Board.Env.Sctlr = SctlrMmuEnable;
+  }
+
+  /// Fetches the instruction word at \p Va under the current MmuIdx.
+  uint32_t fetch(uint32_t Va) {
+    uint32_t Word = 0;
+    Fault F;
+    EXPECT_TRUE(Mmu_.fetchWord(Va, Word, F)) << std::hex << Va;
+    return Word;
+  }
+
+  /// A guest store through the data side of the MMU.
+  void guestStore(uint32_t Va, uint32_t Value) {
+    Fault F;
+    EXPECT_TRUE(Mmu_.writeVirt(Va, 4, Value, F)) << std::hex << Va;
   }
 
   sys::Platform Board;
@@ -263,6 +283,121 @@ TEST_F(MmuFixture, MmioNeverInstallsTlbTags) {
   EXPECT_TRUE(E.PhysFlags & TlbFlagIo);
 }
 
+// --- Instruction-fetch semantics ------------------------------------------
+//
+// The model has no I-TLB: every fetch must see the page tables as they are
+// now, with no TLB maintenance after an edit. Each case fetches twice
+// before the change, so a memoized translation would be in place.
+
+TEST_F(MmuFixture, FetchSeesL2EditWithoutTlbMaintenance) {
+  buildTables();
+  Board.Ram.write(0x00300000, 4, 0x11111111u);
+  Board.Ram.write(0x00310000, 4, 0x22222222u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  guestStore(0xC000, 0x00310000u | (2u << 4) | 2u); // L2[0] -> 0x310000
+  EXPECT_EQ(fetch(0x00300000), 0x22222222u);
+}
+
+TEST_F(MmuFixture, FetchSeesL1SectionEditWithoutTlbMaintenance) {
+  buildTables();
+  Board.Ram.write(0x00200000, 4, 0x11111111u);
+  Board.Ram.write(0x00500000, 4, 0x22222222u);
+  EXPECT_EQ(fetch(0x00100000), 0x11111111u);
+  EXPECT_EQ(fetch(0x00100000), 0x11111111u);
+  guestStore(0x8000 + 1 * 4, 0x00500000u | (3u << 10) | 2u);
+  EXPECT_EQ(fetch(0x00100000), 0x22222222u);
+}
+
+TEST_F(MmuFixture, FetchFollowsTtbr0SwitchWithoutTlbi) {
+  buildTables();
+  // 1 MiB above the first table, so a cache indexed by the low TTBR0 bits
+  // puts both tables' translations in one slot.
+  const uint32_t OtherL1 = 0x00108000;
+  Board.Ram.write(OtherL1 + 0 * 4, 4, 0x00000000u | (1u << 10) | 2u);
+  Board.Ram.write(OtherL1 + 1 * 4, 4, 0x00500000u | (3u << 10) | 2u);
+  Board.Ram.write(0x00200000, 4, 0x11111111u);
+  Board.Ram.write(0x00500000, 4, 0x22222222u);
+  EXPECT_EQ(fetch(0x00100000), 0x11111111u);
+  EXPECT_EQ(fetch(0x00100000), 0x11111111u);
+  Board.Env.Ttbr0 = OtherL1;
+  EXPECT_EQ(fetch(0x00100000), 0x22222222u);
+  Board.Env.Ttbr0 = 0x8000;
+  EXPECT_EQ(fetch(0x00100000), 0x11111111u);
+}
+
+TEST_F(MmuFixture, FetchSeesDiskDmaOntoPageTable) {
+  buildTables();
+  Board.Ram.write(0x00300000, 4, 0x11111111u);
+  Board.Ram.write(0x00310000, 4, 0x22222222u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  // Sector 0 holds an L2 table whose entry 0 maps 0x310000; DMA it over
+  // the live L2 table.
+  const uint32_t Entry = 0x00310000u | (2u << 4) | 2u;
+  std::memcpy(Board.disk().media().data(), &Entry, 4);
+  Board.disk().mmioWrite(DiskDevice::RegSector, 0);
+  Board.disk().mmioWrite(DiskDevice::RegDmaAddr, 0xC000);
+  Board.disk().mmioWrite(DiskDevice::RegCount, 1);
+  Board.disk().mmioWrite(DiskDevice::RegCmd, DiskDevice::CmdRead);
+  Board.advance(Board.nextDeadline() - Board.now());
+  ASSERT_EQ(Board.disk().mmioRead(DiskDevice::RegStatus), 0u);
+  EXPECT_EQ(fetch(0x00300000), 0x22222222u);
+}
+
+TEST_F(MmuFixture, UserFetchOfPrivilegedPageFaultsAfterKernelFetch) {
+  buildTables();
+  Board.Ram.write(0x100, 4, 0x11111111u);
+  Board.Env.MmuIdx = 0;
+  EXPECT_EQ(fetch(0x100), 0x11111111u);
+  EXPECT_EQ(fetch(0x100), 0x11111111u);
+  Board.Env.MmuIdx = 1;
+  uint32_t Word = 0;
+  Fault F;
+  EXPECT_FALSE(Mmu_.fetchWord(0x100, Word, F));
+  EXPECT_EQ(F.Fsr, FsrPermissionSection);
+  EXPECT_EQ(F.Far, 0x100u);
+  Board.Env.MmuIdx = 0;
+  EXPECT_EQ(fetch(0x100), 0x11111111u);
+}
+
+TEST_F(MmuFixture, FetchFollowsMmuToggle) {
+  buildTables();
+  Board.Ram.write(0x00100000, 4, 0x11111111u);
+  Board.Ram.write(0x00200000, 4, 0x22222222u);
+  Board.Ram.write(0x00500000, 4, 0x33333333u);
+  EXPECT_EQ(fetch(0x00100000), 0x22222222u);
+  EXPECT_EQ(fetch(0x00100000), 0x22222222u);
+  Board.Env.Sctlr &= ~SctlrMmuEnable;
+  EXPECT_EQ(fetch(0x00100000), 0x11111111u) << "MMU off is identity";
+  Board.Env.Sctlr |= SctlrMmuEnable;
+  EXPECT_EQ(fetch(0x00100000), 0x22222222u);
+  // A table edit made while the MMU is off shows once it is back on.
+  Board.Env.Sctlr &= ~SctlrMmuEnable;
+  Board.Ram.write(0x8000 + 1 * 4, 4, 0x00500000u | (3u << 10) | 2u);
+  Board.Env.Sctlr |= SctlrMmuEnable;
+  EXPECT_EQ(fetch(0x00100000), 0x33333333u);
+}
+
+// A descriptor read from MMIO can change with no RAM store at all, so such
+// a walk must never be reused. Here the L1 entry for VA 0x80200000 is the
+// timer's count register, i.e. the low bits of the wall clock.
+TEST_F(MmuFixture, FetchRewalksDescriptorsReadFromMmio) {
+  Board.Env.Ttbr0 = MmioUart; // L1 entry 0x802 lands on timer RegCount
+  Board.Env.Sctlr = SctlrMmuEnable;
+  Board.Env.MmuIdx = 0;
+  const uint32_t Va = 0x80200000u;
+  ASSERT_EQ(MmioUart + ((Va >> 20) << 2), MmioTimer + TimerDevice::RegCount);
+  Board.Ram.write(0x00500000, 4, 0x11111111u);
+  Board.Ram.write(0x00600000, 4, 0x22222222u);
+  const uint32_t SectionRw = (3u << 10) | 2u;
+  Board.advance((0x00500000u | SectionRw) - Board.now());
+  EXPECT_EQ(fetch(Va), 0x11111111u);
+  EXPECT_EQ(fetch(Va), 0x11111111u);
+  Board.advance((0x00600000u | SectionRw) - Board.now());
+  EXPECT_EQ(fetch(Va), 0x22222222u);
+}
+
 TEST(Devices, TimerRaisesAndAcks) {
   sys::Platform Board(1 << 20);
   Board.intc().mmioWrite(IntController::RegEnable, 1u << IrqLineTimer);
@@ -302,6 +437,75 @@ TEST(Devices, WallClockFastForward) {
   const uint64_t Skipped = Board.fastForward();
   EXPECT_EQ(Skipped, 5000u);
   EXPECT_EQ(Board.timer().ticks(), 1u);
+}
+
+TEST(Devices, DeadlineFollowsTimerRearmAndDisarm) {
+  sys::Platform Board(1 << 20);
+  EXPECT_EQ(Board.nextDeadline(), ~0ull);
+  Board.timer().mmioWrite(TimerDevice::RegInterval, 1000);
+  EXPECT_EQ(Board.nextDeadline(), ~0ull) << "a disabled timer is unarmed";
+  Board.timer().mmioWrite(TimerDevice::RegCtrl, 1);
+  EXPECT_EQ(Board.nextDeadline(), 1000u);
+  Board.advance(200);
+  // Rewriting the interval while enabled re-arms from now, even later
+  // than the old deadline.
+  Board.timer().mmioWrite(TimerDevice::RegInterval, 5000);
+  EXPECT_EQ(Board.nextDeadline(), 5200u);
+  Board.advance(4999);
+  EXPECT_EQ(Board.timer().ticks(), 0u);
+  Board.advance(1);
+  EXPECT_EQ(Board.timer().ticks(), 1u);
+  EXPECT_EQ(Board.nextDeadline(), 10200u) << "the tick re-arms";
+  Board.timer().mmioWrite(TimerDevice::RegCtrl, 0);
+  EXPECT_EQ(Board.nextDeadline(), ~0ull);
+}
+
+TEST(Devices, DeadlineFollowsDiskCommand) {
+  sys::Platform Board(1 << 20, /*DiskSectors=*/16, /*DiskLatency=*/500);
+  Board.advance(100);
+  Board.disk().mmioWrite(DiskDevice::RegDmaAddr, 0x1000);
+  Board.disk().mmioWrite(DiskDevice::RegCount, 2);
+  Board.disk().mmioWrite(DiskDevice::RegCmd, DiskDevice::CmdRead);
+  EXPECT_EQ(Board.nextDeadline(), 1100u);
+  // An earlier timer takes over the deadline; disarming hands it back.
+  Board.timer().mmioWrite(TimerDevice::RegInterval, 300);
+  Board.timer().mmioWrite(TimerDevice::RegCtrl, 1);
+  EXPECT_EQ(Board.nextDeadline(), 400u);
+  Board.timer().mmioWrite(TimerDevice::RegCtrl, 0);
+  EXPECT_EQ(Board.nextDeadline(), 1100u);
+  Board.advance(999);
+  EXPECT_EQ(Board.disk().mmioRead(DiskDevice::RegStatus), 1u);
+  Board.advance(1);
+  EXPECT_EQ(Board.disk().mmioRead(DiskDevice::RegStatus), 0u);
+  EXPECT_EQ(Board.nextDeadline(), ~0ull) << "completion disarms";
+}
+
+TEST(Devices, RestoredBoardFiresPendingDiskOnSameCycle) {
+  sys::Platform Orig(1 << 20, /*DiskSectors=*/16, /*DiskLatency=*/500);
+  Orig.advance(37);
+  Orig.disk().mmioWrite(DiskDevice::RegDmaAddr, 0x1000);
+  Orig.disk().mmioWrite(DiskDevice::RegCmd, DiskDevice::CmdRead);
+  Orig.advance(123);
+  PlatformState S;
+  Orig.captureState(S);
+
+  // The target board's own armed timer must not survive the restore.
+  sys::Platform Copy(1 << 20, /*DiskSectors=*/16, /*DiskLatency=*/500);
+  Copy.timer().mmioWrite(TimerDevice::RegInterval, 10);
+  Copy.timer().mmioWrite(TimerDevice::RegCtrl, 1);
+  Copy.restoreState(S);
+  EXPECT_EQ(Copy.nextDeadline(), Orig.nextDeadline());
+  EXPECT_EQ(Copy.nextDeadline(), 537u);
+
+  auto CompletionTime = [](sys::Platform &Board) {
+    while (Board.disk().mmioRead(DiskDevice::RegStatus))
+      Board.advance(1);
+    return Board.now();
+  };
+  const uint64_t OrigDone = CompletionTime(Orig);
+  EXPECT_EQ(OrigDone, 537u);
+  EXPECT_EQ(CompletionTime(Copy), OrigDone);
+  EXPECT_EQ(Copy.timer().ticks(), 0u);
 }
 
 /// Interpreter corner cases, driven by assembled snippets with the MMU
@@ -456,6 +660,73 @@ TEST_F(InterpFixture, WfiHaltsUntilIrq) {
   Board.Env.IrqPending = 1;
   EXPECT_FALSE(In.maybeTakeIrq()) << "IRQs are masked after reset";
   EXPECT_EQ(Board.Env.Halted, 0u) << "pending IRQ must still wake the core";
+}
+
+/// Runs \p Workload at scale 1 under the interpreter alone (the native
+/// executor) and, before every step, checks the memoized fetch against an
+/// uncached walk plus physRead on a second Mmu: same success, same word,
+/// same fault status. \p MinTableEdits is a floor on the stores that hit
+/// a page a walk had read (PhysMem::walkGeneration()), so a run that is
+/// meant to exercise the memo's invalidation cannot pass without it.
+void expectFetchMatchesUncachedWalk(const std::string &Workload,
+                                    uint64_t MinTableEdits) {
+  sys::Platform Board(guestsw::requiredWorkloadRam(Workload));
+  ASSERT_TRUE(guestsw::setupGuest(Board, Workload, 1));
+  Mmu Mem(Board.Env, Board);
+  Mmu Uncached(Board.Env, Board);
+  Interpreter Interp(Board.Env, Mem, Board);
+  while (!Board.ShutdownRequested && Interp.InstrsRetired < 20000000) {
+    if (Board.Env.Halted) {
+      if (!Board.Env.IrqPending)
+        ASSERT_NE(Board.fastForward(), 0u) << Workload << " deadlocked";
+      if (!Board.Env.IrqPending)
+        continue;
+      Board.Env.Halted = 0;
+    }
+    if (Board.Env.ExitRequest) {
+      Board.Env.ExitRequest = 0;
+      Interp.maybeTakeIrq();
+    }
+
+    const uint32_t Pc = Board.Env.Regs[15];
+    uint32_t Word = 0;
+    Fault F;
+    const bool Ok = Mem.fetchWord(Pc, Word, F);
+    uint32_t RefWord = 0, Pa = 0;
+    unsigned WalkAccesses = 0;
+    Fault RefF;
+    bool RefOk = false;
+    if (Pc & 3)
+      RefF = {true, FsrAlignment, Pc};
+    else if (Uncached.translate(Pc, AccessKind::Execute,
+                                Board.Env.MmuIdx == 0, Pa, RefF,
+                                WalkAccesses)) {
+      RefOk = Board.physRead(Pa, 4, RefWord);
+      if (!RefOk)
+        RefF = {true, FsrExternal, Pc};
+    }
+    ASSERT_EQ(Ok, RefOk) << Workload << " pc " << std::hex << Pc;
+    if (Ok)
+      ASSERT_EQ(Word, RefWord) << Workload << " pc " << std::hex << Pc;
+    else
+      ASSERT_EQ(F.Fsr, RefF.Fsr) << Workload << " pc " << std::hex << Pc;
+
+    Interp.step();
+    Board.advance(1);
+  }
+  EXPECT_TRUE(Board.ShutdownRequested) << Workload << " did not finish";
+  EXPECT_GT(Interp.InstrsRetired, 100000u) << Workload;
+  EXPECT_GE(Board.Ram.walkGeneration(), MinTableEdits) << Workload;
+}
+
+TEST(FetchMemo, LockstepCtxswitchFourAsids) {
+  expectFetchMatchesUncachedWalk("ctxswitch", 0);
+}
+
+// astar demand-pages its heap: each new page is an L2 store into a table
+// earlier fetches walked.
+TEST(FetchMemo, LockstepSpecProxyWithDemandPaging) {
+  expectFetchMatchesUncachedWalk("astar", 1);
 }
 
 } // namespace
