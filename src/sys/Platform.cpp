@@ -12,47 +12,46 @@
 using namespace rdbt;
 using namespace rdbt::sys;
 
+static const PhysMem::Page ZeroPage = {};
+
+const uint8_t *PhysMem::zeroPage() { return ZeroPage.Bytes; }
+
+// Every entry aliases the zero page with no control block, so filling the
+// table, and copying it into a fork, touches no reference count for it.
+PhysMem::PhysMem(uint32_t Size)
+    : RamBytes(Size), Pages((Size + PageBytes - 1) >> PageShift,
+                            PageRef(PageRef(), &ZeroPage)),
+      Flags(Pages.size(), 0) {}
+
 uint32_t PhysMem::read(uint32_t Pa, unsigned Size) const {
   assert(contains(Pa, Size) && "physical read out of RAM");
   uint32_t Value = 0;
-  // Naturally-aligned 1/2/4-byte accesses never cross a 4 KiB page, so
-  // the COW path reads from exactly one page view.
-  std::memcpy(&Value,
-              Base ? pageForRead(Pa >> PageShift) + (Pa & (PageBytes - 1))
-                   : &Bytes[Pa],
-              Size);
+  // Naturally-aligned 1/2/4-byte accesses never cross a 4 KiB page.
+  std::memcpy(&Value, page(Pa >> PageShift) + (Pa & (PageBytes - 1)), Size);
   return Value;
 }
 
-uint8_t *PhysMem::pageForWrite(uint32_t Page) {
-  std::unique_ptr<uint8_t[]> &P = Pages[Page];
-  if (!P) {
-    P.reset(new uint8_t[PageBytes]);
-    std::memcpy(P.get(),
-                Base->data() + (static_cast<size_t>(Page) << PageShift),
-                PageBytes);
-    ++PrivatePages;
+uint8_t *PhysMem::pageForWrite(uint32_t Pn) {
+  uint8_t &F = Flags[Pn];
+  if (F & Walked)
+    ++WalkGen;
+  if (!(F & Owned)) {
+    Pages[Pn] = std::make_shared<Page>(*Pages[Pn]);
+    F |= Owned;
+    PrivatePages += Fork;
   }
-  return P.get();
+  // Owned: allocated mutable just above, and no other table refers to it.
+  return const_cast<uint8_t *>(Pages[Pn]->Bytes);
 }
 
 void PhysMem::write(uint32_t Pa, unsigned Size, uint32_t Value) {
   assert(contains(Pa, Size) && "physical write out of RAM");
-  if (WalkMarks[Pa >> PageShift])
-    ++WalkGen;
-  std::memcpy(Base ? pageForWrite(Pa >> PageShift) + (Pa & (PageBytes - 1))
-                   : &Bytes[Pa],
-              &Value, Size);
+  std::memcpy(pageForWrite(Pa >> PageShift) + (Pa & (PageBytes - 1)), &Value,
+              Size);
 }
 
 void PhysMem::writeBlock(uint32_t Pa, const void *Src, uint32_t Len) {
   assert(contains(Pa, Len) && "physical block write out of RAM");
-  noteWrite(Pa, Len);
-  if (!Base) {
-    std::memcpy(&Bytes[Pa], Src, Len);
-    return;
-  }
-  // COW: split the transfer at page boundaries, privatizing each page.
   const uint8_t *From = static_cast<const uint8_t *>(Src);
   while (Len) {
     const uint32_t Off = Pa & (PageBytes - 1);
@@ -66,15 +65,11 @@ void PhysMem::writeBlock(uint32_t Pa, const void *Src, uint32_t Len) {
 
 void PhysMem::readBlock(uint32_t Pa, void *Dst, uint32_t Len) const {
   assert(contains(Pa, Len) && "physical block read out of RAM");
-  if (!Base) {
-    std::memcpy(Dst, &Bytes[Pa], Len);
-    return;
-  }
   uint8_t *To = static_cast<uint8_t *>(Dst);
   while (Len) {
     const uint32_t Off = Pa & (PageBytes - 1);
     const uint32_t Chunk = Len < PageBytes - Off ? Len : PageBytes - Off;
-    std::memcpy(To, pageForRead(Pa >> PageShift) + Off, Chunk);
+    std::memcpy(To, page(Pa >> PageShift) + Off, Chunk);
     Pa += Chunk;
     To += Chunk;
     Len -= Chunk;
@@ -85,12 +80,11 @@ void PhysMem::loadWords(uint32_t Pa, const std::vector<uint32_t> &Words) {
   writeBlock(Pa, Words.data(), static_cast<uint32_t>(Words.size() * 4));
 }
 
-std::shared_ptr<const std::vector<uint8_t>> PhysMem::snapshotBytes() const {
-  if (Base && PrivatePages == 0)
-    return Base; // untouched fork: the base IS the current contents
-  auto Image = std::make_shared<std::vector<uint8_t>>(size());
-  readBlock(0, Image->data(), size());
-  return Image;
+std::shared_ptr<const PhysMem::Image> PhysMem::capture() {
+  auto Img = std::make_shared<const Image>(Image{RamBytes, Pages});
+  for (uint8_t &F : Flags)
+    F &= ~Owned;
+  return Img;
 }
 
 Device::~Device() = default;
@@ -268,9 +262,9 @@ Platform::Platform(uint32_t RamSize, uint32_t DiskSectors,
   initBoard(DiskSectors, DiskLatency);
 }
 
-Platform::Platform(std::shared_ptr<const std::vector<uint8_t>> RamImage,
-                   uint32_t DiskSectors, uint64_t DiskLatency)
-    : Ram(std::move(RamImage)) {
+Platform::Platform(const PhysMem::Image &RamImage, uint32_t DiskSectors,
+                   uint64_t DiskLatency)
+    : Ram(RamImage) {
   initBoard(DiskSectors, DiskLatency);
 }
 

@@ -35,44 +35,51 @@
 namespace rdbt {
 namespace sys {
 
-/// Flat guest RAM starting at physical address 0.
+/// Guest RAM starting at physical address 0, held as a table of
+/// refcounted immutable 4 KiB pages plus one flag byte per page.
 ///
-/// Two storage modes (vm/Snapshot.h rides on the second):
+///  * A fresh board points every entry at one process-wide zero page.
+///  * A write privatizes its page first unless this PhysMem owns it (the
+///    Owned flag): it copies the page into one only this table references.
+///  * capture() copies the page pointers, not the bytes, and clears every
+///    Owned flag, so the next write on either side clones that page. A
+///    fork (the Image constructor) adopts a captured table.
 ///
-///  * **Owned** (the default): one flat byte vector, exactly the
-///    pre-snapshot behavior and cost.
+/// A page another table or Image may reference is never written, so any
+/// number of boards read one Image concurrently (vm/Snapshot.h rides on
+/// this). Naturally-aligned 1/2/4-byte accesses never cross a page; the
+/// block operations split per page.
 ///
-///  * **Copy-on-write fork** (the image constructor): reads come from an
-///    immutable shared base image and the first write to a 4 KiB page
-///    allocates a private copy of just that page. The base is never
-///    mutated, so any number of forked boards can share it concurrently;
-///    naturally-aligned 1/2/4-byte accesses never cross a page, and the
-///    block operations split per page.
-///
-/// Both modes keep one walk mark per page (markWalked): an MMU table walk
-/// marks every RAM page it reads, and a write or writeBlock that touches a
-/// marked page bumps walkGeneration(). The Mmu's fetch memo compares that
-/// generation, so a page-table edit voids it with no TLB maintenance.
+/// An MMU table walk marks every RAM page it reads (markWalked), and a
+/// write to a marked page bumps walkGeneration(), also when it privatizes
+/// the page. The Mmu's fetch memo compares that generation, so a
+/// page-table edit voids it with no TLB maintenance.
 class PhysMem {
 public:
   enum : uint32_t { PageBytes = 4096, PageShift = 12 };
 
-  explicit PhysMem(uint32_t Size)
-      : Bytes(Size, 0), WalkMarks((Size + PageBytes - 1) >> PageShift) {}
+  struct Page { uint8_t Bytes[PageBytes]; };
+  using PageRef = std::shared_ptr<const Page>;
 
-  /// Constructs directly in COW mode over \p Image — the fork fast path:
-  /// no owned allocation, no zero-fill, just page-table bookkeeping.
-  explicit PhysMem(std::shared_ptr<const std::vector<uint8_t>> Image)
-      : Base(std::move(Image)), Pages(Base->size() >> PageShift),
-        WalkMarks(Pages.size()) {}
+  /// A captured RAM: its size and page table, shared read-only.
+  struct Image {
+    uint32_t Size = 0;
+    std::vector<PageRef> Pages;
+  };
+
+  /// A fresh, all-zero RAM of \p Size bytes.
+  explicit PhysMem(uint32_t Size);
+
+  /// A fork of \p Img: adopts its page table, owning no page.
+  explicit PhysMem(const Image &Img)
+      : RamBytes(Img.Size), Pages(Img.Pages), Flags(Pages.size(), 0),
+        Fork(true) {}
 
   /// Not assignable: replacing the contents under a live Mmu would
   /// restart walkGeneration() and revive stale fetch-memo entries.
   PhysMem &operator=(const PhysMem &) = delete;
 
-  uint32_t size() const {
-    return static_cast<uint32_t>(Base ? Base->size() : Bytes.size());
-  }
+  uint32_t size() const { return RamBytes; }
 
   bool contains(uint32_t Pa, uint32_t Len) const {
     return Pa + Len <= size() && Pa + Len >= Pa;
@@ -88,51 +95,45 @@ public:
   /// Loads a word image (e.g. AsmBuilder::finish output) at \p Pa.
   void loadWords(uint32_t Pa, const std::vector<uint32_t> &Words);
 
-  /// The current bytes of page \p Page, read in place in either storage
-  /// mode. Valid up to the next write; the last page of a RAM size that
-  /// is not a page multiple holds only size() - (Page << PageShift) bytes.
-  const uint8_t *page(uint32_t Page) const {
-    return Base ? pageForRead(Page)
-                : Bytes.data() + (static_cast<size_t>(Page) << PageShift);
-  }
+  /// The current bytes of page \p Pn, read in place. Valid up to the next
+  /// write; the last page of a RAM size that is not a page multiple holds
+  /// only size() - (Pn << PageShift) bytes.
+  const uint8_t *page(uint32_t Pn) const { return Pages[Pn]->Bytes; }
+
+  /// The process-wide zero page every untouched entry points at.
+  static const uint8_t *zeroPage();
 
   // --- Copy-on-write forking (vm/Snapshot.h) ------------------------------
 
-  /// Flattened copy of the current contents as an immutable shared image.
-  /// In COW mode with no private pages this is the base itself (free).
-  std::shared_ptr<const std::vector<uint8_t>> snapshotBytes() const;
+  /// Freezes the current contents: shares every page with the returned
+  /// Image and gives up ownership of them, so the next write to a page
+  /// clones it.
+  std::shared_ptr<const Image> capture();
 
-  /// Pages privatized by writes since the fork (its working set).
+  /// Pages privatized by writes since the fork (its working set); 0 on a
+  /// fresh board.
   uint64_t cowPrivatePages() const { return PrivatePages; }
 
   // --- Walk marks (sys/Mmu.h fetch memo) ----------------------------------
 
   /// Marks the page holding \p Pa as read by an MMU table walk.
-  void markWalked(uint32_t Pa) { WalkMarks[Pa >> PageShift] = 1; }
+  void markWalked(uint32_t Pa) { Flags[Pa >> PageShift] |= Walked; }
   /// Bumped by every write to a marked page.
   uint64_t walkGeneration() const { return WalkGen; }
 
 private:
-  std::vector<uint8_t> Bytes; ///< owned storage; unused in COW mode
-  std::shared_ptr<const std::vector<uint8_t>> Base; ///< COW base image
-  std::vector<std::unique_ptr<uint8_t[]>> Pages; ///< COW private pages
+  enum : uint8_t { Owned = 1, Walked = 2 };
+
+  uint32_t RamBytes;
+  std::vector<PageRef> Pages;
+  std::vector<uint8_t> Flags; ///< Owned | Walked, one byte per page
+  const bool Fork = false;    ///< counts privatizations (cowPrivatePages)
   uint64_t PrivatePages = 0;
-  std::vector<uint8_t> WalkMarks; ///< one flag per page; see markWalked
   uint64_t WalkGen = 0;
 
-  /// Bumps WalkGen if [Pa, Pa + Len) touches a marked page.
-  void noteWrite(uint32_t Pa, uint32_t Len) {
-    for (uint32_t P = Pa >> PageShift; (P << PageShift) < Pa + Len; ++P)
-      if (WalkMarks[P])
-        ++WalkGen;
-  }
-
-  const uint8_t *pageForRead(uint32_t Page) const {
-    return Pages[Page] ? Pages[Page].get()
-                       : Base->data() + (static_cast<size_t>(Page)
-                                         << PageShift);
-  }
-  uint8_t *pageForWrite(uint32_t Page);
+  /// The bytes of page \p Pn, privatized first unless owned; bumps
+  /// WalkGen if the page is walk-marked.
+  uint8_t *pageForWrite(uint32_t Pn);
 };
 
 class Platform;
@@ -340,8 +341,8 @@ private:
   /// Media image, null until first access or adoptMedia(); shared with
   /// snapshots after saveState() and with the image adoptMedia() took.
   /// use_count == 1 means this device is the sole owner, so mutating in
-  /// place is safe (same clone-if-shared protocol as the RAM pages and the
-  /// code cache).
+  /// place is safe (the code cache's clone-if-shared protocol; RAM pages
+  /// track ownership with a bit instead, see PhysMem).
   std::shared_ptr<std::vector<uint8_t>> Media;
   uint32_t MediaBytes;
   uint64_t Latency;
@@ -376,10 +377,10 @@ public:
                     uint32_t DiskSectors = DiskDevice::DefaultSectors,
                     uint64_t DiskLatency = 50000);
 
-  /// Fork construction: RAM starts in COW mode over \p RamImage (see
+  /// Fork construction: RAM adopts the page table of \p RamImage (see
   /// PhysMem). Device and env state still reset; the caller re-applies a
   /// captured PlatformState/CpuEnv on top (vm/Snapshot.h).
-  explicit Platform(std::shared_ptr<const std::vector<uint8_t>> RamImage,
+  explicit Platform(const PhysMem::Image &RamImage,
                     uint32_t DiskSectors = DiskDevice::DefaultSectors,
                     uint64_t DiskLatency = 50000);
 
@@ -422,7 +423,7 @@ public:
 
   /// Freezes every device register, the disk media (shared, not copied),
   /// the wall clock, and the shutdown latch into \p S. RAM and CpuEnv are
-  /// captured separately (PhysMem::snapshotBytes(), the Env member).
+  /// captured separately (PhysMem::capture(), the Env member).
   void captureState(PlatformState &S) const;
 
   /// Re-applies a captured device state. The caller restores Env and RAM

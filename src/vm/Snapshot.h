@@ -11,10 +11,10 @@
 /// reference-counted images that any number of forked sessions can adopt
 /// concurrently:
 ///
-///  * **Guest RAM** as a shared byte image. Forks run behind the
-///    PhysMem copy-on-write page table: reads hit the shared image, the
-///    first write to a 4 KiB page privatizes just that page, and the
-///    base image is never mutated (sys/Platform.h).
+///  * **Guest RAM** as a shared page table (sys::PhysMem::Image). The
+///    captured board and every fork adopt the table; the first write to
+///    a 4 KiB page on any side privatizes just that page, so no shared
+///    page is ever mutated (sys/Platform.h).
 ///
 ///  * **CPU env + device state** (CpuEnv, sys::PlatformState) by value —
 ///    registers, TLB, interrupt lines, timer/disk deadlines, the wall
@@ -88,10 +88,8 @@ public:
   bool hasRun() const { return HasRun_; }
 
   bool empty() const { return Ram_ == nullptr; }
-  uint32_t ramBytes() const {
-    return Ram_ ? static_cast<uint32_t>(Ram_->size()) : 0;
-  }
-  const std::shared_ptr<const std::vector<uint8_t>> &ramImage() const {
+  uint32_t ramBytes() const { return Ram_ ? Ram_->Size : 0; }
+  const std::shared_ptr<const sys::PhysMem::Image> &ramImage() const {
     return Ram_;
   }
   /// Translated blocks the snapshot carries (0 for pre-run captures and
@@ -112,10 +110,10 @@ private:
   bool HasRun_ = false;
 
   // Board state: CPU env by value, device/clock state by value with the
-  // disk media shared, RAM as the COW base image.
+  // disk media shared, RAM as a shared page table.
   sys::CpuEnv Env_ = {};
   sys::PlatformState Board_;
-  std::shared_ptr<const std::vector<uint8_t>> Ram_;
+  std::shared_ptr<const sys::PhysMem::Image> Ram_;
 
   // Executor progress (warm snapshots only). Engine kinds restore the
   // exact host counters, engine stats, MMU stats, and the warmed cache;

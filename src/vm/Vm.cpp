@@ -39,7 +39,9 @@ bool isDirectory(const std::string &Path) {
 /// page, each page read in place. Zero pages contribute nothing, so a
 /// 4 MiB board holding a few KiB of code hashes only those KiB. The
 /// size and the page indices still determine the whole image, so this
-/// separates images exactly as a crc32c over every byte would.
+/// separates images exactly as a crc32c over every byte would. A
+/// privatized page can be all zeros again, so only the shared zero page
+/// is skipped by pointer.
 uint32_t imageCrc(const sys::PhysMem &Ram) {
   const uint32_t Size = Ram.size();
   uint32_t Crc = dbt::crc32cWord(Size, 0);
@@ -48,6 +50,8 @@ uint32_t imageCrc(const sys::PhysMem &Ram) {
     const uint32_t Len =
         std::min<uint32_t>(sys::PhysMem::PageBytes, Size - Pa);
     const uint8_t *P = Ram.page(Pn);
+    if (P == sys::PhysMem::zeroPage())
+      continue;
     // All zero iff the first byte is and every byte equals its successor.
     if (P[0] == 0 && std::memcmp(P, P + 1, Len - 1) == 0)
       continue;
@@ -97,12 +101,12 @@ void Vm::init() {
       return;
     }
     Forked_ = true;
-    // Fork fast path: RAM comes up copy-on-write over the snapshot's
-    // shared image (no allocation, no zero-fill, no guest install), then
-    // the captured device and CPU state are applied verbatim. Env last —
-    // it carries IrqPending/ExitRequest, which nothing below may
-    // recompute (Platform::restoreState never touches Env).
-    Board_ = std::make_unique<sys::Platform>(Snap->ramImage());
+    // Fork fast path: RAM adopts the snapshot's page table (no page
+    // allocated, no byte copied, no guest install), then the captured
+    // device and CPU state are applied verbatim. Env last — it carries
+    // IrqPending/ExitRequest, which nothing below may recompute
+    // (Platform::restoreState never touches Env).
+    Board_ = std::make_unique<sys::Platform>(*Snap->ramImage());
     Board_->restoreState(Snap->Board_);
     Board_->Env = Snap->Env_;
     RDBT_TRACE(Sink_.get(), obs::EventKind::SnapshotFork,
@@ -423,7 +427,7 @@ Snapshot Vm::capture() {
 
   S.Env_ = Board_->Env;
   Board_->captureState(S.Board_);
-  S.Ram_ = Board_->Ram.snapshotBytes();
+  S.Ram_ = Board_->Ram.capture();
 
   if (Kind_->UsesEngine) {
     S.HasRun_ = Engine_->counters().Wall != 0;

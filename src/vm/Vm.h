@@ -84,7 +84,7 @@ public:
   RunReport runToBootMark(uint64_t SliceCycles = 20000);
 
   /// Freezes the whole session into a self-contained Snapshot: RAM
-  /// image, CPU env, device state, executor progress, warmed code cache
+  /// pages, CPU env, device state, executor progress, warmed code cache
   /// (blocks shared read-only), and the rule corpus. The session may
   /// keep running afterwards — everything shared is copy-on-write on
   /// both sides. Invalid sessions yield an empty snapshot.

@@ -32,6 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dbt/CodeCacheIo.h"
+#include "guestsw/Workloads.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -494,6 +496,64 @@ TEST(CodeCacheIo, ImageKeySeparatesFlatImages) {
   EXPECT_NE(Ref, pathFor({Code}, 0x2000, Ram));
   // The same image on a larger board: only zero pages are added.
   EXPECT_NE(Ref, pathFor({Code}, 0x1000, 2 * Ram));
+}
+
+TEST(CodeCacheIo, RezeroedPageKeysLikeAnUnwrittenOne) {
+  // A master over one code word writes a word into a page that is zero
+  // in its image and then clears it again: the page is now a private
+  // copy of zeros. A fork of it must still name the file of a board
+  // that never touched the page, because the image key hashes content.
+  TempDir Dir;
+  const vm::VmConfig Cfg = vm::VmConfig()
+                               .translator("qemu")
+                               .ramBytes(64 << 10)
+                               .flatImage({0xE3A0102Au}, 0x1000)
+                               .persistentCache(Dir.Path)
+                               .persistentCacheSaveOnExit(false);
+  vm::Vm Master(Cfg);
+  ASSERT_TRUE(Master.valid()) << Master.error();
+  Master.board().Ram.write(0x3000, 4, 0xDEADBEEFu);
+  Master.board().Ram.write(0x3000, 4, 0);
+  const vm::Snapshot Snap = Master.capture();
+  vm::VmConfig ForkCfg = Cfg;
+  vm::Vm Fork(ForkCfg.snapshot(&Snap));
+  ASSERT_TRUE(Fork.valid()) << Fork.error();
+  ASSERT_TRUE(Fork.forked());
+  EXPECT_FALSE(Master.cacheFilePath().empty());
+  EXPECT_EQ(Master.cacheFilePath(), Fork.cacheFilePath());
+  EXPECT_EQ(Master.cacheKey().ImageCrc, Fork.cacheKey().ImageCrc);
+}
+
+TEST(CodeCacheIo, ImageCrcOfEveryWorkloadIsPinned) {
+  // The image key of every workload's freshly installed board at scale
+  // 1. A change to how RAM is stored must not move these: they name the
+  // cache files already on disk.
+  const std::pair<const char *, uint32_t> Pinned[] = {
+      {"perlbench", 0x10CB099Du}, {"bzip2", 0xDA0ECA96u},
+      {"gcc", 0xFF72F3BAu},       {"mcf", 0x95035DB7u},
+      {"gobmk", 0xBD6D08B0u},     {"hmmer", 0xE0E3E964u},
+      {"sjeng", 0x0F10484Bu},     {"libquantum", 0x7D7C8C38u},
+      {"h264ref", 0xB36F25B5u},   {"omnetpp", 0x717185A6u},
+      {"astar", 0x21584F30u},     {"xalancbmk", 0xA1BE7F5Au},
+      {"memcached", 0xA9FDDD41u}, {"sqlite", 0x762928C2u},
+      {"fileio", 0x98B521C7u},    {"untar", 0xE1234F96u},
+      {"cpu-prime", 0xC20AB07Du}, {"ctxswitch", 0xD37290E4u},
+      {"fuzz", 0x2AE54A83u},
+  };
+  ASSERT_EQ(std::size(Pinned), guestsw::workloads().size())
+      << "a new workload needs its image key pinned here";
+  TempDir Dir;
+  for (const auto &[Name, Crc] : Pinned) {
+    vm::Vm V(vm::VmConfig()
+                 .translator("qemu")
+                 .workload(Name)
+                 .scale(1)
+                 .persistentCache(Dir.Path)
+                 .persistentCacheSaveOnExit(false));
+    ASSERT_TRUE(V.valid()) << Name << ": " << V.error();
+    ASSERT_TRUE(V.cacheKey().Valid) << Name;
+    EXPECT_EQ(Crc, V.cacheKey().ImageCrc) << Name;
+  }
 }
 
 TEST(CodeCacheIo, SpecStringCarriesTheCacheDir) {

@@ -17,10 +17,11 @@
 ///    execution can seed forks of every translator kind (the scenario
 ///    matrix's single-install path) without changing a single count.
 ///
-///  * **COW isolation**: concurrent forks share the snapshot's RAM
-///    image read-only; no fork can observe another's writes, and the
-///    base image hashes identically before and after a parallel drain.
-///    Runs under the TSan CI job together with the BatchRunner suite.
+///  * **COW isolation**: the master and concurrent forks share the
+///    snapshot's RAM pages read-only; no session can observe another's
+///    writes, and the image hashes identically before, during and after
+///    a parallel drain. Runs under the TSan CI job together with the
+///    BatchRunner suite.
 ///
 ///  * **No retranslation**: forks inherit the warmed code cache
 ///    (AdoptedTbs) and pay translation only for code first reached
@@ -44,6 +45,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace rdbt;
@@ -123,12 +125,14 @@ vm::RunReport replayedItem(const vm::VmConfig &Cfg) {
   return V.run(ItemCycles);
 }
 
-/// FNV-1a over the snapshot's shared RAM image.
-uint64_t hashImage(const std::shared_ptr<const std::vector<uint8_t>> &Img) {
+/// FNV-1a over the bytes of the snapshot's shared RAM page table.
+uint64_t hashImage(const std::shared_ptr<const sys::PhysMem::Image> &Img) {
   uint64_t H = 1469598103934665603ull;
   if (Img)
-    for (const uint8_t B : *Img)
-      H = (H ^ B) * 1099511628211ull;
+    for (uint32_t Pa = 0; Pa < Img->Size; ++Pa)
+      H = (H ^ Img->Pages[Pa >> sys::PhysMem::PageShift]
+                   ->Bytes[Pa & (sys::PhysMem::PageBytes - 1)]) *
+          1099511628211ull;
   return H;
 }
 
@@ -224,6 +228,7 @@ TEST(Snapshot, CaptureDoesNotPerturbTheMaster) {
   ASSERT_TRUE(Master.valid()) << Master.error();
   Master.runToBootMark();
   const vm::Snapshot Snap = Master.capture();
+  const uint64_t HashBefore = hashImage(Snap.ramImage());
   const vm::RunReport MasterFinal = Master.run();
   ASSERT_TRUE(MasterFinal.Ok) << MasterFinal.stopName();
 
@@ -236,6 +241,44 @@ TEST(Snapshot, CaptureDoesNotPerturbTheMaster) {
   std::unique_ptr<vm::Vm> Fork = vm::Vm::forkFrom(Snap);
   const vm::RunReport F = Fork->run();
   expectIdentical(F, Fresh, "fork-after-master-ran-on");
+  // The master's RAM writes after the capture cloned every page they hit.
+  EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
+}
+
+TEST(Snapshot, CaptureSharesRamPagesUntilAWrite) {
+  // capture() copies page pointers, not bytes: the snapshot, the master
+  // and a fork all read the very same pages, and a write on any side
+  // clones only the page it hits.
+  vm::Vm Master(cfgFor("native"));
+  ASSERT_TRUE(Master.valid()) << Master.error();
+  const vm::Snapshot Snap = Master.capture();
+  const sys::PhysMem::Image &Img = *Snap.ramImage();
+  sys::PhysMem &Ram = Master.board().Ram;
+  vm::Vm Fork(cfgFor("native").snapshot(&Snap));
+  ASSERT_TRUE(Fork.valid()) << Fork.error();
+  const uint32_t NumPages = static_cast<uint32_t>(Img.Pages.size());
+  for (uint32_t Pn = 0; Pn < NumPages; ++Pn) {
+    ASSERT_EQ(Img.Pages[Pn]->Bytes, Ram.page(Pn)) << "page " << Pn;
+    ASSERT_EQ(Img.Pages[Pn]->Bytes, Fork.board().Ram.page(Pn)) << Pn;
+  }
+
+  // Page 0 holds the kernel's vectors, so it is not the zero page.
+  const uint8_t *Shared = Img.Pages[0]->Bytes;
+  ASSERT_NE(sys::PhysMem::zeroPage(), Shared);
+  const uint32_t Word = Ram.read(0, 4);
+  Ram.write(0, 4, ~Word);
+  EXPECT_NE(Shared, Ram.page(0));
+  EXPECT_EQ(~Word, Ram.read(0, 4));
+  EXPECT_EQ(Shared, Img.Pages[0]->Bytes);
+  EXPECT_EQ(Shared, Fork.board().Ram.page(0));
+  EXPECT_EQ(Word, Fork.board().Ram.read(0, 4));
+  for (uint32_t Pn = 1; Pn < NumPages; ++Pn)
+    ASSERT_EQ(Img.Pages[Pn]->Bytes, Ram.page(Pn)) << "page " << Pn;
+  // The master owns its clone now: a second write does not clone again.
+  const uint8_t *Clone = Ram.page(0);
+  Ram.write(4, 4, 0);
+  EXPECT_EQ(Clone, Ram.page(0));
+  EXPECT_EQ(0u, Ram.cowPrivatePages());
 }
 
 TEST(Snapshot, PreRunSnapshotIsKindIndependent) {
@@ -291,20 +334,26 @@ TEST(Snapshot, ForksCannotObserveEachOthersWrites) {
   vm::Vm B(cfgFor("native").snapshot(&Snap));
   ASSERT_TRUE(A.valid());
   ASSERT_TRUE(B.valid());
-  // Poke the same physical address in both forks with different values.
-  const uint32_t Pa = Snap.ramBytes() - 8;
-  const uint32_t Original = A.board().Ram.read(Pa, 4);
-  A.board().Ram.write(Pa, 4, 0xAAAAAAAAu);
-  B.board().Ram.write(Pa, 4, 0xBBBBBBBBu);
-  EXPECT_EQ(0xAAAAAAAAu, A.board().Ram.read(Pa, 4));
-  EXPECT_EQ(0xBBBBBBBBu, B.board().Ram.read(Pa, 4));
-  EXPECT_EQ(1u, A.board().Ram.cowPrivatePages());
-  EXPECT_EQ(1u, B.board().Ram.cowPrivatePages());
+  // Poke the same physical addresses in both forks with different
+  // values: one on a page the image holds as the zero page, one on the
+  // kernel's vector page.
+  const uint32_t Pas[] = {Snap.ramBytes() - 8, 0x10};
+  uint32_t Original[2];
+  for (int I = 0; I < 2; ++I) {
+    Original[I] = A.board().Ram.read(Pas[I], 4);
+    A.board().Ram.write(Pas[I], 4, 0xAAAAAAAAu);
+    B.board().Ram.write(Pas[I], 4, 0xBBBBBBBBu);
+    EXPECT_EQ(0xAAAAAAAAu, A.board().Ram.read(Pas[I], 4));
+    EXPECT_EQ(0xBBBBBBBBu, B.board().Ram.read(Pas[I], 4));
+  }
+  EXPECT_EQ(2u, A.board().Ram.cowPrivatePages());
+  EXPECT_EQ(2u, B.board().Ram.cowPrivatePages());
 
-  // A third fork still reads the original base value, and the base
+  // A third fork still reads the original base values, and the base
   // image itself never changed.
   vm::Vm C(cfgFor("native").snapshot(&Snap));
-  EXPECT_EQ(Original, C.board().Ram.read(Pa, 4));
+  for (int I = 0; I < 2; ++I)
+    EXPECT_EQ(Original[I], C.board().Ram.read(Pas[I], 4));
   EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
 }
 
@@ -339,6 +388,39 @@ TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
     expectIdentical(Parallel[I], Serial[I],
                     "jobs-invariance " + std::to_string(I));
   }
+  EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
+}
+
+TEST(Snapshot, MasterRunsOnWhileItsForksRun) {
+  // After capture() the master and its forks read the same RAM pages,
+  // and the master's own writes must clone them first. Run the master on
+  // a thread of its own while a pool drains forks and this thread hashes
+  // the image: under the TSan CI job, a write to a page that is still
+  // shared is a reported race.
+  vm::Vm Master(cfgFor("rule:scheduling"));
+  ASSERT_TRUE(Master.valid()) << Master.error();
+  ASSERT_EQ(dbt::StopReason::WallLimit, Master.runToBootMark().Stop)
+      << "the capture must come before the guest's work";
+  const vm::Snapshot Snap = Master.capture();
+  const uint64_t HashBefore = hashImage(Snap.ramImage());
+  const std::vector<vm::VmConfig> Configs(
+      3, vm::VmConfig(cfgFor("rule:scheduling")).snapshot(&Snap));
+
+  vm::RunReport MasterFinal;
+  std::thread MasterThread([&] { MasterFinal = Master.run(); });
+  const std::vector<vm::RunReport> Parallel =
+      vm::BatchRunner(3).run(Configs);
+  const uint64_t HashDuring = hashImage(Snap.ramImage());
+  MasterThread.join();
+
+  const std::vector<vm::RunReport> Serial = vm::BatchRunner(1).run(Configs);
+  ASSERT_EQ(3u, Parallel.size());
+  ASSERT_TRUE(Serial[0].Ok) << Serial[0].stopName();
+  for (size_t I = 0; I < Parallel.size(); ++I)
+    expectIdentical(Parallel[I], Serial[I],
+                    "fork beside the master " + std::to_string(I));
+  expectIdentical(MasterFinal, Serial[0], "master beside its forks");
+  EXPECT_EQ(HashBefore, HashDuring);
   EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
 }
 

@@ -283,6 +283,70 @@ TEST_F(MmuFixture, MmioNeverInstallsTlbTags) {
   EXPECT_TRUE(E.PhysFlags & TlbFlagIo);
 }
 
+// --- Guest RAM page table -------------------------------------------------
+
+TEST(PhysMem, FreshRamPointsEveryPageAtTheZeroPage) {
+  const uint32_t Size = 4 << 20;
+  const PhysMem Ram(Size);
+  for (uint32_t Pn = 0; Pn < Size >> PhysMem::PageShift; ++Pn)
+    ASSERT_EQ(PhysMem::zeroPage(), Ram.page(Pn)) << "page " << Pn;
+  EXPECT_EQ(0u, Ram.read(Size - 4, 4));
+  EXPECT_EQ(0u, Ram.cowPrivatePages());
+}
+
+TEST(PhysMem, WritesCloneOnlyPagesTheyDoNotOwn) {
+  PhysMem Ram(64 << 10);
+  Ram.write(0x1000, 4, 0x12345678u);
+  const uint8_t *Page1 = Ram.page(1);
+  EXPECT_NE(PhysMem::zeroPage(), Page1);
+  EXPECT_EQ(PhysMem::zeroPage(), Ram.page(2));
+  Ram.write(0x1004, 4, 1);
+  EXPECT_EQ(Page1, Ram.page(1)) << "an owned page is written in place";
+
+  const auto Img = Ram.capture();
+  PhysMem Fork(*Img);
+  EXPECT_EQ(Page1, Fork.page(1));
+  EXPECT_EQ(PhysMem::zeroPage(), Fork.page(2));
+
+  // The master's write clones page 1; the image and the fork keep it.
+  Ram.write(0x1000, 4, 0xAAAAAAAAu);
+  EXPECT_NE(Page1, Ram.page(1));
+  EXPECT_EQ(Page1, Img->Pages[1]->Bytes);
+  EXPECT_EQ(0x12345678u, Fork.read(0x1000, 4));
+  EXPECT_EQ(1u, Ram.read(0x1004, 4)) << "the clone carries the old bytes";
+
+  // The fork's writes clone too, and count as its working set.
+  Fork.write(0x1000, 4, 0xBBBBBBBBu);
+  Fork.writeBlock(0x1FFE, "\x01\x02\x03\x04", 4); // pages 1 and 2
+  EXPECT_EQ(2u, Fork.cowPrivatePages());
+  EXPECT_EQ(0u, Ram.cowPrivatePages());
+  EXPECT_EQ(0xAAAAAAAAu, Ram.read(0x1000, 4));
+  EXPECT_EQ(0xBBBBBBBBu, Fork.read(0x1000, 4));
+  EXPECT_EQ(0x0201u, Fork.read(0x1FFE, 2));
+  EXPECT_EQ(0x0403u, Fork.read(0x2000, 2));
+  uint32_t Frozen = 0;
+  std::memcpy(&Frozen, Img->Pages[1]->Bytes, 4);
+  EXPECT_EQ(0x12345678u, Frozen);
+  EXPECT_EQ(PhysMem::zeroPage(), Img->Pages[2]->Bytes);
+  EXPECT_EQ(PhysMem::zeroPage(), Ram.page(2));
+}
+
+TEST(PhysMem, WriteToAMarkedPageBumpsTheWalkGeneration) {
+  PhysMem Ram(64 << 10);
+  Ram.markWalked(0x3000);
+  Ram.write(0x2000, 4, 1);
+  EXPECT_EQ(0u, Ram.walkGeneration());
+  Ram.write(0x3000, 4, 1); // privatizes the zero page
+  EXPECT_EQ(1u, Ram.walkGeneration());
+  Ram.write(0x3004, 4, 1); // owned
+  EXPECT_EQ(2u, Ram.walkGeneration());
+  const auto Img = Ram.capture();
+  Ram.write(0x3000, 4, 2); // clones the page shared with Img
+  EXPECT_EQ(3u, Ram.walkGeneration());
+  Ram.writeBlock(0x2FFC, "\0\0\0\0\0\0\0\0", 8); // pages 2 and 3
+  EXPECT_EQ(4u, Ram.walkGeneration());
+}
+
 // --- Instruction-fetch semantics ------------------------------------------
 //
 // The model has no I-TLB: every fetch must see the page tables as they are
@@ -307,6 +371,25 @@ TEST_F(MmuFixture, FetchSeesL1SectionEditWithoutTlbMaintenance) {
   EXPECT_EQ(fetch(0x00100000), 0x11111111u);
   guestStore(0x8000 + 1 * 4, 0x00500000u | (3u << 10) | 2u);
   EXPECT_EQ(fetch(0x00100000), 0x22222222u);
+}
+
+TEST_F(MmuFixture, FetchSeesEditOfAPageSharedWithASnapshot) {
+  buildTables();
+  Board.Ram.write(0x00300000, 4, 0x11111111u);
+  Board.Ram.write(0x00310000, 4, 0x22222222u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  // The capture shares the L2 table's page, so the edit below first
+  // privatizes it: that path, too, must void the memoized fetch.
+  const auto Img = Board.Ram.capture();
+  const uint32_t L2Page = 0xC000 >> PhysMem::PageShift;
+  ASSERT_EQ(Img->Pages[L2Page]->Bytes, Board.Ram.page(L2Page));
+  guestStore(0xC000, 0x00310000u | (2u << 4) | 2u); // L2[0] -> 0x310000
+  EXPECT_NE(Img->Pages[L2Page]->Bytes, Board.Ram.page(L2Page));
+  EXPECT_EQ(fetch(0x00300000), 0x22222222u);
+  uint32_t Old = 0;
+  std::memcpy(&Old, Img->Pages[L2Page]->Bytes, 4);
+  EXPECT_EQ(0x00300000u | (2u << 4) | 2u, Old) << "the image was written";
 }
 
 TEST_F(MmuFixture, FetchFollowsTtbr0SwitchWithoutTlbi) {
