@@ -51,7 +51,7 @@ void DbtEngine::setObs(obs::TraceSink *Sink, obs::Metrics *M) {
 }
 
 DbtEngine::DbtEngine(sys::Platform &B, Translator &T)
-    : Board(B), Xlat(T), Mmu_(B.Env, B), Interp(B.Env, Mmu_, B), Port(B),
+    : Board(B), Xlat(T), Mmu_(B.Env, B), Interp(B.Env, Mmu_, B), Port(B.Ram),
       Machine(reinterpret_cast<uint32_t *>(&B.Env), sys::envWordCount(),
               Port, *this, *this, sys::envSlotMmuIdx(),
               sys::envSlotTlbBase(), sys::tlbEntryWords(), sys::TlbSize) {

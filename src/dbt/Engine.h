@@ -146,19 +146,19 @@ public:
   uint64_t onWall(uint64_t Now) override;
 
 private:
-  /// PhysPort over the platform (GLoad/GStore hit RAM only).
+  /// The platform RAM's page pointers, with PhysMem::write as the store
+  /// slow path (GLoad/GStore hit RAM only).
   class RamPort final : public host::PhysPort {
   public:
-    explicit RamPort(sys::Platform &P) : Board(P) {}
-    bool read(uint32_t Pa, unsigned Size, uint32_t &Value) override {
-      return Board.physRead(Pa, Size, Value);
-    }
-    bool write(uint32_t Pa, unsigned Size, uint32_t Value) override {
-      return Board.physWrite(Pa, Size, Value);
+    explicit RamPort(sys::PhysMem &M)
+        : PhysPort(M.readPointers(), M.writePointers(), M.numPages()),
+          Ram(M) {}
+    void write(uint32_t Pa, unsigned Size, uint32_t Value) override {
+      Ram.write(Pa, Size, Value);
     }
 
   private:
-    sys::Platform &Board;
+    sys::PhysMem &Ram;
   };
 
   sys::Platform &Board;

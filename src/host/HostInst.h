@@ -47,8 +47,8 @@ enum : uint8_t {
   NumHostRegs = 19,
 };
 
-/// Host condition codes over NZCV (ARM polarity; the disassembler prints
-/// the x86 jcc aliases).
+/// Host condition codes over NZCV (ARM polarity and numbering, evaluated
+/// by support/Cond.h; the disassembler prints the x86 jcc aliases).
 enum class HCond : uint8_t {
   Eq = 0,
   Ne,
@@ -209,9 +209,6 @@ const char *hcondName(HCond Cc);
 constexpr HCond hcondFromArm(uint8_t ArmCond) {
   return static_cast<HCond>(ArmCond);
 }
-
-/// Evaluates \p Cc against NZCV flag values.
-bool hcondHolds(HCond Cc, bool N, bool Z, bool C, bool V);
 
 } // namespace host
 } // namespace rdbt

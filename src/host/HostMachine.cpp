@@ -88,27 +88,6 @@ const char *host::hcondName(HCond Cc) {
   return "?";
 }
 
-bool host::hcondHolds(HCond Cc, bool N, bool Z, bool C, bool V) {
-  switch (Cc) {
-  case HCond::Eq: return Z;
-  case HCond::Ne: return !Z;
-  case HCond::Cs: return C;
-  case HCond::Cc: return !C;
-  case HCond::Mi: return N;
-  case HCond::Pl: return !N;
-  case HCond::Vs: return V;
-  case HCond::Vc: return !V;
-  case HCond::Hi: return C && !Z;
-  case HCond::Ls: return !C || Z;
-  case HCond::Ge: return N == V;
-  case HCond::Lt: return N != V;
-  case HCond::Gt: return !Z && N == V;
-  case HCond::Le: return Z || N != V;
-  case HCond::Al: return true;
-  }
-  return true;
-}
-
 HostMachine::HostMachine(uint32_t *EnvWords, uint32_t Size, PhysPort &M,
                          HelperHandler &H, WallSink &W, uint16_t MmuSlot,
                          uint32_t TlbBase, uint32_t EntryWords,
@@ -394,7 +373,7 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
 
     case HOp::SetCc:
       charge(H, 1);
-      R_[H.Dst] = hcondHolds(H.Cc, FN, FZ, FC, FV) ? 1u : 0u;
+      R_[H.Dst] = holds(H.Cc) ? 1u : 0u;
       break;
     case HOp::PackF:
       charge(H, 2);
@@ -407,7 +386,7 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
 
     case HOp::Jcc:
       charge(H, 1);
-      if (hcondHolds(H.Cc, FN, FZ, FC, FV)) {
+      if (holds(H.Cc)) {
         assert(H.Target >= 0 && "unresolved jump target");
         I = static_cast<size_t>(H.Target);
         continue;
@@ -435,19 +414,27 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       R_[H.Dst] = tlbWord(R_[H.Src], 2);
       break;
 
+    // Both run only after an inline TLB hit, and the TLB tags whole RAM
+    // pages only, so the page pointers cover every address they see.
     case HOp::GLoad: {
       charge(H, 1);
-      uint32_t Value = 0;
-      [[maybe_unused]] const bool Ok = Mem.read(R_[H.Src], H.Size, Value);
-      assert(Ok && "GLoad after TLB hit must target RAM");
-      R_[H.Dst] = Value;
+      const uint32_t Pa = R_[H.Src];
+      assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
+             "GLoad after TLB hit must target RAM");
+      R_[H.Dst] = loadLe(Mem.ReadPages[Pa >> PhysPort::PageShift] +
+                             (Pa & PhysPort::PageMask),
+                         H.Size);
       break;
     }
     case HOp::GStore: {
       charge(H, 1);
-      [[maybe_unused]] const bool Ok =
-          Mem.write(R_[H.Src], H.Size, R_[H.Dst]);
-      assert(Ok && "GStore after TLB hit must target RAM");
+      const uint32_t Pa = R_[H.Src];
+      assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
+             "GStore after TLB hit must target RAM");
+      if (uint8_t *Page = Mem.WritePages[Pa >> PhysPort::PageShift])
+        storeLe(Page + (Pa & PhysPort::PageMask), H.Size, R_[H.Dst]);
+      else
+        Mem.write(Pa, H.Size, R_[H.Dst]);
       break;
     }
 

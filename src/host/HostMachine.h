@@ -22,6 +22,7 @@
 #define RDBT_HOST_HOSTMACHINE_H
 
 #include "host/HostInst.h"
+#include "support/Cond.h"
 
 #include <cstdint>
 #include <vector>
@@ -29,13 +30,28 @@
 namespace rdbt {
 namespace host {
 
-/// Guest-physical memory access interface (implemented by the DBT engine
-/// over the platform RAM; generated GLoad/GStore only touch RAM pages).
+/// Guest RAM as generated GLoad/GStore see it: one host pointer per
+/// 4 KiB page (implemented by the DBT engine over the platform RAM). They
+/// run only after an inline TLB hit, and the TLB tags whole RAM pages
+/// only, so they never reach MMIO or a hole past the end of RAM.
 class PhysPort {
 public:
+  enum : uint32_t { PageShift = 12, PageMask = (1u << PageShift) - 1 };
+
+  PhysPort(const uint8_t *const *Read, uint8_t *const *Write, uint32_t N)
+      : ReadPages(Read), WritePages(Write), NumPages(N) {}
   virtual ~PhysPort();
-  virtual bool read(uint32_t Pa, unsigned Size, uint32_t &Value) = 0;
-  virtual bool write(uint32_t Pa, unsigned Size, uint32_t Value) = 0;
+
+  /// Every page's bytes, read in place.
+  const uint8_t *const *const ReadPages;
+  /// A page's bytes while a store may write them in place; null while the
+  /// page is shared or its stores are watched, and then a store goes
+  /// through write().
+  uint8_t *const *const WritePages;
+  const uint32_t NumPages;
+
+  /// The store slow path: privatizes the page or records the store first.
+  virtual void write(uint32_t Pa, unsigned Size, uint32_t Value) = 0;
 };
 
 /// Helper-function dispatch interface (implemented by the DBT engine).
@@ -140,6 +156,9 @@ private:
   uint32_t TlbBaseSlot, TlbEntryWords, TlbHalfEntries;
 
   void charge(const HInst &H, uint64_t Cost);
+  bool holds(HCond Cc) const {
+    return condHolds(static_cast<unsigned>(Cc), nzcvNibble(FN, FZ, FC, FV));
+  }
   uint32_t aluOperand(const HInst &H) const {
     return H.UseImm ? static_cast<uint32_t>(H.Imm) : R_[H.Src];
   }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Small bit-twiddling helpers shared by the ISA models, the MMU and the
-/// translators. Everything here is constexpr and allocation-free.
+/// translators. Everything here is allocation-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 
 namespace rdbt {
 
@@ -86,6 +87,31 @@ constexpr bool encodeArmImmediate(uint32_t Value, uint8_t &Imm8,
 constexpr bool isArmImmediate(uint32_t Value) {
   uint8_t Imm8 = 0, Rot = 0;
   return encodeArmImmediate(Value, Imm8, Rot);
+}
+
+/// Reads a \p Size-byte (1, 2 or 4) little-endian value at \p P,
+/// zero-extended. Guest memory is little endian and so is the host.
+inline uint32_t loadLe(const uint8_t *P, unsigned Size) {
+  if (Size == 1)
+    return *P;
+  if (Size == 2) {
+    uint16_t V;
+    std::memcpy(&V, P, 2);
+    return V;
+  }
+  uint32_t V;
+  std::memcpy(&V, P, 4);
+  return V;
+}
+
+/// Writes the low \p Size bytes (1, 2 or 4) of \p Value at \p P.
+inline void storeLe(uint8_t *P, unsigned Size, uint32_t Value) {
+  if (Size == 1)
+    *P = static_cast<uint8_t>(Value);
+  else if (Size == 2)
+    std::memcpy(P, &Value, 2);
+  else
+    std::memcpy(P, &Value, 4);
 }
 
 } // namespace rdbt

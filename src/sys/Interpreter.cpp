@@ -9,6 +9,7 @@
 #include "arm/Decoder.h"
 #include "obs/Metrics.h"
 #include "obs/TraceSink.h"
+#include "support/Cond.h"
 
 #include <cassert>
 
@@ -24,24 +25,9 @@ bool Interpreter::conditionHolds(Cond C) {
   if (C == Cond::AL || C == Cond::NV)
     return true;
   materializeFlags(Env);
-  const bool N = Env.NF, Z = Env.ZF, Cf = Env.CF, V = Env.VF;
-  switch (C) {
-  case Cond::EQ: return Z;
-  case Cond::NE: return !Z;
-  case Cond::CS: return Cf;
-  case Cond::CC: return !Cf;
-  case Cond::MI: return N;
-  case Cond::PL: return !N;
-  case Cond::VS: return V;
-  case Cond::VC: return !V;
-  case Cond::HI: return Cf && !Z;
-  case Cond::LS: return !Cf || Z;
-  case Cond::GE: return N == V;
-  case Cond::LT: return N != V;
-  case Cond::GT: return !Z && N == V;
-  case Cond::LE: return Z || N != V;
-  default: return true;
-  }
+  return condHolds(static_cast<unsigned>(C),
+                   nzcvNibble(Env.NF != 0, Env.ZF != 0, Env.CF != 0,
+                              Env.VF != 0));
 }
 
 uint32_t Interpreter::readReg(unsigned R, uint32_t Pc) {

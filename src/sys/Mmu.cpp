@@ -114,10 +114,13 @@ bool Mmu::fillTlb(uint32_t Va, AccessKind Kind, Fault &F,
   const bool Io = Board.isIoPage(Pa);
   E.PhysFlags = (Pa & ~0xFFFu) | (Io ? TlbFlagIo : 0u);
 
-  // MMIO pages never install tags: every device access must take the
-  // slow path (QEMU's TLB_MMIO). For RAM, probe the other access kind so
-  // a read-only page installs a read tag but keeps the write tag invalid.
-  if (Io)
+  // Only a whole RAM page installs tags, so a tag hit (here or in
+  // generated code) can go straight to the page pointers. Every device
+  // access takes the slow path (QEMU's TLB_MMIO), and so does every access
+  // to a hole past the end of RAM, which aborts each time. For RAM, probe
+  // the other access kind so a read-only page installs a read tag but
+  // keeps the write tag invalid.
+  if (Io || !Board.Ram.contains(Pa & ~0xFFFu, PhysMem::PageBytes))
     return true;
   Fault Probe;
   unsigned ProbeAccesses = 0;
@@ -181,18 +184,22 @@ bool Mmu::access(uint32_t Va, unsigned Size, uint32_t &Value, bool IsWrite,
   const uint32_t Vpn = Va >> 12;
   TlbEntry &E = entryFor(Va);
   const uint32_t Tag = IsWrite ? E.TagWrite : E.TagRead;
-  uint32_t Pa;
   if (Tag == Vpn) {
+    // A tag covers a whole RAM page (fillTlb): no MMIO or bounds test.
     ++Hits;
-    Pa = (E.PhysFlags & ~0xFFFu) | (Va & 0xFFFu);
-  } else {
-    ++Misses;
-    unsigned WalkAccesses = 0;
-    if (!fillTlb(Va, IsWrite ? AccessKind::Write : AccessKind::Read, F,
-                 WalkAccesses))
-      return false;
-    Pa = (entryFor(Va).PhysFlags & ~0xFFFu) | (Va & 0xFFFu);
+    const uint32_t Pa = (E.PhysFlags & ~0xFFFu) | (Va & 0xFFFu);
+    if (IsWrite)
+      Board.Ram.write(Pa, Size, Value);
+    else
+      Value = Board.Ram.read(Pa, Size);
+    return true;
   }
+  ++Misses;
+  unsigned WalkAccesses = 0;
+  if (!fillTlb(Va, IsWrite ? AccessKind::Write : AccessKind::Read, F,
+               WalkAccesses))
+    return false;
+  const uint32_t Pa = (entryFor(Va).PhysFlags & ~0xFFFu) | (Va & 0xFFFu);
   const bool Ok = IsWrite ? Board.physWrite(Pa, Size, Value)
                           : Board.physRead(Pa, Size, Value);
   if (!Ok) {
@@ -234,6 +241,10 @@ bool Mmu::fetchWord(uint32_t Va, uint32_t &Word, Fault &F) {
       if (RamOnly)
         M = {Vpn, Env.Ttbr0, Env.MmuIdx, Pa & ~0xFFFu, Gen};
     }
+  }
+  if (Board.Ram.contains(Pa, 4)) {
+    Word = Board.Ram.read(Pa, 4);
+    return true;
   }
   if (!Board.physRead(Pa, 4, Word)) {
     F = {true, FsrExternal, Va};

@@ -20,8 +20,13 @@
 /// TbInv pipeline (Env.h) because a page-table store raises no TbInv
 /// request; instead every walk marks the RAM pages it read in PhysMem, and
 /// any write to a marked page (interpreter and host-code stores, disk DMA,
-/// host loads) bumps a generation that voids the whole memo. A walk that
-/// read a descriptor from MMIO is not memoized. DESIGN.md §14.
+/// host loads) bumps a generation that voids the whole memo; a marked page
+/// has no write pointer (PhysMem), so no store skips that bump. A walk
+/// that read a descriptor from MMIO is not memoized. DESIGN.md §14.
+///
+/// Only whole RAM pages install TLB tags, so a TLB hit, here or in the
+/// generated inline probe, reads and writes through PhysMem's page
+/// pointers with no MMIO or bounds test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,13 +107,15 @@ public:
 
   /// Virtual read/write through the TLB with walk-on-miss; the slow-path
   /// equivalent of the generated inline probe, used by the interpreter
-  /// and by DBT helpers. MMIO is routed to devices.
+  /// and by DBT helpers. A hit goes straight to the RAM page pointers
+  /// (only whole RAM pages install tags); a miss routes MMIO to devices.
   bool readVirt(uint32_t Va, unsigned Size, uint32_t &Value, Fault &F);
   bool writeVirt(uint32_t Va, unsigned Size, uint32_t Value, Fault &F);
 
   /// Instruction fetch (translate + read, Execute permission). The
   /// translation comes from the fetch memo when it holds one; the word is
-  /// always read through Platform::physRead.
+  /// read on every call, from RAM through the page pointer, else through
+  /// Platform::physRead.
   bool fetchWord(uint32_t Va, uint32_t &Word, Fault &F);
 
   /// TLB statistics (reset by the owner between runs).

@@ -6,6 +6,7 @@
 
 #include "sys/Platform.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -21,33 +22,31 @@ const uint8_t *PhysMem::zeroPage() { return ZeroPage.Bytes; }
 PhysMem::PhysMem(uint32_t Size)
     : RamBytes(Size), Pages((Size + PageBytes - 1) >> PageShift,
                             PageRef(PageRef(), &ZeroPage)),
-      Flags(Pages.size(), 0) {}
+      ReadPtrs(Pages.size(), ZeroPage.Bytes),
+      WritePtrs(Pages.size(), nullptr), Flags(Pages.size(), 0) {}
 
-uint32_t PhysMem::read(uint32_t Pa, unsigned Size) const {
-  assert(contains(Pa, Size) && "physical read out of RAM");
-  uint32_t Value = 0;
-  // Naturally-aligned 1/2/4-byte accesses never cross a 4 KiB page.
-  std::memcpy(&Value, page(Pa >> PageShift) + (Pa & (PageBytes - 1)), Size);
-  return Value;
+PhysMem::PhysMem(const Image &Img)
+    : RamBytes(Img.Size), Pages(Img.Pages), ReadPtrs(Pages.size()),
+      WritePtrs(Pages.size(), nullptr), Flags(Pages.size(), 0), Fork(true) {
+  for (size_t Pn = 0; Pn < Pages.size(); ++Pn)
+    ReadPtrs[Pn] = Pages[Pn]->Bytes;
 }
 
 uint8_t *PhysMem::pageForWrite(uint32_t Pn) {
   uint8_t &F = Flags[Pn];
-  if (F & Walked)
-    ++WalkGen;
   if (!(F & Owned)) {
     Pages[Pn] = std::make_shared<Page>(*Pages[Pn]);
+    ReadPtrs[Pn] = Pages[Pn]->Bytes;
     F |= Owned;
     PrivatePages += Fork;
   }
   // Owned: allocated mutable just above, and no other table refers to it.
-  return const_cast<uint8_t *>(Pages[Pn]->Bytes);
-}
-
-void PhysMem::write(uint32_t Pa, unsigned Size, uint32_t Value) {
-  assert(contains(Pa, Size) && "physical write out of RAM");
-  std::memcpy(pageForWrite(Pa >> PageShift) + (Pa & (PageBytes - 1)), &Value,
-              Size);
+  uint8_t *Bytes = const_cast<uint8_t *>(Pages[Pn]->Bytes);
+  if (F & Walked)
+    ++WalkGen;
+  else
+    WritePtrs[Pn] = Bytes;
+  return Bytes;
 }
 
 void PhysMem::writeBlock(uint32_t Pa, const void *Src, uint32_t Len) {
@@ -84,6 +83,7 @@ std::shared_ptr<const PhysMem::Image> PhysMem::capture() {
   auto Img = std::make_shared<const Image>(Image{RamBytes, Pages});
   for (uint8_t &F : Flags)
     F &= ~Owned;
+  std::fill(WritePtrs.begin(), WritePtrs.end(), nullptr);
   return Img;
 }
 

@@ -24,6 +24,7 @@
 #ifndef RDBT_SYS_PLATFORM_H
 #define RDBT_SYS_PLATFORM_H
 
+#include "support/Bits.h"
 #include "sys/Env.h"
 
 #include <cassert>
@@ -36,7 +37,8 @@ namespace rdbt {
 namespace sys {
 
 /// Guest RAM starting at physical address 0, held as a table of
-/// refcounted immutable 4 KiB pages plus one flag byte per page.
+/// refcounted immutable 4 KiB pages plus one flag byte and two host
+/// pointers per page.
 ///
 ///  * A fresh board points every entry at one process-wide zero page.
 ///  * A write privatizes its page first unless this PhysMem owns it (the
@@ -54,6 +56,16 @@ namespace sys {
 /// write to a marked page bumps walkGeneration(), also when it privatizes
 /// the page. The Mmu's fetch memo compares that generation, so a
 /// page-table edit voids it with no TLB maintenance.
+///
+/// Hot paths that know they hit RAM (translated code, softmmu TLB hits,
+/// the interpreter's fetch) go through the pointers, not through
+/// Platform::physRead/physWrite. Every page has a read pointer, to its
+/// current bytes. A page has a write pointer only while it is Owned and
+/// not walk-marked; otherwise it is null and a write takes the slow path
+/// (pageForWrite), which privatizes the page or bumps the generation. The
+/// two constructors, pageForWrite, capture() and markWalked maintain the
+/// pointers, so neither copy-on-write nor the walk marks need a check on
+/// the fast path.
 class PhysMem {
 public:
   enum : uint32_t { PageBytes = 4096, PageShift = 12 };
@@ -71,12 +83,12 @@ public:
   explicit PhysMem(uint32_t Size);
 
   /// A fork of \p Img: adopts its page table, owning no page.
-  explicit PhysMem(const Image &Img)
-      : RamBytes(Img.Size), Pages(Img.Pages), Flags(Pages.size(), 0),
-        Fork(true) {}
+  explicit PhysMem(const Image &Img);
 
-  /// Not assignable: replacing the contents under a live Mmu would
-  /// restart walkGeneration() and revive stale fetch-memo entries.
+  /// Neither copyable nor assignable: a copy would share owned pages, and
+  /// replacing the contents under a live Mmu would restart
+  /// walkGeneration() and revive stale fetch-memo entries.
+  PhysMem(const PhysMem &) = delete;
   PhysMem &operator=(const PhysMem &) = delete;
 
   uint32_t size() const { return RamBytes; }
@@ -86,8 +98,17 @@ public:
   }
 
   /// Reads a naturally-aligned 1/2/4-byte value (little endian).
-  uint32_t read(uint32_t Pa, unsigned Size) const;
-  void write(uint32_t Pa, unsigned Size, uint32_t Value);
+  uint32_t read(uint32_t Pa, unsigned Size) const {
+    assert(contains(Pa, Size) && "physical read out of RAM");
+    return loadLe(page(Pa >> PageShift) + (Pa & (PageBytes - 1)), Size);
+  }
+  void write(uint32_t Pa, unsigned Size, uint32_t Value) {
+    assert(contains(Pa, Size) && "physical write out of RAM");
+    uint8_t *P = WritePtrs[Pa >> PageShift];
+    if (!P)
+      P = pageForWrite(Pa >> PageShift);
+    storeLe(P + (Pa & (PageBytes - 1)), Size, Value);
+  }
 
   void writeBlock(uint32_t Pa, const void *Src, uint32_t Len);
   void readBlock(uint32_t Pa, void *Dst, uint32_t Len) const;
@@ -98,7 +119,14 @@ public:
   /// The current bytes of page \p Pn, read in place. Valid up to the next
   /// write; the last page of a RAM size that is not a page multiple holds
   /// only size() - (Pn << PageShift) bytes.
-  const uint8_t *page(uint32_t Pn) const { return Pages[Pn]->Bytes; }
+  const uint8_t *page(uint32_t Pn) const { return ReadPtrs[Pn]; }
+
+  /// The host pointer tables, one entry per page, for code outside sys/
+  /// (host::PhysPort). The tables never move; their entries change as
+  /// described above. A null write pointer means: write through write().
+  const uint8_t *const *readPointers() const { return ReadPtrs.data(); }
+  uint8_t *const *writePointers() const { return WritePtrs.data(); }
+  uint32_t numPages() const { return static_cast<uint32_t>(Pages.size()); }
 
   /// The process-wide zero page every untouched entry points at.
   static const uint8_t *zeroPage();
@@ -116,8 +144,12 @@ public:
 
   // --- Walk marks (sys/Mmu.h fetch memo) ----------------------------------
 
-  /// Marks the page holding \p Pa as read by an MMU table walk.
-  void markWalked(uint32_t Pa) { Flags[Pa >> PageShift] |= Walked; }
+  /// Marks the page holding \p Pa as read by an MMU table walk, so every
+  /// later write to it takes the slow path.
+  void markWalked(uint32_t Pa) {
+    Flags[Pa >> PageShift] |= Walked;
+    WritePtrs[Pa >> PageShift] = nullptr;
+  }
   /// Bumped by every write to a marked page.
   uint64_t walkGeneration() const { return WalkGen; }
 
@@ -126,13 +158,16 @@ private:
 
   uint32_t RamBytes;
   std::vector<PageRef> Pages;
+  std::vector<const uint8_t *> ReadPtrs; ///< Pages[Pn]->Bytes
+  std::vector<uint8_t *> WritePtrs;      ///< the same if Owned & !Walked
   std::vector<uint8_t> Flags; ///< Owned | Walked, one byte per page
   const bool Fork = false;    ///< counts privatizations (cowPrivatePages)
   uint64_t PrivatePages = 0;
   uint64_t WalkGen = 0;
 
   /// The bytes of page \p Pn, privatized first unless owned; bumps
-  /// WalkGen if the page is walk-marked.
+  /// WalkGen if the page is walk-marked, and otherwise hands out its
+  /// write pointer.
   uint8_t *pageForWrite(uint32_t Pn);
 };
 

@@ -9,7 +9,9 @@
 #include "host/HostMachine.h"
 #include "dbt/SoftmmuEmit.h"
 #include "rules/RuleSet.h"
+#include "support/Cond.h"
 #include "sys/Env.h"
+#include "sys/Mmu.h"
 #include "sys/Platform.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +26,7 @@ class HostFixture : public ::testing::Test, public HelperHandler,
                     public WallSink {
 protected:
   HostFixture()
-      : Board(8 << 20), Port(Board),
+      : Board(8 << 20), Port(Board.Ram),
         Machine(reinterpret_cast<uint32_t *>(&Board.Env),
                 sys::envWordCount(), Port, *this, *this,
                 sys::envSlotMmuIdx(), sys::envSlotTlbBase(),
@@ -42,14 +44,13 @@ protected:
 
   class Port_ final : public PhysPort {
   public:
-    explicit Port_(sys::Platform &B) : Board(B) {}
-    bool read(uint32_t Pa, unsigned Size, uint32_t &V) override {
-      return Board.physRead(Pa, Size, V);
+    explicit Port_(sys::PhysMem &M)
+        : PhysPort(M.readPointers(), M.writePointers(), M.numPages()),
+          Ram(M) {}
+    void write(uint32_t Pa, unsigned Size, uint32_t V) override {
+      Ram.write(Pa, Size, V);
     }
-    bool write(uint32_t Pa, unsigned Size, uint32_t V) override {
-      return Board.physWrite(Pa, Size, V);
-    }
-    sys::Platform &Board;
+    sys::PhysMem &Ram;
   };
 
   class OneBlock final : public CodeSource {
@@ -60,11 +61,75 @@ protected:
     }
   };
 
+  /// Runs the translators' inline access of \p Va's word on \p B's RAM
+  /// (\p Value for a store) on a machine of its own, after installing a
+  /// TLB entry that maps Va's page to itself. Returns the loaded word, or
+  /// 0 for a store; \p Helpers counts helper calls (0: GLoad/GStore ran).
+  uint32_t translatedAccess(sys::Platform &B, uint32_t Va, bool IsLoad,
+                            uint32_t Value, uint64_t &Helpers) {
+    sys::TlbEntry &Entry =
+        B.Env.Tlb[B.Env.MmuIdx][(Va >> 12) & (sys::TlbSize - 1)];
+    Entry.TagRead = Entry.TagWrite = Va >> 12;
+    Entry.PhysFlags = Va & ~0xFFFu;
+    Port_ P(B.Ram);
+    HostMachine M(reinterpret_cast<uint32_t *>(&B.Env), sys::envWordCount(),
+                  P, *this, *this, sys::envSlotMmuIdx(),
+                  sys::envSlotTlbBase(), sys::tlbEntryWords(), sys::TlbSize);
+    OneBlock Src;
+    HostEmitter E(Src.B);
+    E.movRI(4, Va);
+    E.movRI(5, Value);
+    dbt::emitInlineAccess(E, 4, 5, 4, IsLoad);
+    E.exitTb(ExitReason::Lookup);
+    M.run(Src, 0);
+    Helpers = M.Counters.HelperCalls;
+    return IsLoad ? M.reg(5) : 0;
+  }
+  uint32_t translatedLoad(sys::Platform &B, uint32_t Va) {
+    uint64_t Helpers = 0;
+    const uint32_t V = translatedAccess(B, Va, true, 0, Helpers);
+    EXPECT_EQ(0u, Helpers) << "the inline probe must hit";
+    return V;
+  }
+  void translatedStore(sys::Platform &B, uint32_t Va, uint32_t Value) {
+    uint64_t Helpers = 0;
+    translatedAccess(B, Va, false, Value, Helpers);
+    EXPECT_EQ(0u, Helpers) << "the inline probe must hit";
+  }
+
   sys::Platform Board;
   Port_ Port;
   HostMachine Machine;
   uint16_t LastHelper = 0xFFFF;
 };
+
+/// FNV-1a over every byte of a captured RAM image.
+uint64_t hashPages(const sys::PhysMem::Image &Img) {
+  uint64_t H = 1469598103934665603ull;
+  for (const sys::PhysMem::PageRef &P : Img.Pages)
+    for (uint8_t B : P->Bytes)
+      H = (H ^ B) * 1099511628211ull;
+  return H;
+}
+
+/// ARM's ConditionHolds() pseudocode: cond<3:1> picks the test, cond<0>
+/// inverts it, except for 0b1111.
+bool armConditionHolds(unsigned Cond, bool N, bool Z, bool C, bool V) {
+  bool Result = true;
+  switch (Cond >> 1) {
+  case 0: Result = Z; break;
+  case 1: Result = C; break;
+  case 2: Result = N; break;
+  case 3: Result = V; break;
+  case 4: Result = C && !Z; break;
+  case 5: Result = N == V; break;
+  case 6: Result = N == V && !Z; break;
+  case 7: Result = true; break;
+  }
+  if ((Cond & 1) && Cond != 15)
+    Result = !Result;
+  return Result;
+}
 
 TEST_F(HostFixture, AluAndFlagsArmPolarity) {
   OneBlock Src;
@@ -141,6 +206,90 @@ TEST_F(HostFixture, TlbProbeAndGuestAccess) {
   EXPECT_GT(Machine.Counters.ByClass[static_cast<unsigned>(
                 CostClass::MmuInline)],
             5u);
+}
+
+TEST(CondTable, MatchesArmDefinitionsExhaustively) {
+  for (unsigned Cond = 0; Cond < 16; ++Cond)
+    for (unsigned Nzcv = 0; Nzcv < 16; ++Nzcv)
+      EXPECT_EQ(armConditionHolds(Cond, Nzcv & 8, Nzcv & 4, Nzcv & 2,
+                                  Nzcv & 1),
+                condHolds(Cond, Nzcv))
+          << "cond " << Cond << " nzcv " << Nzcv;
+  EXPECT_EQ(5u, nzcvNibble(0, 1, 0, 1));
+}
+
+TEST_F(HostFixture, SetCcAndJccFollowTheArmConditions) {
+  for (unsigned Cond = 0; Cond <= static_cast<unsigned>(HCond::Al); ++Cond)
+    for (unsigned Nzcv = 0; Nzcv < 16; ++Nzcv) {
+      const HCond Cc = static_cast<HCond>(Cond);
+      OneBlock Src;
+      HostEmitter E(Src.B);
+      E.movRI(0, Nzcv << 28);
+      E.unpackF(0);
+      E.setCc(1, Cc);
+      E.movRI(2, 1);
+      const int Taken = E.jcc(Cc);
+      E.movRI(2, 0);
+      E.patchHere(Taken);
+      E.exitTb(ExitReason::Lookup);
+      Machine.run(Src, 0);
+      const bool Expected =
+          armConditionHolds(Cond, Nzcv & 8, Nzcv & 4, Nzcv & 2, Nzcv & 1);
+      EXPECT_EQ(Expected, Machine.reg(1) == 1)
+          << "set" << hcondName(Cc) << " nzcv " << Nzcv;
+      EXPECT_EQ(Expected, Machine.reg(2) == 1)
+          << "j" << hcondName(Cc) << " nzcv " << Nzcv;
+    }
+}
+
+// A GStore writes in place only through a write pointer, and capture()
+// clears them all: a store after the capture, on the master or on a fork,
+// clones the page first and leaves the image as it was.
+TEST_F(HostFixture, GStoreToAPageSharedWithASnapshotClonesIt) {
+  Board.Ram.write(0x5000, 4, 0x11111111u);
+  translatedStore(Board, 0x5004, 0x55555555u); // owned: in place
+  const auto Img = Board.Ram.capture();
+  const uint64_t HashBefore = hashPages(*Img);
+  sys::Platform Fork(*Img);
+
+  translatedStore(Board, 0x5000, 0x22222222u);
+  translatedStore(Fork, 0x5000, 0x33333333u);
+  translatedStore(Fork, 0x5008, 0x44444444u); // now owned by the fork
+  EXPECT_EQ(HashBefore, hashPages(*Img))
+      << "a translated store wrote a page the snapshot holds";
+  EXPECT_EQ(1u, Fork.Ram.cowPrivatePages());
+  EXPECT_EQ(0x22222222u, translatedLoad(Board, 0x5000));
+  EXPECT_EQ(0x33333333u, translatedLoad(Fork, 0x5000));
+  EXPECT_EQ(0x44444444u, translatedLoad(Fork, 0x5008));
+  EXPECT_EQ(0x55555555u, translatedLoad(Fork, 0x5004));
+  EXPECT_EQ(0u, translatedLoad(Board, 0x5008));
+}
+
+// A walk marks the page-table pages it reads and clears their write
+// pointers, so a translated store into a table bumps walkGeneration() and
+// the next fetch sees the edit with no TLB maintenance.
+TEST_F(HostFixture, GStoreToAWalkedPageVoidsTheFetchMemo) {
+  const uint32_t L1 = 0x8000, L2 = 0xC000;
+  Board.Env.Ttbr0 = L1;
+  Board.Ram.write(L1 + 0 * 4, 4, 0x00000000u | (1u << 10) | 2u);
+  Board.Ram.write(L1 + 3 * 4, 4, L2 | 1u);
+  Board.Ram.write(L2 + 0 * 4, 4, 0x00300000u | (2u << 4) | 2u);
+  Board.Ram.write(0x00300000, 4, 0x11111111u);
+  Board.Ram.write(0x00310000, 4, 0x22222222u);
+  Board.Env.Sctlr = sys::SctlrMmuEnable;
+  sys::Mmu Mmu(Board.Env, Board);
+  auto Fetch = [&] {
+    uint32_t Word = 0;
+    sys::Fault F;
+    EXPECT_TRUE(Mmu.fetchWord(0x00300000, Word, F));
+    return Word;
+  };
+  EXPECT_EQ(0x11111111u, Fetch());
+  EXPECT_EQ(0x11111111u, Fetch());
+  const uint64_t GenBefore = Board.Ram.walkGeneration();
+  translatedStore(Board, L2, 0x00310000u | (2u << 4) | 2u);
+  EXPECT_NE(GenBefore, Board.Ram.walkGeneration());
+  EXPECT_EQ(0x22222222u, Fetch());
 }
 
 TEST_F(HostFixture, ChainSlotFallsThroughWhenUnresolved) {

@@ -34,6 +34,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "guestsw/Workloads.h"
 #include "vm/BatchRunner.h"
 #include "vm/Snapshot.h"
 #include "vm/Vm.h"
@@ -357,32 +358,51 @@ TEST(Snapshot, ForksCannotObserveEachOthersWrites) {
   EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
 }
 
+/// A wall budget that stops rule:scheduling/fileio@1 between its sector
+/// writes: after the first, well before the guest powers off.
+constexpr uint64_t MidFileioCycles = 1300000;
+
 TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
   // The serving pattern under contention: one warm snapshot, a batch of
   // forks on a worker pool. Every fork must finish bitwise-identically
   // (no fork observes another's RAM writes, chain patches, or disk
   // writes), the batch must be schedule-invariant, and the shared
-  // images must come out untouched. This test runs under the TSan CI
-  // job, where any unsynchronized sharing the COW protocol missed
-  // becomes a hard failure.
-  vm::Vm Master(cfgFor("rule:scheduling", "fileio"));
+  // images must come out untouched. The capture lands in the middle of
+  // fileio's disk writes, so every fork goes on to store into pages it
+  // shares with the snapshot, and to write sectors. This test runs under
+  // the TSan CI job, where any unsynchronized sharing the COW protocol
+  // missed becomes a hard failure.
+  const vm::VmConfig Cfg = cfgFor("rule:scheduling", "fileio");
+  vm::Vm Master(Cfg);
   ASSERT_TRUE(Master.valid()) << Master.error();
-  Master.runToBootMark();
+  const vm::RunReport AtCapture = Master.run(MidFileioCycles);
+  ASSERT_EQ(dbt::StopReason::WallLimit, AtCapture.Stop)
+      << "the capture must come before the guest powers off";
+  sys::PlatformState Board;
+  Master.board().captureState(Board);
+  ASSERT_NE(guestsw::seededDisk(), Board.DiskMedia)
+      << "the capture must come after the guest's first sector write";
   const vm::Snapshot Snap = Master.capture();
   const uint64_t HashBefore = hashImage(Snap.ramImage());
 
-  const std::vector<vm::VmConfig> Configs(
-      8, vm::VmConfig(cfgFor("rule:scheduling", "fileio")).snapshot(&Snap));
+  const std::vector<vm::VmConfig> Configs(8,
+                                          vm::VmConfig(Cfg).snapshot(&Snap));
   const std::vector<vm::RunReport> Parallel =
       vm::BatchRunner(4).run(Configs);
   const std::vector<vm::RunReport> Serial =
       vm::BatchRunner(1).run(Configs);
   ASSERT_EQ(8u, Parallel.size());
 
-  vm::Vm FreshVm(cfgFor("rule:scheduling", "fileio"));
+  // A fresh session that replays the master's slice, then runs on.
+  vm::Vm FreshVm(Cfg);
+  FreshVm.run(MidFileioCycles);
   const vm::RunReport Fresh = FreshVm.run();
   ASSERT_TRUE(Fresh.Ok) << Fresh.stopName();
+  ASSERT_EQ(dbt::StopReason::GuestShutdown, Fresh.Stop);
   for (size_t I = 0; I < Parallel.size(); ++I) {
+    EXPECT_GT(Parallel[I].guestInstrs(), AtCapture.guestInstrs())
+        << "parallel fork " << I << " ran nothing after the capture";
+    EXPECT_GT(Parallel[I].CowPrivatePages, 0u) << "parallel fork " << I;
     expectIdentical(Parallel[I], Fresh,
                     "parallel fork " + std::to_string(I));
     expectIdentical(Parallel[I], Serial[I],

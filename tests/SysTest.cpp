@@ -283,6 +283,52 @@ TEST_F(MmuFixture, MmioNeverInstallsTlbTags) {
   EXPECT_TRUE(E.PhysFlags & TlbFlagIo);
 }
 
+// A VA mapped past the end of RAM (below the MMIO window) must abort on
+// every access and install no tag: a tag hit goes straight to the RAM page
+// pointers, here and in generated code.
+TEST_F(MmuFixture, HoleInRamInstallsNoTlbTags) {
+  buildTables();
+  const uint32_t Hole = 0x0A000000u; // the board has 8 MiB
+  ASSERT_FALSE(Board.Ram.contains(Hole, 4));
+  ASSERT_FALSE(Board.isIoPage(Hole));
+  Board.Ram.write(0x8000 + 5 * 4, 4, Hole | (3u << 10) | 2u); // VA 5 MiB
+  const uint32_t Va = 0x00500000u;
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    uint32_t Value = 0;
+    Fault F;
+    EXPECT_FALSE(Mmu_.readVirt(Va, 4, Value, F)) << "pass " << Pass;
+    EXPECT_EQ(FsrExternal, F.Fsr);
+    EXPECT_EQ(Va, F.Far);
+    F = Fault();
+    EXPECT_FALSE(Mmu_.writeVirt(Va + 4, 4, 1, F)) << "pass " << Pass;
+    EXPECT_EQ(FsrExternal, F.Fsr);
+    const TlbEntry &E = Board.Env.Tlb[0][(Va >> 12) & (TlbSize - 1)];
+    EXPECT_EQ(TlbInvalidTag, E.TagRead);
+    EXPECT_EQ(TlbInvalidTag, E.TagWrite);
+  }
+  EXPECT_EQ(0u, Mmu_.Hits);
+  EXPECT_EQ(4u, Mmu_.Misses);
+  uint32_t Word = 0;
+  Fault F;
+  EXPECT_FALSE(Mmu_.fetchWord(Va, Word, F));
+  EXPECT_EQ(FsrExternal, F.Fsr);
+}
+
+// A store that hits the TLB writes through the page pointer, which a walk
+// mark has cleared: it must still void the memoized fetch translation.
+TEST_F(MmuFixture, StoreHitOnAWalkedPageVoidsTheFetchMemo) {
+  buildTables();
+  Board.Ram.write(0x00300000, 4, 0x11111111u);
+  Board.Ram.write(0x00310000, 4, 0x22222222u);
+  guestStore(0xC004, 0); // fills the TLB entry for the L2 table's page
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  EXPECT_EQ(fetch(0x00300000), 0x11111111u);
+  const uint64_t HitsBefore = Mmu_.Hits;
+  guestStore(0xC000, 0x00310000u | (2u << 4) | 2u); // L2[0] -> 0x310000
+  ASSERT_EQ(HitsBefore + 1, Mmu_.Hits) << "the edit must be a TLB hit";
+  EXPECT_EQ(fetch(0x00300000), 0x22222222u);
+}
+
 // --- Guest RAM page table -------------------------------------------------
 
 TEST(PhysMem, FreshRamPointsEveryPageAtTheZeroPage) {
@@ -345,6 +391,37 @@ TEST(PhysMem, WriteToAMarkedPageBumpsTheWalkGeneration) {
   EXPECT_EQ(3u, Ram.walkGeneration());
   Ram.writeBlock(0x2FFC, "\0\0\0\0\0\0\0\0", 8); // pages 2 and 3
   EXPECT_EQ(4u, Ram.walkGeneration());
+}
+
+TEST(PhysMem, WritePointerOnlyWhileOwnedAndNotWalked) {
+  PhysMem Ram(64 << 10);
+  for (uint32_t Pn = 0; Pn < Ram.numPages(); ++Pn) {
+    ASSERT_EQ(Ram.page(Pn), Ram.readPointers()[Pn]);
+    ASSERT_EQ(nullptr, Ram.writePointers()[Pn]) << "page " << Pn;
+  }
+  Ram.write(0x1000, 4, 1);
+  Ram.write(0x2000, 4, 1);
+  EXPECT_EQ(Ram.page(1), Ram.readPointers()[1]);
+  EXPECT_EQ(Ram.page(1), Ram.writePointers()[1]) << "owned, not walked";
+
+  Ram.markWalked(0x2000);
+  EXPECT_EQ(nullptr, Ram.writePointers()[2]);
+  Ram.write(0x2004, 4, 2);
+  EXPECT_EQ(nullptr, Ram.writePointers()[2]) << "a walked page stays slow";
+  EXPECT_EQ(1u, Ram.walkGeneration());
+
+  const auto Img = Ram.capture();
+  EXPECT_EQ(nullptr, Ram.writePointers()[1]) << "shared with the image";
+  PhysMem Fork(*Img);
+  for (uint32_t Pn = 0; Pn < Fork.numPages(); ++Pn) {
+    ASSERT_EQ(Img->Pages[Pn]->Bytes, Fork.readPointers()[Pn]);
+    ASSERT_EQ(nullptr, Fork.writePointers()[Pn]) << "page " << Pn;
+  }
+  Ram.write(0x1000, 4, 3); // clones page 1
+  EXPECT_NE(Img->Pages[1]->Bytes, Ram.readPointers()[1]);
+  EXPECT_EQ(Ram.page(1), Ram.writePointers()[1]);
+  EXPECT_EQ(1u, Fork.read(0x1000, 4));
+  EXPECT_EQ(3u, Ram.read(0x1000, 4));
 }
 
 // --- Instruction-fetch semantics ------------------------------------------

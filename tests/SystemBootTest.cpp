@@ -11,9 +11,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "arm/AsmBuilder.h"
 #include "guestsw/MiniKernel.h"
 #include "guestsw/Workloads.h"
 #include "sys/Interpreter.h"
+#include "sys/Mmu.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
@@ -91,6 +93,65 @@ TEST(SystemBoot, DemandPagingAllocatesHeap) {
   const uint32_t HeapNext =
       V.board().Ram.read(guestsw::KernelLayout::VarHeapNext, 4);
   EXPECT_GT(HeapNext, guestsw::KernelLayout::HeapPhysPool);
+}
+
+/// A bare-metal guest (vectors at 0, MMU off) whose loop loads from and
+/// stores to a physical hole past the end of its 8 MiB RAM twice each. Its
+/// data-abort handler counts the aborts in r5, ORs their DFSRs into r6 and
+/// skips the faulting instruction; the guest prints the count and powers
+/// off.
+std::vector<uint32_t> holeToucher() {
+  using namespace arm;
+  AsmBuilder A(0);
+  Label Reset = A.newLabel(), Dabt = A.newLabel(), Hang = A.newLabel();
+  A.b(Reset); // 0x00 reset
+  A.b(Hang);  // 0x04 undefined
+  A.b(Hang);  // 0x08 svc
+  A.b(Hang);  // 0x0C prefetch abort
+  A.b(Dabt);  // 0x10 data abort
+  A.b(Hang);  // 0x14 unused
+  A.b(Hang);  // 0x18 irq
+  A.bind(Reset);
+  A.movi(5, 0);
+  A.movi(6, 0);
+  A.movImm32(1, 0x0A000000u);
+  A.movi(2, 2);
+  const Label Loop = A.hereLabel();
+  A.ldr(0, 1, 0);
+  A.str(2, 1, 4);
+  A.sub(2, 2, Operand2::imm(1), Cond::AL, /*S=*/true);
+  A.b(Loop, Cond::NE);
+  A.movImm32(12, sys::MmioUart);
+  A.add(0, 5, Operand2::imm('0'));
+  A.str(0, 12, sys::Uart::RegTx);
+  A.str(0, 12, sys::Uart::RegShutdown);
+  A.bind(Hang);
+  const Label Spin = A.hereLabel();
+  A.b(Spin);
+  A.bind(Dabt);
+  A.add(5, 5, Operand2::imm(1));
+  A.mrc(Cp15Reg::DFSR, 7);
+  A.alu(Opcode::ORR, 6, 6, Operand2::reg(7));
+  A.eret(4); // resume after the faulting access
+  return A.finish();
+}
+
+// The TLB tags only whole RAM pages: an access to a hole aborts every
+// time, also when translated code's inline probe runs it again.
+TEST(SystemBoot, EveryAccessToARamHoleAborts) {
+  for (const char *Kind : {"native", "qemu", "rule:scheduling"}) {
+    vm::Vm V(vm::VmConfig()
+                 .translator(Kind)
+                 .ramBytes(8 << 20)
+                 .wallBudget(10u * 1000 * 1000)
+                 .flatImage(holeToucher(), 0));
+    ASSERT_TRUE(V.valid()) << Kind << ": " << V.error();
+    const vm::RunReport R = V.run();
+    EXPECT_EQ(dbt::StopReason::GuestShutdown, R.Stop) << Kind;
+    EXPECT_EQ("4", R.Console) << Kind;
+    EXPECT_EQ(4u, R.Final.Regs[5]) << Kind << ": data aborts taken";
+    EXPECT_EQ(sys::FsrExternal, R.Final.Regs[6]) << Kind << ": DFSR";
+  }
 }
 
 } // namespace
