@@ -6,12 +6,13 @@
 ///
 /// \file
 /// The harness the bench binaries and tools/rdbt_scenarios share: the
-/// counter record of one session (RunStats), the matrix JSON the perf
-/// gate diffs, the paper's tables read off a scenario matrix
-/// (formatPaperFigures), and positive-integer parsing for flags and env
-/// vars. Absolute numbers come from the simulated host (host instructions
-/// = wall cycles); see EXPERIMENTS.md for the paper-vs-measured
-/// comparison.
+/// counter record of one session (RunStats), the matrix JSON with its one
+/// writer (formatMatrixJson), its one reader (parseMatrixJson) and the
+/// exact-count gate over both (gateMatrix), the paper's tables read off a
+/// scenario matrix (formatPaperFigures), and positive-integer parsing for
+/// flags and env vars. Absolute numbers come from the simulated host
+/// (host instructions = wall cycles); see EXPERIMENTS.md for the
+/// paper-vs-measured comparison.
 ///
 /// RDBT_BENCH_SCALE (env) scales the bench binaries' workload iteration
 /// counts (default 4; a value that is not a positive decimal is an error).
@@ -80,13 +81,13 @@ struct RunStats {
   uint64_t LoadedTbs = 0;
   // Interpreter decoded-instruction cache behavior (DESIGN.md §14).
   // Deterministic for a deterministic run, but configuration-dependent by
-  // design (",ifp=off" forces every decode to a miss), so A/B gates that
-  // compare across ifp settings waive them with --allow-prefix interp_.
+  // design (",ifp=off" forces every decode to a miss), so the matrix gate
+  // waives the interp_* fields of a run made with --ifp off (gateMatrix).
   uint64_t InterpDecodeHits = 0;
   uint64_t InterpDecodeMisses = 0;
   // Observability results (vm::RunReport::ObsStats), present only when
-  // the run was traced. Emitted as the obs_* field family — waived by
-  // prefix in the perf gate, so they never trip the exact-count diff.
+  // the run was traced. Emitted as the obs_* field family, which the
+  // matrix gate waives for a traced run (gateMatrix).
   vm::RunReport::ObsStats Obs;
   bool Ok = false;
 
@@ -226,10 +227,9 @@ inline std::string jsonEscape(const std::string &In) {
 /// BENCH_*.json run record and BENCH_matrix.json cell shares) — integer
 /// counters only, in a fixed order, so two emissions of equal stats are
 /// byte-identical. A traced run additionally carries the obs_* field
-/// family (flat scalars, so the perf gate's parser sees them and its
-/// --allow-prefix obs_ waiver can skip them); an untraced run emits no
-/// obs_* field at all, keeping its document byte-identical to pre-obs
-/// output.
+/// family (flat scalars, so parseMatrixJson reads them and a traced
+/// run's gate can waive them by name); an untraced run emits no obs_*
+/// field at all, keeping its document byte-identical to pre-obs output.
 template <typename Stream>
 inline void writeRunStatsFields(Stream &OS, const RunStats &S) {
   OS << "\"ok\": " << (S.Ok ? "true" : "false") << ", \"wall\": " << S.Wall
@@ -274,46 +274,6 @@ inline void writeRunStatsFields(Stream &OS, const RunStats &S) {
   }
 }
 
-/// The warm-boot contract, checked per cell by `rdbt_scenarios
-/// --cache-dir`: \p Warm reran \p Cold's session against the cache files
-/// the cold run saved. It must translate nothing and reject no file, and
-/// every other counter must equal cold's — except the provenance and
-/// translation-time fields a warm boot changes by design (cache_file_hits,
-/// loaded_tbs, rule coverage and rule matching) and the obs_* family.
-/// Returns "" when clean, else a message naming the first field that
-/// differs.
-inline std::string warmBootDiff(const RunStats &Cold, const RunStats &Warm) {
-  if (Warm.Translations || Warm.TranslatedGuestInstrs)
-    return "warm boot still translated " + std::to_string(Warm.Translations) +
-           " block(s)";
-  if (Warm.CacheFileMisses)
-    return "warm boot rejected a cache file";
-  RunStats W = Warm;
-  W.Translations = Cold.Translations;
-  W.TranslatedGuestInstrs = Cold.TranslatedGuestInstrs;
-  W.CacheFileMisses = Cold.CacheFileMisses;
-  W.CacheFileHits = Cold.CacheFileHits;
-  W.LoadedTbs = Cold.LoadedTbs;
-  W.RuleCoveredInstrs = Cold.RuleCoveredInstrs;
-  W.FallbackInstrs = Cold.FallbackInstrs;
-  W.RuleMatchAttempts = Cold.RuleMatchAttempts;
-  W.RuleMatchHits = Cold.RuleMatchHits;
-  W.Obs = Cold.Obs;
-  std::ostringstream C, WS;
-  writeRunStatsFields(C, Cold);
-  writeRunStatsFields(WS, W);
-  // Both emissions list the same `"name": value` fields in the same order.
-  std::istringstream CI(C.str()), WI(WS.str());
-  std::string CF, WF;
-  while (std::getline(CI, CF, ',') && std::getline(WI, WF, ','))
-    if (CF != WF) {
-      const size_t Open = CF.find('"'), Close = CF.find('"', Open + 1);
-      return CF.substr(Open + 1, Close - Open - 1) + ": cold " +
-             CF.substr(Close + 3) + ", warm " + WF.substr(Close + 3);
-    }
-  return "";
-}
-
 inline double geomean(const std::vector<double> &Values) {
   if (Values.empty())
     return 0;
@@ -331,10 +291,10 @@ struct MatrixCell {
 };
 
 /// Serializes a scenario matrix to the BENCH_matrix.json document the
-/// perf-regression gate (tools/rdbt_perfgate) diffs: cells in submission
-/// order under "matrix", integer counters only. Byte-identical for equal
-/// inputs, so a parallel matrix run reproduces the serial document
-/// exactly (vm/BatchRunner.h).
+/// exact-count gate reads (gateMatrix, bench/baselines/): cells in
+/// submission order under "matrix", integer counters only. Byte-identical
+/// for equal inputs, so a parallel matrix run reproduces the serial
+/// document exactly (vm/BatchRunner.h).
 inline std::string formatMatrixJson(const std::vector<MatrixCell> &Cells,
                                     uint32_t Scale) {
   std::ostringstream OS;
@@ -348,6 +308,289 @@ inline std::string formatMatrixJson(const std::vector<MatrixCell> &Cells,
   }
   OS << "\n  }\n}\n";
   return OS.str();
+}
+
+/// A matrix document as parseMatrixJson reads it: the "scale" value and
+/// each cell's fields in document order. Values stay the text the writer
+/// emitted; the gate compares them exactly and does no arithmetic.
+struct MatrixDoc {
+  struct Cell {
+    std::string Key;
+    std::vector<std::pair<std::string, std::string>> Fields;
+
+    const std::string *field(const std::string &Name) const {
+      for (const auto &F : Fields)
+        if (F.first == Name)
+          return &F.second;
+      return nullptr;
+    }
+  };
+  std::string Scale; ///< "" if the document has none
+  std::vector<Cell> Cells;
+
+  const Cell *cell(const std::string &Key) const {
+    for (const Cell &C : Cells)
+      if (C.Key == Key)
+        return &C;
+    return nullptr;
+  }
+};
+
+/// The one reader of the matrix JSON, for the subset formatMatrixJson
+/// writes: a top-level object of scalar and string members whose
+/// "matrix" member maps cell keys to flat objects of scalar fields.
+/// Anything else, a repeated cell key or field name, or a document
+/// without "matrix" returns false with a message in \p Error.
+inline bool parseMatrixJson(const std::string &Text, MatrixDoc &Doc,
+                            std::string &Error) {
+  Doc = MatrixDoc();
+  size_t P = 0;
+  const auto Space = [&] {
+    return P < Text.size() && (Text[P] == ' ' || Text[P] == '\n' ||
+                               Text[P] == '\t' || Text[P] == '\r');
+  };
+  const auto SkipSpace = [&] {
+    while (Space())
+      ++P;
+  };
+  const auto Eat = [&](char C) {
+    SkipSpace();
+    if (P >= Text.size() || Text[P] != C)
+      return false;
+    ++P;
+    return true;
+  };
+  const auto Fail = [&](const std::string &Msg) {
+    Error = Msg + " at byte " + std::to_string(P);
+    return false;
+  };
+  const auto String = [&](std::string &Out) {
+    if (!Eat('"'))
+      return false;
+    Out.clear();
+    for (; P < Text.size() && Text[P] != '"'; ++P) {
+      if (Text[P] == '\\' && P + 1 < Text.size())
+        ++P; // the writer escapes only '"' and '\\' (jsonEscape)
+      Out += Text[P];
+    }
+    return Eat('"');
+  };
+  const auto Scalar = [&](std::string &Out) {
+    SkipSpace();
+    const size_t Begin = P;
+    while (P < Text.size() && Text[P] != ',' && Text[P] != '}' && !Space())
+      ++P;
+    Out = Text.substr(Begin, P - Begin);
+    return !Out.empty();
+  };
+  // The members of one object: Member(Name) reads the value after
+  // `"Name":`.
+  const auto Members = [&](const char *What, auto &&Member) {
+    if (!Eat('{'))
+      return Fail(std::string("expected '{' to open ") + What);
+    if (Eat('}'))
+      return true;
+    do {
+      std::string Name;
+      if (!String(Name))
+        return Fail(std::string("expected a member name in ") + What);
+      if (!Eat(':'))
+        return Fail("expected ':' after \"" + Name + "\"");
+      if (!Member(Name))
+        return false;
+    } while (Eat(','));
+    return Eat('}') || Fail(std::string("expected ',' or '}' in ") + What);
+  };
+  const auto CellMember = [&](const std::string &Key) {
+    if (Doc.cell(Key))
+      return Fail("repeated cell \"" + Key + "\"");
+    Doc.Cells.push_back({Key, {}});
+    MatrixDoc::Cell &C = Doc.Cells.back();
+    return Members("a cell", [&](const std::string &Name) {
+      std::string Value;
+      if (!Scalar(Value))
+        return Fail("expected a scalar value for " + Key + "." + Name);
+      if (C.field(Name))
+        return Fail("repeated field " + Key + "." + Name);
+      C.Fields.emplace_back(Name, std::move(Value));
+      return true;
+    });
+  };
+  bool HaveMatrix = false;
+  const auto TopMember = [&](const std::string &Name) {
+    if (Name == "matrix") {
+      HaveMatrix = true;
+      return Members("\"matrix\"", CellMember);
+    }
+    std::string Value;
+    SkipSpace();
+    const bool Quoted = P < Text.size() && Text[P] == '"';
+    if (!(Quoted ? String(Value) : Scalar(Value)))
+      return Fail("expected a value for \"" + Name + "\"");
+    if (Name == "scale")
+      Doc.Scale = Value;
+    return true;
+  };
+  if (!Members("the document", TopMember))
+    return false;
+  SkipSpace();
+  if (P != Text.size())
+    return Fail("trailing text after the document");
+  if (!HaveMatrix)
+    return Fail("no \"matrix\" object");
+  return true;
+}
+
+/// The one exact comparison of two cells: calls
+/// \p Report(Name, BaseValue, CurValue, Waived) for every field whose
+/// value differs or that only one side has (the other side's value is
+/// null), Base's fields first in order, then the ones only Cur has.
+/// \p Waived(Name) says whether a difference in that field is excused.
+/// Returns the number of unwaived differences.
+template <typename WaivedFn, typename ReportFn>
+inline int compareCells(const MatrixDoc::Cell &Base,
+                        const MatrixDoc::Cell &Cur, WaivedFn Waived,
+                        ReportFn Report) {
+  int Unwaived = 0;
+  const auto Note = [&](const std::string &Name, const std::string *B,
+                        const std::string *C) {
+    const bool W = Waived(Name);
+    Unwaived += !W;
+    Report(Name, B, C, W);
+  };
+  for (const auto &F : Base.Fields) {
+    const std::string *V = Cur.field(F.first);
+    if (!V || *V != F.second)
+      Note(F.first, &F.second, V);
+  }
+  for (const auto &F : Cur.Fields)
+    if (!Base.field(F.first))
+      Note(F.first, nullptr, &F.second);
+  return Unwaived;
+}
+
+/// Exact-count comparison of two matrix documents. Appends one line per
+/// difference to \p Diffs ("FAIL: ..." or, for a field whose name starts
+/// with one of \p WaivedPrefixes, "allowed: ...") and returns the number
+/// of FAIL lines. A scale mismatch and a cell on one side only always
+/// fail: no waiver excuses a missing or new scenario.
+inline int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
+                           const std::vector<std::string> &WaivedPrefixes,
+                           std::vector<std::string> &Diffs) {
+  int Regressions = 0;
+  const auto Fail = [&](const std::string &Line) {
+    Diffs.push_back("FAIL: " + Line);
+    ++Regressions;
+  };
+  const auto Waived = [&](const std::string &Field) {
+    for (const std::string &Pfx : WaivedPrefixes)
+      if (Field.compare(0, Pfx.size(), Pfx) == 0)
+        return true;
+    return false;
+  };
+  if (Base.Scale != Cur.Scale)
+    Fail("scale mismatch: baseline " + Base.Scale + ", current " + Cur.Scale);
+  for (const MatrixDoc::Cell &B : Base.Cells) {
+    const MatrixDoc::Cell *C = Cur.cell(B.Key);
+    if (!C) {
+      Fail(B.Key + ": missing from current run");
+      continue;
+    }
+    Regressions += compareCells(
+        B, *C, Waived,
+        [&](const std::string &Field, const std::string *BV,
+            const std::string *CV, bool W) {
+          Diffs.push_back((W ? "allowed: " : "FAIL: ") + B.Key + "." + Field +
+                          ": " +
+                          (!CV   ? "missing from current run"
+                           : !BV ? "not in baseline"
+                                 : *BV + " -> " + *CV));
+        });
+  }
+  for (const MatrixDoc::Cell &C : Cur.Cells)
+    if (!Base.cell(C.Key))
+      Fail(C.Key + ": not in baseline (update bench/baselines/)");
+  return Regressions;
+}
+
+/// The exact-count gate of a scenario matrix run (`rdbt_scenarios
+/// --baseline`): reads formatMatrixJson(\p Cells, \p Scale) back with
+/// parseMatrixJson, so every gated run also round-trips the writer, and
+/// compares it with \p Base. The only waivers are the field classes the
+/// run's own settings move: interp_* exactly when the interpreter
+/// fastpath was off (\p IfpOff), obs_* exactly when the run was traced.
+/// Returns the number of regressions, with every difference in \p Diffs.
+inline int gateMatrix(const MatrixDoc &Base,
+                      const std::vector<MatrixCell> &Cells, uint32_t Scale,
+                      bool IfpOff, bool Traced,
+                      std::vector<std::string> &Diffs) {
+  MatrixDoc Cur;
+  std::string Error;
+  if (!parseMatrixJson(formatMatrixJson(Cells, Scale), Cur, Error)) {
+    Diffs.push_back("FAIL: the matrix JSON does not read back: " + Error);
+    return 1;
+  }
+  std::vector<std::string> Waived;
+  if (IfpOff)
+    Waived.push_back("interp_");
+  if (Traced)
+    Waived.push_back("obs_");
+  return compareMatrices(Base, Cur, Waived, Diffs);
+}
+
+/// Reads the matrix document at \p Path (parseMatrixJson); a file that
+/// cannot be read or parsed returns false with a message in \p Error.
+inline bool readMatrixJsonFile(const std::string &Path, MatrixDoc &Doc,
+                               std::string &Error) {
+  std::ifstream IS(Path);
+  std::ostringstream Text;
+  if (!IS || !(Text << IS.rdbuf())) {
+    Error = "cannot read " + Path;
+    return false;
+  }
+  if (!parseMatrixJson(Text.str(), Doc, Error)) {
+    Error = Path + ": " + Error;
+    return false;
+  }
+  return true;
+}
+
+/// The warm-boot contract, checked per cell by `rdbt_scenarios
+/// --cache-dir`: \p Warm reran \p Cold's session against the cache files
+/// the cold run saved. It must translate nothing and reject no file, and
+/// every other counter must equal cold's — except the provenance and
+/// translation-time fields a warm boot changes by design (cache_file_hits,
+/// loaded_tbs, rule coverage and rule matching) and the obs_* family.
+/// Returns "" when clean, else a message naming the first field that
+/// differs.
+inline std::string warmBootDiff(const RunStats &Cold, const RunStats &Warm) {
+  if (Warm.Translations || Warm.TranslatedGuestInstrs)
+    return "warm boot still translated " + std::to_string(Warm.Translations) +
+           " block(s)";
+  if (Warm.CacheFileMisses)
+    return "warm boot rejected a cache file";
+  MatrixDoc Doc;
+  std::string First;
+  if (!parseMatrixJson(formatMatrixJson({{"cold", Cold}, {"warm", Warm}}, 1),
+                       Doc, First))
+    return "the matrix JSON does not read back: " + First;
+  const auto ByDesign = [](const std::string &Field) {
+    for (const char *Name :
+         {"translations", "translated_guest_instrs", "cache_file_misses",
+          "cache_file_hits", "loaded_tbs", "rule_covered_instrs",
+          "fallback_instrs", "rule_match_attempts", "rule_match_hits"})
+      if (Field == Name)
+        return true;
+    return Field.compare(0, 4, "obs_") == 0;
+  };
+  compareCells(Doc.Cells[0], Doc.Cells[1], ByDesign,
+               [&](const std::string &Field, const std::string *C,
+                   const std::string *W, bool Waived) {
+                 if (!Waived && First.empty())
+                   First = Field + ": cold " + (C ? *C : "-") + ", warm " +
+                           (W ? *W : "-");
+               });
+  return First;
 }
 
 /// printf into the end of \p Out.

@@ -16,8 +16,8 @@
 /// TranslatorRegistry), and results are keyed by submission index — so
 /// the returned vector, and anything serialized from it in order, is
 /// bitwise identical whether jobs() is 1 or 64. The perf-regression gate
-/// (tools/rdbt_perfgate) and the BENCH_matrix.json baselines rest on
-/// this property; BatchRunnerTest holds it.
+/// (rdbt_scenarios --baseline) and the BENCH_matrix.json baselines rest
+/// on this property; BatchRunnerTest holds it.
 ///
 /// Sharing *mutable* attachments between batched configs is the one way
 /// to break it: a profile::GapMiner is per-session state and must not be

@@ -19,6 +19,11 @@
 ///    batch.
 ///  * The warm-boot gate: bench::warmBootDiff passes a real cache-booted
 ///    rerun and names what a translating, rejected or diverged one broke.
+///  * The exact-count gate: bench::parseMatrixJson reads what
+///    formatMatrixJson writes (and the checked-in baseline), rejects
+///    malformed documents, and bench::compareMatrices / gateMatrix fail
+///    every counter change, missing or new cell and scale mismatch,
+///    waiving interp_* and obs_* only for runs that move them.
 ///  * The paper's figures: bench::formatPaperFigures reads Table I and
 ///    Figs. 14-19 off matrix cells, and a failed cell fails its workload's
 ///    row in exactly the figures that read it.
@@ -232,6 +237,267 @@ TEST(BatchRunner, WarmBootDiffGatesTheWarmPass) {
   EXPECT_EQ("wall: cold " + std::to_string(Cold.Wall) + ", warm " +
                 std::to_string(Cold.Wall + 1),
             bench::warmBootDiff(Cold, Bad));
+
+  // The fields a warm boot moves by design, and the obs_* family, are
+  // waived; the first other difference is named.
+  bench::RunStats Moved = Warm;
+  Moved.LoadedTbs += 5;
+  ++Moved.RuleMatchHits;
+  Moved.Obs.Enabled = true;
+  Moved.Obs.Events = 9;
+  EXPECT_EQ("", bench::warmBootDiff(Cold, Moved));
+  ++Moved.InterpDecodeMisses;
+  ++Moved.SyncOps;
+  EXPECT_EQ("sync_ops: cold " + std::to_string(Cold.SyncOps) + ", warm " +
+                std::to_string(Cold.SyncOps + 1),
+            bench::warmBootDiff(Cold, Moved));
+}
+
+namespace {
+
+/// A two-cell matrix document in the writer's layout; \p QemuWall and
+/// \p QemuExtra (more fields) vary the qemu cell.
+std::string matrixText(const std::string &QemuWall = "450",
+                       const std::string &QemuExtra = "",
+                       const std::string &Scale = "1") {
+  return "{\n  \"bench\": \"matrix\",\n  \"scale\": " + Scale +
+         ",\n  \"matrix\": {\n"
+         "    \"native/a@1\": {\"ok\": true, \"wall\": 100, "
+         "\"guest_instrs\": 100},\n"
+         "    \"qemu/a@1\": {\"ok\": true, \"wall\": " +
+         QemuWall + ", \"guest_instrs\": 100" + QemuExtra + "}\n  }\n}\n";
+}
+
+const char *const OneCellText =
+    "{\"scale\": 1, \"matrix\": {\"native/a@1\": "
+    "{\"ok\": true, \"wall\": 100, \"guest_instrs\": 100}}}";
+
+bench::MatrixDoc readDoc(const std::string &Text) {
+  bench::MatrixDoc Doc;
+  std::string Error;
+  EXPECT_TRUE(bench::parseMatrixJson(Text, Doc, Error)) << Error << "\n"
+                                                        << Text;
+  return Doc;
+}
+
+/// compareMatrices' regression count, with its lines in \p Diffs.
+int regressions(const std::string &Base, const std::string &Cur,
+                const std::vector<std::string> &Waived = {},
+                std::vector<std::string> *Diffs = nullptr) {
+  std::vector<std::string> Lines;
+  const int N =
+      bench::compareMatrices(readDoc(Base), readDoc(Cur), Waived, Lines);
+  if (Diffs)
+    *Diffs = Lines;
+  return N;
+}
+
+} // namespace
+
+TEST(MatrixGate, IdenticalDocumentsPass) {
+  const bench::MatrixDoc Doc = readDoc(matrixText());
+  EXPECT_EQ(Doc.Scale, "1");
+  ASSERT_EQ(Doc.Cells.size(), 2u);
+  ASSERT_NE(Doc.cell("qemu/a@1"), nullptr);
+  ASSERT_NE(Doc.cell("qemu/a@1")->field("wall"), nullptr);
+  EXPECT_EQ(*Doc.cell("qemu/a@1")->field("wall"), "450");
+  std::vector<std::string> Diffs;
+  EXPECT_EQ(regressions(matrixText(), matrixText(), {}, &Diffs), 0);
+  EXPECT_TRUE(Diffs.empty());
+}
+
+TEST(MatrixGate, OneChangedCounterIsOneRegression) {
+  std::vector<std::string> Diffs;
+  EXPECT_EQ(regressions(matrixText(), matrixText("451"), {}, &Diffs), 1);
+  ASSERT_EQ(Diffs.size(), 1u);
+  EXPECT_EQ(Diffs[0], "FAIL: qemu/a@1.wall: 450 -> 451");
+}
+
+TEST(MatrixGate, MissingOrNewScenarioFailsBothWays) {
+  std::vector<std::string> Diffs;
+  EXPECT_EQ(regressions(matrixText(), OneCellText, {}, &Diffs), 1);
+  ASSERT_EQ(Diffs.size(), 1u);
+  EXPECT_EQ(Diffs[0], "FAIL: qemu/a@1: missing from current run");
+  EXPECT_EQ(regressions(OneCellText, matrixText(), {}, &Diffs), 1);
+  ASSERT_EQ(Diffs.size(), 1u);
+  EXPECT_EQ(Diffs[0],
+            "FAIL: qemu/a@1: not in baseline (update bench/baselines/)");
+}
+
+TEST(MatrixGate, NoFieldWaiverExcusesAMissingCell) {
+  const std::vector<std::string> Everything = {"q", "o", "w", "g", "qemu/"};
+  EXPECT_EQ(regressions(matrixText(), OneCellText, Everything), 1);
+  EXPECT_EQ(regressions(OneCellText, matrixText(), Everything), 1);
+}
+
+TEST(MatrixGate, ObsWaiverSkipsTheFieldClassButNotACounterDelta) {
+  const std::string Obs =
+      ", \"obs_events\": 42, \"obs_translate_ns_count\": 7";
+  std::vector<std::string> Diffs;
+  EXPECT_EQ(regressions(matrixText(), matrixText("450", Obs), {}, &Diffs), 2);
+  EXPECT_EQ(regressions(matrixText(), matrixText("450", Obs), {"obs_"},
+                        &Diffs),
+            0);
+  ASSERT_EQ(Diffs.size(), 2u);
+  EXPECT_EQ(Diffs[0], "allowed: qemu/a@1.obs_events: not in baseline");
+  EXPECT_EQ(regressions(matrixText(), matrixText("451", Obs), {"obs_"},
+                        &Diffs),
+            1);
+  ASSERT_EQ(Diffs.size(), 3u);
+  EXPECT_EQ(Diffs[0], "FAIL: qemu/a@1.wall: 450 -> 451");
+  // Waived obs_* fields missing from the current run pass as well.
+  EXPECT_EQ(regressions(matrixText("450", Obs), matrixText(), {"obs_"}), 0);
+}
+
+TEST(MatrixGate, ScaleMismatchFails) {
+  std::vector<std::string> Diffs;
+  EXPECT_EQ(regressions(matrixText(), matrixText("450", "", "4"), {"obs_"},
+                        &Diffs),
+            1);
+  ASSERT_EQ(Diffs.size(), 1u);
+  EXPECT_EQ(Diffs[0], "FAIL: scale mismatch: baseline 1, current 4");
+}
+
+TEST(MatrixGate, MalformedDocumentsAreRejected) {
+  for (const char *Bad : {
+           "",
+           "[]",
+           "{}",
+           "{\"scale\": 1}",
+           "{\"matrix\": []}",
+           "{\"matrix\": {\"a@1\": 3}}",
+           "{\"matrix\": {\"a@1\": {\"wall\": }}}",
+           "{\"matrix\": {\"a@1\": {\"wall\" 1}}}",
+           "{\"matrix\": {\"a@1\": {\"wall\": 1 \"ok\": true}}}",
+           "{\"matrix\": {\"a@1\": {\"wall\": 1}}",
+           "{\"matrix\": {\"a@1",
+           "{\"matrix\": {}} trailing",
+           "{\"matrix\": {\"a@1\": {}, \"a@1\": {}}}",
+           "{\"matrix\": {\"a@1\": {\"wall\": 1, \"wall\": 1}}}",
+           "{\"matrix\": {\"a@1\": {\"wall\": 1,}}}",
+       }) {
+    bench::MatrixDoc Doc;
+    std::string Error;
+    EXPECT_FALSE(bench::parseMatrixJson(Bad, Doc, Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+  }
+  EXPECT_EQ(readDoc("{\"matrix\": {}}").Cells.size(), 0u);
+}
+
+TEST(MatrixGate, CheckedInBaselineReadsAsTheFullMatrix) {
+  bench::MatrixDoc Doc;
+  std::string Error;
+  ASSERT_TRUE(bench::readMatrixJsonFile(RDBT_MATRIX_BASELINE, Doc, Error))
+      << Error;
+  EXPECT_EQ(Doc.Scale, "1");
+  EXPECT_EQ(Doc.Cells.size(), 133u);
+  size_t Expected = 0;
+  for (const std::string &Kind : vm::TranslatorRegistry::global().kinds())
+    for (const auto &W : guestsw::workloads()) {
+      ++Expected;
+      const std::string Key = Kind + "/" + W.Name + "@1";
+      const bench::MatrixDoc::Cell *C = Doc.cell(Key);
+      ASSERT_NE(C, nullptr) << Key;
+      EXPECT_EQ(C->Fields.size(), 29u) << Key;
+      ASSERT_NE(C->field("ok"), nullptr) << Key;
+      EXPECT_EQ(*C->field("ok"), "true") << Key;
+    }
+  EXPECT_EQ(Expected, Doc.Cells.size());
+}
+
+TEST(MatrixGate, WriterReadsBackFieldForField) {
+  bench::RunStats S;
+  uint64_t V = 1;
+  for (uint64_t *F :
+       {&S.Wall, &S.GuestInstrs, &S.MemInstrs, &S.SysInstrs, &S.IrqChecks,
+        &S.SyncInstrs, &S.SyncOps, &S.HostInstrs, &S.CacheFlushes,
+        &S.TbsInvalidated, &S.TbsRetained, &S.LiveTbs, &S.Retranslations,
+        &S.RetranslatedGuestInstrs, &S.RuleCoveredInstrs, &S.FallbackInstrs,
+        &S.RuleMatchAttempts, &S.RuleMatchHits, &S.GapSeqs,
+        &S.GapTranslations, &S.GapExecs, &S.Translations,
+        &S.TranslatedGuestInstrs, &S.CacheFileHits, &S.CacheFileMisses,
+        &S.LoadedTbs, &S.InterpDecodeHits, &S.InterpDecodeMisses})
+    *F = V++ * 1000003;
+  bench::RunStats Traced = S;
+  Traced.Ok = true;
+  Traced.Obs.Enabled = true;
+  Traced.Obs.Events = 77;
+  Traced.Obs.Dropped = 2;
+  Traced.Obs.Metrics.counter("chain_follows") = 12;
+  Traced.Obs.Metrics.histogram("translate_ns").record(40);
+  const std::string OddKey = "rule:file/\"odd\\key\"@1";
+  const bench::MatrixDoc Doc = readDoc(
+      bench::formatMatrixJson({{"native/a@1", S}, {OddKey, Traced}}, 3));
+  EXPECT_EQ(Doc.Scale, "3");
+  ASSERT_EQ(Doc.Cells.size(), 2u);
+  EXPECT_EQ(Doc.Cells[0].Key, "native/a@1");
+  EXPECT_EQ(Doc.Cells[1].Key, OddKey);
+
+  const std::vector<std::string> Names = {
+      "ok", "wall", "guest_instrs", "mem_instrs", "sys_instrs", "irq_checks",
+      "sync_instrs", "sync_ops", "host_instrs", "cache_flushes",
+      "tbs_invalidated", "tbs_retained", "live_tbs", "retranslations",
+      "retranslated_guest_instrs", "rule_covered_instrs", "fallback_instrs",
+      "rule_match_attempts", "rule_match_hits", "gap_seqs",
+      "gap_translations", "gap_execs", "translations",
+      "translated_guest_instrs", "cache_file_hits", "cache_file_misses",
+      "loaded_tbs", "interp_decode_hits", "interp_decode_misses"};
+  const std::vector<std::pair<std::string, std::string>> Obs = {
+      {"obs_events", "77"},           {"obs_dropped_events", "2"},
+      {"obs_chain_follows", "12"},    {"obs_translate_ns_count", "1"},
+      {"obs_translate_ns_sum", "40"}, {"obs_translate_ns_max", "40"}};
+  for (size_t C = 0; C < 2; ++C) {
+    const auto &Fields = Doc.Cells[C].Fields;
+    ASSERT_EQ(Fields.size(), Names.size() + (C ? Obs.size() : 0));
+    EXPECT_EQ(Fields[0].first, "ok");
+    EXPECT_EQ(Fields[0].second, C ? "true" : "false");
+    for (size_t I = 1; I < Names.size(); ++I) {
+      EXPECT_EQ(Fields[I].first, Names[I]);
+      EXPECT_EQ(Fields[I].second, std::to_string(I * 1000003));
+    }
+    for (size_t I = 0; C && I < Obs.size(); ++I)
+      EXPECT_EQ(Fields[Names.size() + I], Obs[I]);
+  }
+}
+
+TEST(MatrixGate, WaiversFollowTheRunsSettings) {
+  const auto Cells = [](bench::RunStats S) {
+    return std::vector<bench::MatrixCell>{{"qemu/a@1", S}};
+  };
+  bench::RunStats S;
+  S.Ok = true;
+  S.Wall = 450;
+  S.InterpDecodeHits = 90;
+  const bench::MatrixDoc Base = readDoc(bench::formatMatrixJson(Cells(S), 1));
+  const auto Gate = [&](const bench::RunStats &Cur, bool IfpOff,
+                        bool Traced) {
+    std::vector<std::string> Diffs;
+    return bench::gateMatrix(Base, Cells(Cur), 1, IfpOff, Traced, Diffs);
+  };
+  EXPECT_EQ(Gate(S, false, false), 0);
+
+  // interp_* is waived exactly when the fastpath was off.
+  bench::RunStats IfpOff = S;
+  IfpOff.InterpDecodeHits = 0;
+  IfpOff.InterpDecodeMisses = 90;
+  EXPECT_EQ(Gate(IfpOff, false, false), 2);
+  EXPECT_EQ(Gate(IfpOff, false, true), 2);
+  EXPECT_EQ(Gate(IfpOff, true, false), 0);
+
+  // obs_* is waived exactly when the run was traced.
+  bench::RunStats Traced = S;
+  Traced.Obs.Enabled = true;
+  Traced.Obs.Events = 5;
+  EXPECT_EQ(Gate(Traced, false, false), 2);
+  EXPECT_EQ(Gate(Traced, true, false), 2);
+  EXPECT_EQ(Gate(Traced, false, true), 0);
+
+  // No setting waives a counter, or the scale.
+  bench::RunStats Slower = Traced;
+  ++Slower.Wall;
+  EXPECT_EQ(Gate(Slower, true, true), 1);
+  std::vector<std::string> Diffs;
+  EXPECT_GE(bench::gateMatrix(Base, Cells(S), 2, true, true, Diffs), 1);
 }
 
 TEST(BatchRunner, EmptyBatchAndZeroJobsAreSafe) {

@@ -16,45 +16,50 @@
 //     translation blocks — guest and host disassembly, execution share,
 //     rule-coverage attribution — after its run.
 //
-//   rdbt_scenarios --jobs N [--json] [--corpus F] [--cache-dir D]
-//                  [--trace-dir D] [--ifp on|off] [scale]
+//   rdbt_scenarios --jobs N [--json] [--baseline F] [--corpus F]
+//                  [--cache-dir D] [--trace-dir D] [--ifp on|off] [scale]
 //     Full matrix: every registered kind x every workload at the given
 //     scale (default 1), executed by vm/BatchRunner on N worker threads.
 //     --json writes the merged BENCH_matrix.json — cells keyed
 //     "<kind>/<workload>@<scale>" in submission order, byte-identical
-//     regardless of N (the perf-gate baseline artifact; see
-//     tools/rdbt_perfgate and bench/README.md). After the cold pass it
-//     prints the paper's Table I and Figs. 14-19, read off the cold
-//     cells (bench::formatPaperFigures).
+//     regardless of N (bench/README.md). After the cold pass it prints
+//     the paper's Table I and Figs. 14-19, read off the cold cells
+//     (bench::formatPaperFigures).
+//
+//     --baseline F is the exact-count gate (bench::gateMatrix): the cold
+//     cells, written as matrix JSON and read back, must equal the matrix
+//     document F field for field and cell for cell. Every difference is
+//     printed; one that is not waived fails the run. The waivers follow
+//     from the run itself: the interp_* fields when --ifp off is given,
+//     the obs_* fields when --trace-dir is given, nothing else ever.
 //
 //     --cache-dir D runs the matrix twice against the persistent
 //     translation cache in D (dbt/CodeCacheIo.h): a cold pass that
 //     populates it, then a warm pass that must boot every engine cell
 //     from the saved files alone — identical console and final state,
 //     cache_file_hits == 1, translations == 0, and every other exact
-//     counter equal to the cold pass (bench::warmBootDiff). --json
-//     writes the cold pass only; the warm pass is gated in-process.
+//     counter equal to the cold pass (bench::warmBootDiff). --json and
+//     --baseline see the cold pass only; the warm pass is gated
+//     in-process.
 //
 // --ifp on|off (either mode) selects the interpreter's decoded-
 // instruction cache (DESIGN.md §14; default on). The fastpath is
-// guest-invisible, so every perf-gated counter stays bitwise identical
-// either way — only the interp_* JSON field family moves, which is why
-// the CI A/B compares an --ifp off matrix against the baseline with
-// `rdbt_perfgate --allow-prefix interp_`.
+// guest-invisible, so every gated counter stays bitwise identical
+// either way — only the interp_* JSON field family moves.
 //
 // --trace-dir D (either mode) arms the observability sink on every
 // cell: each session writes a Chrome trace-event timeline to
 // D/<sanitized-cell-key>.trace.json (warm-pass cells get a -warm
 // suffix) and its matrix JSON grows the obs_* field family. Tracing
-// reads only host wall time — every counter, console byte, and
-// perf-gated field stays bitwise identical to an untraced run
-// (rdbt_perfgate --allow-prefix obs_ is the CI check).
+// reads only host wall time — every counter, console byte, and gated
+// field stays bitwise identical to an untraced run.
 //
 // The parameterized rule:file kind joins both modes when a corpus file
 // resolves: --corpus <path>, else $RDBT_RULE_CORPUS, else the checked-in
 // bench/baselines/reference.rules relative to the working directory —
 // so the learn -> persist -> deploy path is continuously exercised.
-// Without a corpus the kind is skipped, as before.
+// Without a corpus the kind is skipped. Every path flag, and
+// RDBT_RULE_CORPUS when set, must be non-empty.
 //
 //===----------------------------------------------------------------------===//
 
@@ -84,15 +89,34 @@ bool fileExists(const std::string &Path) {
 }
 
 /// Resolves the rule:file corpus: explicit flag > environment > the
-/// checked-in default when present. Returns "" when unavailable.
+/// checked-in default when present. Returns "" when unavailable, and
+/// exits with status 2 when RDBT_RULE_CORPUS is set but empty.
 std::string resolveCorpus(const char *Flag) {
   if (Flag)
     return Flag;
-  if (const char *Env = std::getenv("RDBT_RULE_CORPUS"))
+  if (const char *Env = std::getenv("RDBT_RULE_CORPUS")) {
+    if (!*Env) {
+      std::fprintf(stderr, "RDBT_RULE_CORPUS: empty path\n");
+      std::exit(2);
+    }
     return Env;
+  }
   if (fileExists(DefaultCorpusPath))
     return DefaultCorpusPath;
   return std::string();
+}
+
+/// The value of the flag \p Name at argv[I], given as `Name V` (I then
+/// moves past V) or `Name=V`; null when argv[I] is not that flag.
+const char *flagValue(int Argc, char **Argv, int &I, const char *Name) {
+  const size_t N = std::strlen(Name);
+  if (std::strncmp(Argv[I], Name, N) != 0)
+    return nullptr;
+  if (Argv[I][N] == '=')
+    return Argv[I] + N + 1;
+  if (Argv[I][N] == '\0' && I + 1 < Argc)
+    return Argv[++I];
+  return nullptr;
 }
 
 void printRow(const vm::RunReport &R) {
@@ -219,9 +243,12 @@ toMatrixCells(const std::vector<Cell> &Cells,
   return Out;
 }
 
+/// Runs the matrix; \p Baseline, when non-null, gates the cold cells
+/// (bench::gateMatrix).
 int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
-              const std::string &Corpus, const std::string &CacheDir,
-              const std::string &TraceDir, bool Ifp) {
+              const bench::MatrixDoc *Baseline, const std::string &Corpus,
+              const std::string &CacheDir, const std::string &TraceDir,
+              bool Ifp) {
   std::vector<Cell> Cells;
   for (const std::string &Kind : vm::TranslatorRegistry::global().kinds()) {
     const auto *Info = vm::TranslatorRegistry::global().find(Kind);
@@ -264,6 +291,27 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
   if (Json)
     bench::writeBenchFile("BENCH_matrix.json",
                           bench::formatMatrixJson(ColdCells, Scale));
+  if (Baseline) {
+    std::vector<std::string> Diffs;
+    const int Regressions = bench::gateMatrix(
+        *Baseline, ColdCells, Scale, !Ifp, !TraceDir.empty(), Diffs);
+    std::printf("\n");
+    std::fflush(stdout); // the diffs may go to stderr
+    for (const std::string &D : Diffs)
+      std::fprintf(Regressions ? stderr : stdout, "%s\n", D.c_str());
+    if (Regressions) {
+      std::fprintf(stderr,
+                   "gate: %d exact-count regression(s) against %zu baseline "
+                   "cell(s); intentional? update the baseline in the same "
+                   "commit (bench/README.md)\n",
+                   Regressions, Baseline->Cells.size());
+      Failures += Regressions;
+    } else {
+      std::printf("gate: %zu baseline cell(s), every %scounter exact\n",
+                  Baseline->Cells.size(),
+                  Diffs.empty() ? "" : "unwaived ");
+    }
+  }
 
   if (!CacheDir.empty()) {
     // Warm pass: every cold cell has destructed — and saved its cache
@@ -334,8 +382,9 @@ int main(int argc, char **argv) {
   bool Json = false;
   const char *Workload = nullptr;
   const char *CorpusFlag = nullptr;
-  std::string CacheDir;
-  std::string TraceDir;
+  const char *CacheDirFlag = nullptr;
+  const char *TraceDirFlag = nullptr;
+  const char *BaselineFlag = nullptr;
   uint32_t Hot = 0;
   uint32_t Scale = 1;
   bool HaveScale = false;
@@ -351,6 +400,18 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "bad --ifp value '%s' (want on|off)\n", Value);
       return false;
     }
+    return true;
+  };
+  // A path flag's value may not be empty: it never means "unset".
+  const auto PathFlag = [&](int &I, const char *Name, const char *&Out) {
+    const char *V = flagValue(argc, argv, I, Name);
+    if (!V)
+      return false;
+    if (!*V) {
+      std::fprintf(stderr, "%s: empty path\n", Name);
+      std::exit(2);
+    }
+    Out = V;
     return true;
   };
   for (int I = 1; I < argc; ++I) {
@@ -374,49 +435,27 @@ int main(int argc, char **argv) {
       Json = true;
       continue;
     }
-    const bool JobsEq = std::strncmp(argv[I], "--jobs=", 7) == 0;
-    if (JobsEq || (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc)) {
+    if (const char *V = flagValue(argc, argv, I, "--jobs")) {
       Matrix = true;
-      if (!bench::parsePositive("--jobs", JobsEq ? argv[I] + 7 : argv[++I],
-                                Jobs))
+      if (!bench::parsePositive("--jobs", V, Jobs))
         return 2;
       continue;
     }
-    if (std::strcmp(argv[I], "--corpus") == 0 && I + 1 < argc) {
-      CorpusFlag = argv[++I];
-      continue;
-    }
-    if (std::strcmp(argv[I], "--cache-dir") == 0 && I + 1 < argc) {
-      CacheDir = argv[++I];
-      continue;
-    }
-    if (std::strncmp(argv[I], "--cache-dir=", 12) == 0) {
-      CacheDir = argv[I] + 12;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--trace-dir") == 0 && I + 1 < argc) {
-      TraceDir = argv[++I];
-      continue;
-    }
-    if (std::strncmp(argv[I], "--trace-dir=", 12) == 0) {
-      TraceDir = argv[I] + 12;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--ifp") == 0 && I + 1 < argc) {
-      if (!ParseIfp(argv[++I]))
+    if (const char *V = flagValue(argc, argv, I, "--hot")) {
+      if (!bench::parsePositive("--hot", V, Hot))
         return 2;
       continue;
     }
-    if (std::strncmp(argv[I], "--ifp=", 6) == 0) {
-      if (!ParseIfp(argv[I] + 6))
+    if (const char *V = flagValue(argc, argv, I, "--ifp")) {
+      if (!ParseIfp(V))
         return 2;
       continue;
     }
-    if (std::strcmp(argv[I], "--hot") == 0 && I + 1 < argc) {
-      if (!bench::parsePositive("--hot", argv[++I], Hot))
-        return 2;
+    if (PathFlag(I, "--corpus", CorpusFlag) ||
+        PathFlag(I, "--cache-dir", CacheDirFlag) ||
+        PathFlag(I, "--trace-dir", TraceDirFlag) ||
+        PathFlag(I, "--baseline", BaselineFlag))
       continue;
-    }
     if (!Matrix && !Workload && argv[I][0] != '-') {
       Workload = argv[I];
       continue;
@@ -438,8 +477,10 @@ int main(int argc, char **argv) {
                  "usage: rdbt_scenarios [--json] [--corpus F] "
                  "[--trace-dir D] [--hot N] [--ifp on|off] "
                  "[workload] [scale]\n"
-                 "       rdbt_scenarios --jobs N [--json] [--corpus F] "
-                 "[--cache-dir D] [--trace-dir D] [--ifp on|off] [scale]\n"
+                 "       rdbt_scenarios --jobs N [--json] [--baseline F] "
+                 "[--corpus F] [--cache-dir D]\n"
+                 "                      [--trace-dir D] [--ifp on|off] "
+                 "[scale]\n"
                  "       rdbt_scenarios --list\n"
                  "--ifp selects the interpreter's decoded-instruction "
                  "cache (DESIGN.md §14; default on,\nguest-invisible "
@@ -452,6 +493,8 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "corpus file '%s' not found\n", Corpus.c_str());
     return 2;
   }
+  const std::string CacheDir = CacheDirFlag ? CacheDirFlag : "";
+  const std::string TraceDir = TraceDirFlag ? TraceDirFlag : "";
 
   if (Matrix) {
     if (Hot) {
@@ -459,12 +502,22 @@ int main(int argc, char **argv) {
                    "--hot needs single-workload mode (drop --jobs N)\n");
       return 2;
     }
-    return runMatrix(Jobs, Scale, Json, Corpus, CacheDir, TraceDir, Ifp);
+    // Read the baseline before running anything: an unreadable one is a
+    // usage error, not a regression.
+    bench::MatrixDoc Baseline;
+    std::string Error;
+    if (BaselineFlag &&
+        !bench::readMatrixJsonFile(BaselineFlag, Baseline, Error)) {
+      std::fprintf(stderr, "--baseline: %s\n", Error.c_str());
+      return 2;
+    }
+    return runMatrix(Jobs, Scale, Json, BaselineFlag ? &Baseline : nullptr,
+                     Corpus, CacheDir, TraceDir, Ifp);
   }
 
-  if (!CacheDir.empty()) {
-    std::fprintf(stderr,
-                 "--cache-dir needs matrix mode (add --jobs N)\n");
+  if (CacheDirFlag || BaselineFlag) {
+    std::fprintf(stderr, "%s needs matrix mode (add --jobs N)\n",
+                 CacheDirFlag ? "--cache-dir" : "--baseline");
     return 2;
   }
 
