@@ -6,23 +6,61 @@
 ///
 /// \file
 /// main() for test binaries built against tests/shim/gtest/gtest.h: expands
-/// deferred TEST_P instantiations, runs every registered test, prints a
+/// deferred TEST_P instantiations, runs every registered test (or those a
+/// --gtest_filter of ':'-separated '*'/'?' patterns selects), prints a
 /// gtest-style report, and exits non-zero when any test fails.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <exception>
 
+// gtest's glob: '*' matches any run of characters, '?' any one.
+static bool globMatch(const char *Pat, const char *Str) {
+  if (*Pat == '\0')
+    return *Str == '\0';
+  if (*Pat == '*')
+    return globMatch(Pat + 1, Str) || (*Str && globMatch(Pat, Str + 1));
+  return *Str && (*Pat == '?' || *Pat == *Str) && globMatch(Pat + 1, Str + 1);
+}
+
+static bool selected(const std::string &Filter, const std::string &Name) {
+  size_t Begin = 0;
+  while (true) {
+    size_t End = Filter.find(':', Begin);
+    std::string Pat = Filter.substr(Begin, End - Begin);
+    if (globMatch(Pat.c_str(), Name.c_str()))
+      return true;
+    if (End == std::string::npos)
+      return false;
+    Begin = End + 1;
+  }
+}
+
 int main(int argc, char **argv) {
-  (void)argc;
-  (void)argv;
+  // Only positive patterns: gtest's "-NEGATIVE" part is not supported.
+  const char *Flag = "--gtest_filter=";
+  const size_t FlagLen = std::strlen(Flag);
+  std::string Filter = "*";
+  for (int I = 1; I < argc; ++I) {
+    if (std::strncmp(argv[I], Flag, FlagLen) != 0 ||
+        std::strchr(argv[I] + FlagLen, '-')) {
+      std::cerr << "unsupported argument: " << argv[I]
+                << " (the shim takes only --gtest_filter=PATTERN[:PATTERN])\n";
+      return 2;
+    }
+    Filter = argv[I] + FlagLen;
+  }
 
   for (const auto &Expand : testing::internal::expanders())
     Expand();
 
-  auto &Tests = testing::internal::registry();
+  std::vector<testing::internal::RegisteredTest> Tests;
+  for (const auto &T : testing::internal::registry())
+    if (selected(Filter, T.Name))
+      Tests.push_back(T);
   std::cout << "[==========] Running " << Tests.size() << " tests.\n";
 
   std::vector<std::string> Failures;
