@@ -469,11 +469,12 @@ inline int compareCells(const MatrixDoc::Cell &Base,
   return Unwaived;
 }
 
-/// Exact-count comparison of two matrix documents. Appends one line per
-/// difference to \p Diffs ("FAIL: ..." or, for a field whose name starts
-/// with one of \p WaivedPrefixes, "allowed: ...") and returns the number
-/// of FAIL lines. A scale mismatch and a cell on one side only always
-/// fail: no waiver excuses a missing or new scenario.
+/// Exact-count comparison of two matrix documents. Appends one "FAIL: ..."
+/// line per unwaived difference to \p Diffs, then one "allowed: ..." line
+/// per prefix of \p WaivedPrefixes that excused any, counting the
+/// differing fields and the cells they are in, and returns the number of
+/// FAIL lines. A scale mismatch and a cell on one side only always fail:
+/// no waiver excuses a missing or new scenario.
 inline int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
                            const std::vector<std::string> &WaivedPrefixes,
                            std::vector<std::string> &Diffs) {
@@ -482,12 +483,15 @@ inline int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
     Diffs.push_back("FAIL: " + Line);
     ++Regressions;
   };
-  const auto Waived = [&](const std::string &Field) {
-    for (const std::string &Pfx : WaivedPrefixes)
-      if (Field.compare(0, Pfx.size(), Pfx) == 0)
-        return true;
-    return false;
+  const auto WaiverOf = [&](const std::string &Field) -> size_t {
+    size_t P = 0;
+    while (P < WaivedPrefixes.size() &&
+           Field.compare(0, WaivedPrefixes[P].size(), WaivedPrefixes[P]) != 0)
+      ++P;
+    return P; // WaivedPrefixes.size(): not waived
   };
+  // Per prefix: differing fields, and cells holding one.
+  std::vector<std::pair<size_t, size_t>> Excused(WaivedPrefixes.size());
   if (Base.Scale != Cur.Scale)
     Fail("scale mismatch: baseline " + Base.Scale + ", current " + Cur.Scale);
   for (const MatrixDoc::Cell &B : Base.Cells) {
@@ -496,12 +500,22 @@ inline int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
       Fail(B.Key + ": missing from current run");
       continue;
     }
+    std::vector<bool> InCell(WaivedPrefixes.size());
     Regressions += compareCells(
-        B, *C, Waived,
+        B, *C,
+        [&](const std::string &Field) {
+          return WaiverOf(Field) < WaivedPrefixes.size();
+        },
         [&](const std::string &Field, const std::string *BV,
             const std::string *CV, bool W) {
-          Diffs.push_back((W ? "allowed: " : "FAIL: ") + B.Key + "." + Field +
-                          ": " +
+          if (W) {
+            const size_t P = WaiverOf(Field);
+            ++Excused[P].first;
+            Excused[P].second += !InCell[P];
+            InCell[P] = true;
+            return;
+          }
+          Diffs.push_back("FAIL: " + B.Key + "." + Field + ": " +
                           (!CV   ? "missing from current run"
                            : !BV ? "not in baseline"
                                  : *BV + " -> " + *CV));
@@ -510,6 +524,12 @@ inline int compareMatrices(const MatrixDoc &Base, const MatrixDoc &Cur,
   for (const MatrixDoc::Cell &C : Cur.Cells)
     if (!Base.cell(C.Key))
       Fail(C.Key + ": not in baseline (update bench/baselines/)");
+  for (size_t P = 0; P < WaivedPrefixes.size(); ++P)
+    if (Excused[P].first)
+      Diffs.push_back("allowed: " + WaivedPrefixes[P] + "*: " +
+                      std::to_string(Excused[P].first) +
+                      " differing field(s) in " +
+                      std::to_string(Excused[P].second) + " cell(s)");
   return Regressions;
 }
 

@@ -80,9 +80,10 @@ enum class CacheLoad {
 
 class CodeCacheIo {
 public:
-  /// Bump on any change to the record layout; a version mismatch is a
-  /// clean miss.
-  static constexpr uint32_t FormatVersion = 2;
+  /// Bump on any change to the record layout or to what a field means; a
+  /// version mismatch is a clean miss. 3: TlbCmp carries the address
+  /// register (Dst) and the access size.
+  static constexpr uint32_t FormatVersion = 3;
 
   /// Serializes \p Img to \p Path (atomically: temp file + rename, so a
   /// concurrent reader sees either the old file or the complete new

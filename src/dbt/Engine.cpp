@@ -103,7 +103,7 @@ int DbtEngine::translateAt(uint32_t Pc) {
   }
   if (RetainForSave_)
     Retained_[CodeCache::key(GB.StartPc, GB.MmuIdx, Asid)] =
-        std::make_shared<const host::HostBlock>(Block);
+        std::make_shared<host::HostBlock>(Block);
   return Cache.insert(std::move(Block), GB.MmuIdx, Asid);
 }
 

@@ -106,7 +106,7 @@ public:
   /// Copies are private — retaining never raises the live blocks'
   /// use_count, so chain-patch COW behavior is unchanged.
   void setRetainForSave(bool On) { RetainForSave_ = On; }
-  const std::map<uint64_t, std::shared_ptr<const host::HostBlock>> &
+  const std::map<uint64_t, std::shared_ptr<host::HostBlock>> &
   retainedForSave() const {
     return Retained_;
   }
@@ -182,7 +182,7 @@ private:
   /// Ordered map so save-file bytes are deterministic for a
   /// deterministic run (concurrent savers of one key write identical
   /// files).
-  std::map<uint64_t, std::shared_ptr<const host::HostBlock>> Retained_;
+  std::map<uint64_t, std::shared_ptr<host::HostBlock>> Retained_;
 
   /// Translates the block at (Pc, current MmuIdx, current ASID); returns
   /// its TB id or -1 if the initial fetch faulted (a prefetch abort was

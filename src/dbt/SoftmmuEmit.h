@@ -41,7 +41,7 @@ inline void emitInlineAccess(host::HostEmitter &E, uint8_t AddrReg,
   E.aluI(HOp::Shr, ScratchReg0, 12); // t0 = vpn
   E.movRR(ScratchReg1, ScratchReg0);
   E.aluI(HOp::And, ScratchReg1, sys::TlbSize - 1); // t1 = index
-  E.tlbCmp(ScratchReg1, ScratchReg0, /*IsWrite=*/!IsLoad);
+  E.tlbCmp(ScratchReg1, ScratchReg0, AddrReg, Size, /*IsWrite=*/!IsLoad);
   const int JccSlow = E.jcc(HCond::Ne);
   E.tlbPhys(ScratchReg1, ScratchReg1); // t1 = phys page | flags
   E.movRR(ScratchReg0, AddrReg);

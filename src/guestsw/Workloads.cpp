@@ -810,25 +810,33 @@ Emitter emitterFor(const std::string &Name) {
 
 } // namespace
 
-const std::shared_ptr<const std::vector<uint8_t>> &guestsw::seededDisk() {
-  static const std::shared_ptr<const std::vector<uint8_t>> Image = [] {
-    auto Media = std::make_shared<std::vector<uint8_t>>(
-        sys::DiskDevice::DefaultSectors * sys::DiskDevice::SectorSize);
+const sys::PhysMem::Image &guestsw::seededDisk() {
+  using sys::PhysMem;
+  constexpr uint32_t SectorSize = sys::DiskDevice::SectorSize;
+  constexpr uint32_t Bytes = sys::DiskDevice::DefaultSectors * SectorSize;
+  // Process-lifetime pages: the table aliases them with no control block,
+  // as PhysMem aliases its zero page, so adopting or forking the image
+  // touches no reference count for them.
+  static PhysMem::Page Pages[Bytes / PhysMem::PageBytes];
+  static const PhysMem::Image Image = [] {
+    uint8_t *Media = reinterpret_cast<uint8_t *>(Pages);
     Rng R(0xD15C);
-    for (uint8_t &Byte : *Media)
-      Byte = static_cast<uint8_t>(R.next32());
+    for (uint32_t I = 0; I < Bytes; ++I)
+      Media[I] = static_cast<uint8_t>(R.next32());
     // Archive: 6 entries of 1-4 payload sectors.
     uint32_t Sector = 0;
-    uint32_t Sizes[] = {2, 1, 4, 3, 1, 2};
-    for (uint32_t Size : Sizes) {
-      uint8_t *Header = &(*Media)[Sector * sys::DiskDevice::SectorSize];
+    for (uint32_t Size : {2, 1, 4, 3, 1, 2}) {
+      uint8_t *Header = Media + Sector * SectorSize;
       Header[0] = static_cast<uint8_t>(Size);
       Header[1] = Header[2] = Header[3] = 0;
       Sector += 1 + Size;
     }
-    uint8_t *End = &(*Media)[Sector * sys::DiskDevice::SectorSize];
+    uint8_t *End = Media + Sector * SectorSize;
     End[0] = End[1] = End[2] = End[3] = 0;
-    return Media;
+    PhysMem::Image Img{Bytes, {}};
+    for (const PhysMem::Page &P : Pages)
+      Img.Pages.emplace_back(PhysMem::PageRef(), &P);
+    return Img;
   }();
   return Image;
 }

@@ -24,7 +24,6 @@
 #include "sys/Platform.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,8 +59,10 @@ uint32_t requiredWorkloadRam(const std::string &Name);
 /// The disk every guest boots with: pseudo-random sectors plus the
 /// "untar" archive (header sector with payload length, payload,
 /// repeated, then a zero header), DiskDevice::DefaultSectors long. Built
-/// once per process and never written; boards share it copy-on-write.
-const std::shared_ptr<const std::vector<uint8_t>> &seededDisk();
+/// once per process as a PhysMem::Image whose pages are never written:
+/// every seeded board's disk adopts it, and a sector write privatizes only
+/// the page it lands on (DiskDevice).
+const sys::PhysMem::Image &seededDisk();
 
 /// Convenience: builds the workload, installs kernel + program into
 /// \p Board and gives its disk the shared seededDisk() image. Returns

@@ -94,7 +94,8 @@ std::string host::disassemble(const HInst &H) {
   case HOp::Jmp:
     return format("jmp .L%d", H.Target);
   case HOp::TlbCmp:
-    return format("cmp %s, tlb_%s(env,%s,16)", hreg(H.Src2).c_str(),
+    return format("cmp %s|align%u(%s), tlb_%s(env,%s,16)",
+                  hreg(H.Src2).c_str(), H.Size, hreg(H.Dst).c_str(),
                   H.AccIsWrite ? "w" : "r", hreg(H.Src).c_str());
   case HOp::TlbPhys:
     return format("mov tlb_phys(env,%s,16), %s", hreg(H.Src).c_str(),

@@ -165,11 +165,14 @@ public:
 
   // --- Softmmu / guest memory -------------------------------------------------
 
-  int tlbCmp(uint8_t IdxReg, uint8_t VpnReg, bool IsWrite) {
+  int tlbCmp(uint8_t IdxReg, uint8_t VpnReg, uint8_t AddrReg, uint8_t Size,
+             bool IsWrite) {
     HInst H;
     H.Op = HOp::TlbCmp;
+    H.Dst = AddrReg;
     H.Src = IdxReg;
     H.Src2 = VpnReg;
+    H.Size = Size;
     H.AccIsWrite = IsWrite;
     return emit(H);
   }

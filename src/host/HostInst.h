@@ -110,7 +110,8 @@ enum class HOp : uint8_t {
   Jmp, ///< unconditional jump to Target
 
   // Inline softmmu (env-relative scaled-index ops, 1 instruction each).
-  TlbCmp,  ///< flags = env.Tlb[env.MmuIdx][Src].Tag<kind> - Src2 (vpn)
+  TlbCmp,  ///< flags = env.Tlb[env.MmuIdx][Src].Tag<kind> - (Src2 (vpn) |
+           ///< (Dst (address) & (Size-1)) << 20): misaligned never hits
   TlbPhys, ///< Dst = env.Tlb[env.MmuIdx][Src].PhysFlags
 
   GLoad,  ///< Dst = guest-physical[Src], Size bytes, zero-extended
@@ -157,7 +158,7 @@ struct HInst {
   bool UseImm = false;
   bool AccIsWrite = false; ///< TlbCmp: probe the write tag
   bool Dead = false;       ///< elided by inter-TB chain patching
-  uint8_t Size = 4;        ///< GLoad/GStore access size
+  uint8_t Size = 4;        ///< GLoad/GStore/TlbCmp access size
   uint8_t Dst = 0;
   uint8_t Src = 0;
   uint8_t Src2 = 0;

@@ -400,8 +400,9 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
 
     case HOp::TlbCmp: {
       charge(H, 1);
+      // Alignment bits land above any VPN: a misaligned access never hits.
       const uint32_t Tag = tlbWord(R_[H.Src], H.AccIsWrite ? 1 : 0);
-      const uint32_t Vpn = R_[H.Src2];
+      const uint32_t Vpn = R_[H.Src2] | (R_[H.Dst] & (H.Size - 1u)) << 20;
       const uint32_t Result = Tag - Vpn;
       FN = Result >> 31;
       FZ = Result == 0;
@@ -415,12 +416,14 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       break;
 
     // Both run only after an inline TLB hit, and the TLB tags whole RAM
-    // pages only, so the page pointers cover every address they see.
+    // pages only, so the page pointers cover every address they see. A
+    // misaligned access never hits (TlbCmp), so none crosses a page end.
     case HOp::GLoad: {
       charge(H, 1);
       const uint32_t Pa = R_[H.Src];
       assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
-             "GLoad after TLB hit must target RAM");
+             (Pa & PhysPort::PageMask) + H.Size <= PhysPort::PageMask + 1 &&
+             "GLoad after TLB hit must stay inside one RAM page");
       R_[H.Dst] = loadLe(Mem.ReadPages[Pa >> PhysPort::PageShift] +
                              (Pa & PhysPort::PageMask),
                          H.Size);
@@ -430,7 +433,8 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       charge(H, 1);
       const uint32_t Pa = R_[H.Src];
       assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
-             "GStore after TLB hit must target RAM");
+             (Pa & PhysPort::PageMask) + H.Size <= PhysPort::PageMask + 1 &&
+             "GStore after TLB hit must stay inside one RAM page");
       if (uint8_t *Page = Mem.WritePages[Pa >> PhysPort::PageShift])
         storeLe(Page + (Pa & PhysPort::PageMask), H.Size, R_[H.Dst]);
       else

@@ -97,13 +97,6 @@ struct ExecCounters {
   uint64_t TbEntries = 0;    ///< TB executions (entries + chain follows)
   uint64_t ChainFollows = 0;
   uint64_t HelperCalls = 0;
-
-  uint64_t totalHostInstrs() const {
-    uint64_t Sum = 0;
-    for (uint64_t V : ByClass)
-      Sum += V;
-    return Sum;
-  }
 };
 
 /// Result of one run() — why control returned to the engine.

@@ -57,11 +57,6 @@ constexpr unsigned countLeadingZeros32(uint32_t Value) {
   return N;
 }
 
-/// Returns true if \p Value is a power of two (zero excluded).
-constexpr bool isPowerOf2(uint32_t Value) {
-  return Value != 0 && (Value & (Value - 1)) == 0;
-}
-
 /// Returns true if \p Value is aligned to \p Align (a power of two).
 constexpr bool isAligned(uint32_t Value, uint32_t Align) {
   return (Value & (Align - 1)) == 0;

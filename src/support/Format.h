@@ -40,9 +40,6 @@ format(const char *Fmt, ...) {
                                      : sizeof(Buffer) - 1));
 }
 
-/// Formats a 32-bit value as 0x%08x.
-inline std::string hex32(uint32_t Value) { return format("0x%08x", Value); }
-
 } // namespace rdbt
 
 #endif // RDBT_SUPPORT_FORMAT_H

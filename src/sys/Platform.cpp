@@ -231,19 +231,24 @@ void DiskDevice::mmioWrite(uint32_t Offset, uint32_t Value) {
 uint64_t DiskDevice::nextDeadline() const { return Deadline; }
 
 void DiskDevice::onDeadline() {
-  if (!Media) // first access of an untouched disk: allocate its zeros
-    ensureOwnedMedia();
-  const uint32_t Bytes = Count * SectorSize;
-  const uint32_t MediaOff = Sector * SectorSize;
-  if (MediaOff + Bytes <= Media->size() &&
-      Parent.Ram.contains(DmaAddr, Bytes)) {
-    if (PendingCmd == CmdRead) {
-      Parent.Ram.writeBlock(DmaAddr, &(*Media)[MediaOff], Bytes);
-    } else {
-      // A sector write mutates the media: privatize an image shared with
-      // a snapshot first, so sibling forks keep reading pristine media.
-      ensureOwnedMedia();
-      Parent.Ram.readBlock(DmaAddr, &(*Media)[MediaOff], Bytes);
+  // Checked in sectors, so that no product or sum wraps in 32 bits. A
+  // transfer out of range moves nothing but still completes.
+  const uint32_t NumSectors = Media->size() / SectorSize;
+  if (Sector < NumSectors && Count <= NumSectors - Sector &&
+      Parent.Ram.contains(DmaAddr, Count * SectorSize)) {
+    for (uint32_t I = 0; I < Count; ++I) {
+      const uint32_t Off = (Sector + I) * SectorSize;
+      const uint32_t Pa = DmaAddr + I * SectorSize;
+      if (PendingCmd == CmdRead) {
+        Parent.Ram.writeBlock(Pa,
+                              Media->page(Off >> PhysMem::PageShift) +
+                                  (Off & (PhysMem::PageBytes - 1)),
+                              SectorSize);
+      } else {
+        uint8_t Bytes[SectorSize];
+        Parent.Ram.readBlock(Pa, Bytes, SectorSize);
+        Media->writeBlock(Off, Bytes, SectorSize);
+      }
     }
   }
   PendingCmd = 0;
@@ -262,10 +267,12 @@ Platform::Platform(uint32_t RamSize, uint32_t DiskSectors,
   initBoard(DiskSectors, DiskLatency);
 }
 
-Platform::Platform(const PhysMem::Image &RamImage, uint32_t DiskSectors,
-                   uint64_t DiskLatency)
+// A disk of zero sectors allocates no table; restoreState() then adopts the
+// captured one.
+Platform::Platform(const PhysMem::Image &RamImage, const PlatformState &State)
     : Ram(RamImage) {
-  initBoard(DiskSectors, DiskLatency);
+  initBoard(/*DiskSectors=*/0, State.DiskLatency);
+  restoreState(State);
 }
 
 void Platform::initBoard(uint32_t DiskSectors, uint64_t DiskLatency) {
@@ -317,7 +324,7 @@ uint64_t Platform::fastForward() {
   return Skipped;
 }
 
-void Platform::captureState(PlatformState &S) const {
+void Platform::captureState(PlatformState &S) {
   UartDev->saveState(S);
   Intc->saveState(S);
   Timer->saveState(S);

@@ -30,17 +30,19 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace rdbt {
 namespace sys {
 
-/// Guest RAM starting at physical address 0, held as a table of
+/// The board's one copy-on-write store: guest RAM starting at physical
+/// address 0, and the disk's media (DiskDevice), each held as a table of
 /// refcounted immutable 4 KiB pages plus one flag byte and two host
 /// pointers per page.
 ///
-///  * A fresh board points every entry at one process-wide zero page.
+///  * A fresh table points every entry at one process-wide zero page.
 ///  * A write privatizes its page first unless this PhysMem owns it (the
 ///    Owned flag): it copies the page into one only this table references.
 ///  * capture() copies the page pointers, not the bytes, and clears every
@@ -49,9 +51,10 @@ namespace sys {
 ///
 /// A page another table or Image may reference is never written, so any
 /// number of boards read one Image concurrently (vm/Snapshot.h rides on
-/// this). Naturally-aligned 1/2/4-byte accesses never cross a page; the
-/// block operations split per page.
+/// this). Naturally-aligned 1/2/4-byte accesses, and 512-byte disk
+/// sectors, never cross a page; the block operations split per page.
 ///
+/// The rest concerns RAM; on a disk the walk marks and pointers stay unused.
 /// An MMU table walk marks every RAM page it reads (markWalked), and a
 /// write to a marked page bumps walkGeneration(), also when it privatizes
 /// the page. The Mmu's fetch memo compares that generation, so a
@@ -73,13 +76,13 @@ public:
   struct Page { uint8_t Bytes[PageBytes]; };
   using PageRef = std::shared_ptr<const Page>;
 
-  /// A captured RAM: its size and page table, shared read-only.
+  /// A captured table: its size and pages, shared read-only.
   struct Image {
     uint32_t Size = 0;
     std::vector<PageRef> Pages;
   };
 
-  /// A fresh, all-zero RAM of \p Size bytes.
+  /// A fresh, all-zero table of \p Size bytes.
   explicit PhysMem(uint32_t Size);
 
   /// A fork of \p Img: adopts its page table, owning no page.
@@ -175,9 +178,9 @@ class Platform;
 
 /// Frozen device-and-clock state of one board, captured by
 /// Platform::captureState() and re-applied by Platform::restoreState()
-/// (the device half of a vm::Snapshot). The disk media is held as an
-/// immutable shared image — forked boards clone it only when the guest
-/// writes a sector, mirroring the RAM copy-on-write protocol.
+/// (the device half of a vm::Snapshot). The disk media is a captured
+/// PhysMem table, exactly as RAM is: a board that adopts it clones a
+/// page only when the guest writes a sector on it.
 struct PlatformState {
   // IntController
   uint32_t IntcRaw = 0, IntcEnabled = 0;
@@ -189,7 +192,7 @@ struct PlatformState {
   uint64_t TimerDeadline = ~0ull;
   uint64_t TimerTicks = 0;
   // DiskDevice
-  std::shared_ptr<const std::vector<uint8_t>> DiskMedia;
+  std::shared_ptr<const PhysMem::Image> DiskMedia;
   uint64_t DiskLatency = 0;
   uint32_t DiskSector = 0, DiskDmaAddr = 0, DiskCount = 1;
   uint32_t DiskPendingCmd = 0;
@@ -311,6 +314,11 @@ private:
 };
 
 /// DMA block device with a wall-clock access latency. Sector size 512.
+///
+/// The media is a PhysMem of NumSectors * SectorSize bytes, like RAM: a
+/// blank disk points every entry at the zero page, saveState() captures the
+/// table, loadState() and adoptMedia() adopt one as a RAM fork does, and a
+/// sector write privatizes only the 4 KiB page it lands on.
 class DiskDevice : public Device {
 public:
   enum : uint32_t {
@@ -323,12 +331,10 @@ public:
   enum : uint32_t { CmdRead = 1, CmdWrite = 2 };
   enum : uint32_t { SectorSize = 512, DefaultSectors = 4096 };
 
-  /// Allocates no media: an untouched disk reads as zeros, and its bytes
-  /// are allocated on first access unless adoptMedia() or a restored
-  /// snapshot supplies them first.
+  /// A blank disk of \p NumSectors sectors.
   DiskDevice(Platform &P, uint32_t Base, uint32_t NumSectors,
              uint64_t LatencyPerSector)
-      : Device(P, Base), MediaBytes(NumSectors * SectorSize),
+      : Device(P, Base), Media(std::in_place, NumSectors * SectorSize),
         Latency(LatencyPerSector) {}
 
   const char *name() const override { return "disk"; }
@@ -337,24 +343,15 @@ public:
   uint64_t nextDeadline() const override;
   void onDeadline() override;
 
-  /// Host-side access to the media for preloading images. Allocates an
-  /// untouched disk's zeros, or privatizes a shared image, before handing
-  /// out the mutable reference.
-  std::vector<uint8_t> &media() {
-    ensureOwnedMedia();
-    return *Media;
-  }
+  /// Host-side access to the media, for preloading and inspecting images.
+  PhysMem &media() { return *Media; }
 
-  /// Shares \p Image as the media, exactly the disk's size. The device
-  /// never writes it: while anyone else holds \p Image, the first sector
-  /// write clones it (ensureOwnedMedia).
-  void adoptMedia(std::shared_ptr<const std::vector<uint8_t>> Image) {
-    assert(Image && Image->size() == MediaBytes && "media size mismatch");
-    Media = std::const_pointer_cast<std::vector<uint8_t>>(std::move(Image));
-  }
+  /// Replaces the media by a fork of \p Img: no page is copied, and the
+  /// device never writes a page \p Img holds.
+  void adoptMedia(const PhysMem::Image &Img) { Media.emplace(Img); }
 
-  void saveState(PlatformState &S) const {
-    S.DiskMedia = Media; // shared; writers on either side clone first
+  void saveState(PlatformState &S) {
+    S.DiskMedia = Media->capture();
     S.DiskLatency = Latency;
     S.DiskSector = Sector;
     S.DiskDmaAddr = DmaAddr;
@@ -363,7 +360,7 @@ public:
     S.DiskDeadline = Deadline;
   }
   void loadState(const PlatformState &S) {
-    Media = std::const_pointer_cast<std::vector<uint8_t>>(S.DiskMedia);
+    adoptMedia(*S.DiskMedia);
     Latency = S.DiskLatency;
     Sector = S.DiskSector;
     DmaAddr = S.DiskDmaAddr;
@@ -373,24 +370,13 @@ public:
   }
 
 private:
-  /// Media image, null until first access or adoptMedia(); shared with
-  /// snapshots after saveState() and with the image adoptMedia() took.
-  /// use_count == 1 means this device is the sole owner, so mutating in
-  /// place is safe (the code cache's clone-if-shared protocol; RAM pages
-  /// track ownership with a bit instead, see PhysMem).
-  std::shared_ptr<std::vector<uint8_t>> Media;
-  uint32_t MediaBytes;
+  /// Always engaged: optional only so that adoptMedia() can rebuild the
+  /// table in place, since a PhysMem is not assignable.
+  std::optional<PhysMem> Media;
   uint64_t Latency;
   uint32_t Sector = 0, DmaAddr = 0, Count = 1;
   uint32_t PendingCmd = 0;
   uint64_t Deadline = ~0ull;
-
-  void ensureOwnedMedia() {
-    if (!Media)
-      Media = std::make_shared<std::vector<uint8_t>>(MediaBytes, 0);
-    else if (Media.use_count() > 1)
-      Media = std::make_shared<std::vector<uint8_t>>(*Media);
-  }
 };
 
 /// MMIO window layout.
@@ -413,11 +399,10 @@ public:
                     uint64_t DiskLatency = 50000);
 
   /// Fork construction: RAM adopts the page table of \p RamImage (see
-  /// PhysMem). Device and env state still reset; the caller re-applies a
-  /// captured PlatformState/CpuEnv on top (vm/Snapshot.h).
-  explicit Platform(const PhysMem::Image &RamImage,
-                    uint32_t DiskSectors = DiskDevice::DefaultSectors,
-                    uint64_t DiskLatency = 50000);
+  /// PhysMem), then restoreState(\p State); the disk adopts its media
+  /// with no blank table built first. Env still resets; the caller
+  /// applies a captured CpuEnv on top (vm/Snapshot.h).
+  Platform(const PhysMem::Image &RamImage, const PlatformState &State);
 
   CpuEnv Env;
   PhysMem Ram;
@@ -456,10 +441,11 @@ public:
 
   // --- Snapshot support (vm/Snapshot.h) -----------------------------------
 
-  /// Freezes every device register, the disk media (shared, not copied),
-  /// the wall clock, and the shutdown latch into \p S. RAM and CpuEnv are
-  /// captured separately (PhysMem::capture(), the Env member).
-  void captureState(PlatformState &S) const;
+  /// Freezes every device register, the disk media (PhysMem::capture():
+  /// shared, not copied), the wall clock, and the shutdown latch into \p S.
+  /// RAM and CpuEnv are captured separately (PhysMem::capture(), the Env
+  /// member).
+  void captureState(PlatformState &S);
 
   /// Re-applies a captured device state. The caller restores Env and RAM
   /// itself; nothing here touches Env, so restore order does not matter.

@@ -11,15 +11,15 @@
 /// reference-counted images that any number of forked sessions can adopt
 /// concurrently:
 ///
-///  * **Guest RAM** as a shared page table (sys::PhysMem::Image). The
-///    captured board and every fork adopt the table; the first write to
-///    a 4 KiB page on any side privatizes just that page, so no shared
-///    page is ever mutated (sys/Platform.h).
+///  * **Guest RAM and disk media** as shared page tables
+///    (sys::PhysMem::Image). The captured board and every fork adopt the
+///    tables; the first write to a 4 KiB page on any side, by a store or
+///    by a sector write, privatizes just that page, so no shared page is
+///    ever mutated (sys/Platform.h).
 ///
 ///  * **CPU env + device state** (CpuEnv, sys::PlatformState) by value —
 ///    registers, TLB, interrupt lines, timer/disk deadlines, the wall
-///    clock. The disk media rides the same clone-if-shared protocol as
-///    RAM pages.
+///    clock.
 ///
 ///  * **The warmed code cache** as a dbt::CodeCache::Image: translated
 ///    blocks are shared read-only; a fork privatizes a block only when
@@ -110,7 +110,7 @@ private:
   bool HasRun_ = false;
 
   // Board state: CPU env by value, device/clock state by value with the
-  // disk media shared, RAM as a shared page table.
+  // disk media as a shared page table, RAM as another.
   sys::CpuEnv Env_ = {};
   sys::PlatformState Board_;
   std::shared_ptr<const sys::PhysMem::Image> Ram_;

@@ -101,13 +101,12 @@ void Vm::init() {
       return;
     }
     Forked_ = true;
-    // Fork fast path: RAM adopts the snapshot's page table (no page
-    // allocated, no byte copied, no guest install), then the captured
+    // Fork fast path: RAM and disk adopt the snapshot's page tables (no
+    // page allocated, no byte copied, no guest install), then the captured
     // device and CPU state are applied verbatim. Env last — it carries
     // IrqPending/ExitRequest, which nothing below may recompute
     // (Platform::restoreState never touches Env).
-    Board_ = std::make_unique<sys::Platform>(*Snap->ramImage());
-    Board_->restoreState(Snap->Board_);
+    Board_ = std::make_unique<sys::Platform>(*Snap->ramImage(), Snap->Board_);
     Board_->Env = Snap->Env_;
     RDBT_TRACE(Sink_.get(), obs::EventKind::SnapshotFork,
                Snap->Cache_ ? Snap->Cache_->LiveBlocks : 0);
@@ -304,7 +303,7 @@ Vm::~Vm() {
     dbt::CodeCache::Image Img;
     for (const auto &[Key, Block] : Engine_->retainedForSave()) {
       dbt::CodeCache::Entry E;
-      E.Block = std::const_pointer_cast<host::HostBlock>(Block);
+      E.Block = Block;
       E.Key = Key;
       E.Asid = static_cast<uint32_t>(Key >> 33) & 0xFF;
       E.FirstPage = Block->GuestPc / sys::PhysMem::PageBytes;

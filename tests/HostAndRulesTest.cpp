@@ -250,7 +250,9 @@ TEST_F(HostFixture, GStoreToAPageSharedWithASnapshotClonesIt) {
   translatedStore(Board, 0x5004, 0x55555555u); // owned: in place
   const auto Img = Board.Ram.capture();
   const uint64_t HashBefore = hashPages(*Img);
-  sys::Platform Fork(*Img);
+  sys::PlatformState Devices;
+  Board.captureState(Devices);
+  sys::Platform Fork(*Img, Devices);
 
   translatedStore(Board, 0x5000, 0x22222222u);
   translatedStore(Fork, 0x5000, 0x33333333u);

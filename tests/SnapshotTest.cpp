@@ -18,10 +18,10 @@
 ///    matrix's single-install path) without changing a single count.
 ///
 ///  * **COW isolation**: the master and concurrent forks share the
-///    snapshot's RAM pages read-only; no session can observe another's
-///    writes, and the image hashes identically before, during and after
-///    a parallel drain. Runs under the TSan CI job together with the
-///    BatchRunner suite.
+///    snapshot's RAM and disk pages read-only; no session can observe
+///    another's writes, and the image hashes identically before, during
+///    and after a parallel drain. Runs under the TSan CI job together
+///    with the BatchRunner suite.
 ///
 ///  * **No retranslation**: forks inherit the warmed code cache
 ///    (AdoptedTbs) and pay translation only for code first reached
@@ -135,6 +135,48 @@ uint64_t hashImage(const std::shared_ptr<const sys::PhysMem::Image> &Img) {
                    ->Bytes[Pa & (sys::PhysMem::PageBytes - 1)]) *
           1099511628211ull;
   return H;
+}
+
+/// The disk media pages that no longer point where seededDisk()'s do.
+std::vector<uint32_t> privateDiskPages(sys::Platform &Board) {
+  const sys::PhysMem &Media = Board.disk().media();
+  const sys::PhysMem::Image &Seeded = guestsw::seededDisk();
+  EXPECT_EQ(Media.numPages(), Seeded.Pages.size());
+  std::vector<uint32_t> Pns;
+  for (uint32_t Pn = 0; Pn < Media.numPages(); ++Pn)
+    if (Media.page(Pn) != Seeded.Pages[Pn]->Bytes)
+      Pns.push_back(Pn);
+  return Pns;
+}
+
+/// Writes \p Count sectors from \p Sector on, every byte \p Fill, through
+/// the disk's DMA from the top of RAM, and waits for the completion.
+void writeSectors(sys::Platform &Board, uint32_t Sector, uint32_t Count,
+                  uint8_t Fill) {
+  using sys::DiskDevice;
+  const uint32_t Bytes = Count * DiskDevice::SectorSize;
+  const uint32_t Dma = Board.Ram.size() - Bytes;
+  const std::vector<uint8_t> Data(Bytes, Fill);
+  Board.Ram.writeBlock(Dma, Data.data(), Bytes);
+  DiskDevice &Disk = Board.disk();
+  Disk.mmioWrite(DiskDevice::RegSector, Sector);
+  Disk.mmioWrite(DiskDevice::RegDmaAddr, Dma);
+  Disk.mmioWrite(DiskDevice::RegCount, Count);
+  Disk.mmioWrite(DiskDevice::RegCmd, DiskDevice::CmdWrite);
+  while (Disk.mmioRead(DiskDevice::RegStatus))
+    Board.advance(Board.nextDeadline() - Board.now());
+}
+
+/// Whether every byte of \p Sector on \p Board's disk is \p Fill, or,
+/// with \p Fill negative, equals the seeded disk's.
+bool sectorHolds(sys::Platform &Board, uint32_t Sector, int Fill) {
+  const uint32_t Size = sys::DiskDevice::SectorSize;
+  std::vector<uint8_t> Want(Size, static_cast<uint8_t>(Fill)), Got(Size);
+  if (Fill < 0)
+    sys::PhysMem(guestsw::seededDisk())
+        .readBlock(Sector * Size, Want.data(), Size);
+  Board.disk().media().readBlock(Sector * Size, Got.data(), Size);
+  return Got == Want;
 }
 
 TEST(Snapshot, WarmForkBitwiseIdenticalToFresh) {
@@ -378,9 +420,7 @@ TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
   const vm::RunReport AtCapture = Master.run(MidFileioCycles);
   ASSERT_EQ(dbt::StopReason::WallLimit, AtCapture.Stop)
       << "the capture must come before the guest powers off";
-  sys::PlatformState Board;
-  Master.board().captureState(Board);
-  ASSERT_NE(guestsw::seededDisk(), Board.DiskMedia)
+  ASSERT_FALSE(privateDiskPages(Master.board()).empty())
       << "the capture must come after the guest's first sector write";
   const vm::Snapshot Snap = Master.capture();
   const uint64_t HashBefore = hashImage(Snap.ramImage());
@@ -409,6 +449,54 @@ TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
                     "jobs-invariance " + std::to_string(I));
   }
   EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
+}
+
+TEST(Snapshot, ForkSectorWritesStayInTheirFork) {
+  // A pre-run capture of a seeded board: its disk table is the seeded
+  // image's. Sectors 7 and 8 lie on disk pages 0 and 1, sector 9 on page
+  // 1 too. Two forks and the master write at once, each on a thread of
+  // its own, into pages they all share; a third fork only reads. Under
+  // the TSan CI job, a write to a page still shared is a reported race.
+  vm::Vm Master(cfgFor("native", "fileio"));
+  ASSERT_TRUE(Master.valid()) << Master.error();
+  const vm::Snapshot Snap = Master.capture();
+  std::unique_ptr<vm::Vm> Forks[3];
+  for (auto &F : Forks) {
+    F = vm::Vm::forkFrom(Snap);
+    ASSERT_TRUE(F && F->valid());
+    ASSERT_TRUE(privateDiskPages(F->board()).empty());
+  }
+  std::thread Writers[] = {
+      std::thread([&] { writeSectors(Forks[0]->board(), 7, 2, 0xA0); }),
+      std::thread([&] { writeSectors(Forks[1]->board(), 9, 1, 0xB0); }),
+      std::thread([&] { writeSectors(Master.board(), 8, 1, 0xC0); }),
+  };
+  for (std::thread &T : Writers)
+    T.join();
+
+  constexpr int Seeded = -1;
+  sys::Platform &A = Forks[0]->board(), &B = Forks[1]->board(),
+                &Reader = Forks[2]->board(), &M = Master.board();
+  EXPECT_TRUE(sectorHolds(A, 7, 0xA0));
+  EXPECT_TRUE(sectorHolds(A, 8, 0xA0));
+  EXPECT_TRUE(sectorHolds(A, 9, Seeded));
+  EXPECT_EQ(privateDiskPages(A), (std::vector<uint32_t>{0, 1}));
+  EXPECT_TRUE(sectorHolds(B, 7, Seeded));
+  EXPECT_TRUE(sectorHolds(B, 8, Seeded));
+  EXPECT_TRUE(sectorHolds(B, 9, 0xB0));
+  EXPECT_EQ(privateDiskPages(B), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(sectorHolds(M, 7, Seeded));
+  EXPECT_TRUE(sectorHolds(M, 8, 0xC0));
+  EXPECT_TRUE(sectorHolds(M, 9, Seeded));
+  EXPECT_EQ(privateDiskPages(M), (std::vector<uint32_t>{1}));
+  for (uint32_t Sector : {7, 8, 9})
+    EXPECT_TRUE(sectorHolds(Reader, Sector, Seeded)) << "sector " << Sector;
+  EXPECT_TRUE(privateDiskPages(Reader).empty());
+
+  // The snapshot's table still holds the seeded pages.
+  std::unique_ptr<vm::Vm> Late = vm::Vm::forkFrom(Snap);
+  ASSERT_TRUE(Late && Late->valid());
+  EXPECT_TRUE(privateDiskPages(Late->board()).empty());
 }
 
 TEST(Snapshot, MasterRunsOnWhileItsForksRun) {

@@ -22,6 +22,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 using namespace rdbt;
 using namespace rdbt::sys;
@@ -495,7 +496,7 @@ TEST_F(MmuFixture, FetchSeesDiskDmaOntoPageTable) {
   // Sector 0 holds an L2 table whose entry 0 maps 0x310000; DMA it over
   // the live L2 table.
   const uint32_t Entry = 0x00310000u | (2u << 4) | 2u;
-  std::memcpy(Board.disk().media().data(), &Entry, 4);
+  Board.disk().media().write(0, 4, Entry);
   Board.disk().mmioWrite(DiskDevice::RegSector, 0);
   Board.disk().mmioWrite(DiskDevice::RegDmaAddr, 0xC000);
   Board.disk().mmioWrite(DiskDevice::RegCount, 1);
@@ -575,9 +576,8 @@ TEST(Devices, TimerRaisesAndAcks) {
 
 TEST(Devices, DiskDmaCompletesAfterLatency) {
   sys::Platform Board(1 << 20, /*DiskSectors=*/16, /*DiskLatency=*/500);
-  auto &Media = Board.disk().media();
   for (unsigned I = 0; I < DiskDevice::SectorSize; ++I)
-    Media[I] = static_cast<uint8_t>(I);
+    Board.disk().media().write(I, 1, I & 0xFF);
   Board.disk().mmioWrite(DiskDevice::RegSector, 0);
   Board.disk().mmioWrite(DiskDevice::RegDmaAddr, 0x1000);
   Board.disk().mmioWrite(DiskDevice::RegCount, 1);
@@ -587,6 +587,45 @@ TEST(Devices, DiskDmaCompletesAfterLatency) {
   Board.advance(600);
   EXPECT_EQ(Board.disk().mmioRead(DiskDevice::RegStatus), 0u);
   EXPECT_EQ(Board.Ram.read(0x1000, 4), 0x03020100u);
+}
+
+// Sector * 512 and its sum with the transfer size wrap in 32 bits: sector
+// 0x7FFFFF would reach 4 GiB past the media, sector 0x800000 would alias
+// sector 0, and 0x800001 sectors would transfer one. Each must move no
+// byte and still complete with the disk IRQ.
+TEST(Devices, OutOfRangeSectorsMoveNothing) {
+  const struct {
+    uint32_t Sector, Count;
+  } Cases[] = {{0x7FFFFF, 1}, {0x800000, 1}, {0, 0x800001}};
+  const uint32_t Dma = 0x1000, Watched = 2 * DiskDevice::SectorSize;
+  for (const auto &C : Cases)
+    for (uint32_t Cmd : {DiskDevice::CmdRead, DiskDevice::CmdWrite}) {
+      sys::Platform Board(1 << 20, /*DiskSectors=*/16, /*DiskLatency=*/5);
+      std::vector<uint8_t> Media(16 * DiskDevice::SectorSize), Ram(Watched);
+      for (size_t I = 0; I < Media.size(); ++I)
+        Media[I] = static_cast<uint8_t>(I * 7 + 1);
+      for (size_t I = 0; I < Ram.size(); ++I)
+        Ram[I] = static_cast<uint8_t>(I * 13 + 5);
+      Board.disk().media().writeBlock(0, Media.data(), Media.size());
+      Board.Ram.writeBlock(Dma, Ram.data(), Watched);
+      Board.disk().mmioWrite(DiskDevice::RegSector, C.Sector);
+      Board.disk().mmioWrite(DiskDevice::RegDmaAddr, Dma);
+      Board.disk().mmioWrite(DiskDevice::RegCount, C.Count);
+      Board.disk().mmioWrite(DiskDevice::RegCmd, Cmd);
+      Board.advance(Board.nextDeadline() - Board.now());
+      const std::string Label = "sector " + std::to_string(C.Sector) +
+                                ", count " + std::to_string(C.Count) +
+                                ", cmd " + std::to_string(Cmd);
+      EXPECT_EQ(Board.disk().mmioRead(DiskDevice::RegStatus), 0u) << Label;
+      EXPECT_EQ(Board.intc().mmioRead(IntController::RegRaw),
+                1u << IrqLineDisk)
+          << Label;
+      std::vector<uint8_t> MediaAfter(Media.size()), RamAfter(Watched);
+      Board.disk().media().readBlock(0, MediaAfter.data(), Media.size());
+      Board.Ram.readBlock(Dma, RamAfter.data(), Watched);
+      EXPECT_EQ(MediaAfter, Media) << Label;
+      EXPECT_EQ(RamAfter, Ram) << Label;
+    }
 }
 
 TEST(Devices, WallClockFastForward) {

@@ -382,77 +382,91 @@ TEST(Vm, MissingOutputDirectoryFailsConstruction) {
 }
 
 //===----------------------------------------------------------------------===//
-// The seeded disk: one image per process, shared copy-on-write
+// The seeded disk: one image per process, shared page by page
 //===----------------------------------------------------------------------===//
 
 /// crc32c of the 2 MiB seeded disk. Guests read these bytes, so they
 /// must never change, however the image is built or shared.
 constexpr uint32_t SeededDiskCrc = 0x801815bfu;
 
-/// The disk media a board would hand to a snapshot: no copy, no clone.
-std::shared_ptr<const std::vector<uint8_t>> mediaOf(sys::Platform &Board) {
-  sys::PlatformState S;
-  Board.captureState(S);
-  return S.DiskMedia;
+/// crc32c of a disk's media, read page by page in place.
+uint32_t crcOf(const sys::PhysMem &Media) {
+  uint32_t Crc = 0;
+  for (uint32_t Pn = 0; Pn < Media.numPages(); ++Pn)
+    Crc = dbt::crc32c(Media.page(Pn), sys::PhysMem::PageBytes, Crc);
+  return Crc;
 }
 
-uint32_t crcOf(const std::vector<uint8_t> &Media) {
-  return dbt::crc32c(Media.data(), Media.size());
+/// The media pages that no longer point where seededDisk()'s do.
+std::vector<uint32_t> privatePages(const sys::PhysMem &Media) {
+  const sys::PhysMem::Image &Seeded = guestsw::seededDisk();
+  EXPECT_EQ(Media.numPages(), Seeded.Pages.size());
+  std::vector<uint32_t> Pns;
+  for (uint32_t Pn = 0; Pn < Media.numPages(); ++Pn)
+    if (Media.page(Pn) != Seeded.Pages[Pn]->Bytes)
+      Pns.push_back(Pn);
+  return Pns;
 }
 
 TEST(SeededDisk, FreshBoardSharesTheKnownImage) {
-  const auto &Image = guestsw::seededDisk();
-  ASSERT_EQ(Image->size(), sys::DiskDevice::DefaultSectors *
-                               sys::DiskDevice::SectorSize);
-  EXPECT_EQ(crcOf(*Image), SeededDiskCrc);
+  const sys::PhysMem::Image &Image = guestsw::seededDisk();
+  ASSERT_EQ(Image.Size, sys::DiskDevice::DefaultSectors *
+                            sys::DiskDevice::SectorSize);
+  ASSERT_EQ(Image.Pages.size(), Image.Size / sys::PhysMem::PageBytes);
+  EXPECT_EQ(crcOf(sys::PhysMem(Image)), SeededDiskCrc);
 
   sys::Platform Board(guestsw::KernelLayout::MinRam);
   ASSERT_TRUE(guestsw::setupGuest(Board, "untar", 1));
-  EXPECT_EQ(mediaOf(Board).get(), Image.get())
+  EXPECT_TRUE(privatePages(Board.disk().media()).empty())
       << "a seeded board must not copy";
   EXPECT_EQ(crcOf(Board.disk().media()), SeededDiskCrc);
 
-  // An unseeded disk allocates nothing until first touched, then reads
-  // as zeros.
+  // An unseeded disk points every entry at the zero page.
   sys::Platform Blank(1 << 20, /*DiskSectors=*/16);
-  EXPECT_EQ(mediaOf(Blank).get(), nullptr);
-  EXPECT_EQ(Blank.disk().media(),
-            std::vector<uint8_t>(16 * sys::DiskDevice::SectorSize, 0));
+  const sys::PhysMem &Media = Blank.disk().media();
+  EXPECT_EQ(Media.size(), 16 * sys::DiskDevice::SectorSize);
+  ASSERT_EQ(Media.numPages(), 2u);
+  for (uint32_t Pn = 0; Pn < Media.numPages(); ++Pn)
+    EXPECT_EQ(Media.page(Pn), sys::PhysMem::zeroPage()) << "page " << Pn;
 }
 
 TEST(SeededDisk, SectorWritesNeverReachTheSharedImage) {
   // fileio reads sectors 0-63 and writes what it read 64 sectors
-  // further on: the only workload that writes the disk.
+  // further on: the only workload that writes the disk. At scale 1 it
+  // writes sectors 64-87 (six writes of four), which lie on pages 8-10.
+  const std::vector<uint32_t> WrittenPages = {8, 9, 10};
   vm::Vm Writer(vm::VmConfig::fromSpec("rule/fileio@1"));
   ASSERT_TRUE(Writer.valid()) << Writer.error();
   // Mid-boot, before the first sector write.
   ASSERT_EQ(Writer.run(20000).Stop, dbt::StopReason::WallLimit);
   const vm::Snapshot BeforeWrites = Writer.capture();
-  EXPECT_EQ(mediaOf(Writer.board()).get(), guestsw::seededDisk().get());
+  EXPECT_TRUE(privatePages(Writer.board().disk().media()).empty());
   ASSERT_TRUE(Writer.run().Ok);
-  const auto Written = mediaOf(Writer.board());
-  EXPECT_NE(Written.get(), guestsw::seededDisk().get());
-  EXPECT_NE(crcOf(*Written), SeededDiskCrc) << "fileio must have written";
+  EXPECT_EQ(privatePages(Writer.board().disk().media()), WrittenPages)
+      << "a sector write privatizes only the page it lands on";
+  const uint32_t WrittenCrc = crcOf(Writer.board().disk().media());
+  EXPECT_NE(WrittenCrc, SeededDiskCrc) << "fileio must have written";
 
-  EXPECT_EQ(crcOf(*guestsw::seededDisk()), SeededDiskCrc);
+  EXPECT_EQ(crcOf(sys::PhysMem(guestsw::seededDisk())), SeededDiskCrc);
   vm::Vm Fresh(vm::VmConfig::fromSpec("rule/fileio@1"));
   ASSERT_TRUE(Fresh.valid()) << Fresh.error();
-  EXPECT_EQ(mediaOf(Fresh.board()).get(), guestsw::seededDisk().get());
-  EXPECT_EQ(crcOf(*mediaOf(Fresh.board())), SeededDiskCrc);
+  EXPECT_TRUE(privatePages(Fresh.board().disk().media()).empty());
+  EXPECT_EQ(crcOf(Fresh.board().disk().media()), SeededDiskCrc);
 
   std::unique_ptr<vm::Vm> Fork = vm::Vm::forkFrom(BeforeWrites);
   ASSERT_TRUE(Fork && Fork->valid());
-  EXPECT_EQ(mediaOf(Fork->board()).get(), guestsw::seededDisk().get());
-  EXPECT_EQ(crcOf(*mediaOf(Fork->board())), SeededDiskCrc);
-  // The fork writes too, into its own clone; the image stays pinned.
+  EXPECT_TRUE(privatePages(Fork->board().disk().media()).empty());
+  EXPECT_EQ(crcOf(Fork->board().disk().media()), SeededDiskCrc);
+  // The fork writes too, into pages of its own; the image stays pinned.
   ASSERT_TRUE(Fork->run().Ok);
-  EXPECT_EQ(crcOf(*mediaOf(Fork->board())), crcOf(*Written));
-  EXPECT_EQ(crcOf(*guestsw::seededDisk()), SeededDiskCrc);
+  EXPECT_EQ(privatePages(Fork->board().disk().media()), WrittenPages);
+  EXPECT_EQ(crcOf(Fork->board().disk().media()), WrittenCrc);
+  EXPECT_EQ(crcOf(sys::PhysMem(guestsw::seededDisk())), SeededDiskCrc);
 }
 
 TEST(SeededDisk, ConcurrentDiskSessionsMatchTheSerialRun) {
-  // Writers clone the shared image while readers DMA from it, on four
-  // threads; each report must equal the serial schedule's.
+  // Writers privatize pages of the shared image while readers DMA from
+  // it, on four threads; each report must equal the serial schedule's.
   std::vector<vm::VmConfig> Configs;
   for (int Round = 0; Round < 2; ++Round)
     for (const char *Kind : {"native", "qemu", "rule:scheduling"})
@@ -478,7 +492,7 @@ TEST(SeededDisk, ConcurrentDiskSessionsMatchTheSerialRun) {
       EXPECT_EQ(P.Final.Regs[R], S.Final.Regs[R]) << S.Spec << ": r" << R;
     EXPECT_EQ(P.Final.Nzcv, S.Final.Nzcv) << S.Spec;
   }
-  EXPECT_EQ(crcOf(*guestsw::seededDisk()), SeededDiskCrc);
+  EXPECT_EQ(crcOf(sys::PhysMem(guestsw::seededDisk())), SeededDiskCrc);
 }
 
 TEST(StopReason, NamesAreDistinct) {
