@@ -103,7 +103,8 @@ int main(int argc, char **argv) {
     for (const host::HInst &H : Out.Code) {
       if (H.Op == host::HOp::Marker)
         continue;
-      ++Total;
+      // A probe stands for the 12 instructions of its hit path.
+      Total += H.Op == host::HOp::Probe ? host::ProbeHitCycles : 1;
       Sync += H.Cls == host::CostClass::Sync;
     }
     std::printf("\n=== %s (%s): %u host instrs, %u sync ===\n%s",

@@ -610,7 +610,7 @@ void BlockEmitter::emitMemSingle(const Inst &I, uint32_t Pc) {
     // through the pinned registers only (readReg synthesizes PC into t0,
     // which the probe would clobber, so use t2-free ordering: the probe
     // preserves everything but t0/t1 and the data register is read at
-    // the final GStore; synthesize PC data after the address).
+    // the probe's store; synthesize PC data after the address).
     uint8_t Data;
     if (I.Rd == arm::RegPC) {
       Data = host::ScratchReg0;

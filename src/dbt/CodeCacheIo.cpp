@@ -211,6 +211,11 @@ bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
     Why = "env slot out of range";
     return false;
   }
+  if (H.Op == host::HOp::Probe &&
+      (H.Src == host::ScratchReg0 || H.Src == host::ScratchReg1)) {
+    Why = "probe address in a scratch register";
+    return false;
+  }
   if (H.Op == host::HOp::CallHelper && H.Helper >= NumHelpers) {
     Why = "helper id out of range";
     return false;
@@ -419,6 +424,19 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     for (host::HInst &H : B->Code)
       if (!readInst(R, NumCode, H, Why))
         return Bad(Why);
+    // Execution must never run off the block: a probe hit resumes two
+    // instructions on, past its miss path's call, and the last
+    // instruction never falls through.
+    for (uint32_t I = 0; I < NumCode; ++I) {
+      const host::HInst &H = B->Code[I];
+      if (H.Op == host::HOp::Probe &&
+          (I + 2 >= NumCode || B->Code[I + 1].Op != host::HOp::CallHelper ||
+           B->Code[I + 1].Helper != memHelperId(H.Size, H.AccIsWrite)))
+        return Bad("probe not followed by its helper call");
+    }
+    if (B->Code.back().Op != host::HOp::ExitTb &&
+        B->Code.back().Op != host::HOp::Jmp)
+      return Bad("block ends in an instruction that falls through");
     for (const host::HostBlock::Chain &Ch : B->Chains) {
       const bool NoRange = Ch.FlagSaveBegin == -1 && Ch.FlagSaveEnd == -1;
       const bool GoodRange = Ch.FlagSaveBegin >= 0 &&

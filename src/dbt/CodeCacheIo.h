@@ -81,9 +81,9 @@ enum class CacheLoad {
 class CodeCacheIo {
 public:
   /// Bump on any change to the record layout or to what a field means; a
-  /// version mismatch is a clean miss. 3: TlbCmp carries the address
-  /// register (Dst) and the access size.
-  static constexpr uint32_t FormatVersion = 3;
+  /// version mismatch is a clean miss. 4: one Probe op replaces the
+  /// inline TLB sequence.
+  static constexpr uint32_t FormatVersion = 4;
 
   /// Serializes \p Img to \p Path (atomically: temp file + rename, so a
   /// concurrent reader sees either the old file or the complete new

@@ -147,7 +147,7 @@ public:
 
 private:
   /// The platform RAM's page pointers, with PhysMem::write as the store
-  /// slow path (GLoad/GStore hit RAM only).
+  /// slow path (a probe hit reaches RAM only).
   class RamPort final : public host::PhysPort {
   public:
     explicit RamPort(sys::PhysMem &M)

@@ -34,6 +34,12 @@ enum HelperId : uint16_t {
   NumHelpers,
 };
 
+/// The slow-path helper of a \p Size byte (1, 2 or 4) load or store.
+constexpr uint16_t memHelperId(unsigned Size, bool IsWrite) {
+  return static_cast<uint16_t>((IsWrite ? HelperSt8 : HelperLd8) +
+                               (Size == 1 ? 0 : Size == 2 ? 1 : 2));
+}
+
 /// Helper-internal cost constants (host-instruction equivalents).
 namespace cost {
 /// Two-level page-table walk + TLB refill inside a slow-path load/store.

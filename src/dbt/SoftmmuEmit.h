@@ -6,11 +6,17 @@
 ///
 /// \file
 /// Emits the QEMU-style inline softmmu probe both translators use for
-/// guest memory accesses: a direct-mapped TLB lookup (~10 host
-/// instructions on the hit path, attributed to CostClass::MmuInline) with
-/// a helper call on the miss path. This is the "address translation"
-/// machinery whose context switches §II-C identifies as the dominant
-/// coordination source.
+/// guest memory accesses: a direct-mapped TLB lookup with a helper call on
+/// the miss path, the "address translation" machinery whose context
+/// switches §II-C identifies as the dominant coordination source. The
+/// probe is one host::HOp::Probe, charged (CostClass::MmuInline) as the
+/// x86 sequence it stands for; a miss stops at the jne, after 6:
+///
+///     mov addr,t0; shr $12,t0; mov t0,t1; and $0xff,t1  t0=vpn t1=index
+///     cmp vpn|align,tlb_<r|w>(env,t1); jne .miss        misaligned: miss
+///     mov tlb_phys(env,t1),t1; mov addr,t0; and $0xfff,t0; or t0,t1
+///     mov (t1),data | mov data,(t1); jmp .done
+///   .miss: call helper_ld/st<size>  (CostClass::Helper)     .done:
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +25,6 @@
 
 #include "dbt/Helpers.h"
 #include "host/HostEmitter.h"
-#include "sys/Env.h"
 
 namespace rdbt {
 namespace dbt {
@@ -36,37 +41,13 @@ inline void emitInlineAccess(host::HostEmitter &E, uint8_t AddrReg,
   assert(AddrReg != ScratchReg0 && AddrReg != ScratchReg1 &&
          "probe clobbers t0/t1");
   const CostClass Saved = E.setClass(CostClass::MmuInline);
-
-  E.movRR(ScratchReg0, AddrReg);
-  E.aluI(HOp::Shr, ScratchReg0, 12); // t0 = vpn
-  E.movRR(ScratchReg1, ScratchReg0);
-  E.aluI(HOp::And, ScratchReg1, sys::TlbSize - 1); // t1 = index
-  E.tlbCmp(ScratchReg1, ScratchReg0, AddrReg, Size, /*IsWrite=*/!IsLoad);
-  const int JccSlow = E.jcc(HCond::Ne);
-  E.tlbPhys(ScratchReg1, ScratchReg1); // t1 = phys page | flags
-  E.movRR(ScratchReg0, AddrReg);
-  E.aluI(HOp::And, ScratchReg0, 0xFFF);
-  E.alu(HOp::Or, ScratchReg1, ScratchReg0); // t1 = phys address
-  if (IsLoad)
-    E.gLoad(DataReg, ScratchReg1, Size);
-  else
-    E.gStore(DataReg, ScratchReg1, Size);
-  const int JmpDone = E.jmp();
-
-  E.patchHere(JccSlow);
+  E.probe(AddrReg, DataReg, Size, /*IsWrite=*/!IsLoad);
   E.setClass(CostClass::Helper);
-  if (IsLoad) {
-    const uint16_t Id = Size == 1   ? HelperLd8
-                        : Size == 2 ? HelperLd16
-                                    : HelperLd32;
+  const uint16_t Id = memHelperId(Size, /*IsWrite=*/!IsLoad);
+  if (IsLoad)
     E.callHelper(Id, AddrReg, 0, DataReg);
-  } else {
-    const uint16_t Id = Size == 1   ? HelperSt8
-                        : Size == 2 ? HelperSt16
-                                    : HelperSt32;
+  else
     E.callHelper(Id, AddrReg, DataReg);
-  }
-  E.patchHere(JmpDone);
   E.setClass(Saved);
 }
 

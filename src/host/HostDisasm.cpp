@@ -16,6 +16,8 @@ static std::string hreg(uint8_t R) {
     return "%t0";
   if (R == ScratchReg1)
     return "%t1";
+  if (R == ScratchReg2)
+    return "%t2";
   return format("%%h%u", R);
 }
 
@@ -93,19 +95,10 @@ std::string host::disassemble(const HInst &H) {
     return format("j%s .L%d", hcondName(H.Cc), H.Target);
   case HOp::Jmp:
     return format("jmp .L%d", H.Target);
-  case HOp::TlbCmp:
-    return format("cmp %s|align%u(%s), tlb_%s(env,%s,16)",
-                  hreg(H.Src2).c_str(), H.Size, hreg(H.Dst).c_str(),
-                  H.AccIsWrite ? "w" : "r", hreg(H.Src).c_str());
-  case HOp::TlbPhys:
-    return format("mov tlb_phys(env,%s,16), %s", hreg(H.Src).c_str(),
+  case HOp::Probe:
+    return format("probe.%s%u (%s), %s ; tlb hit: 12 cycles, miss: 6 + call",
+                  H.AccIsWrite ? "st" : "ld", H.Size, hreg(H.Src).c_str(),
                   hreg(H.Dst).c_str());
-  case HOp::GLoad:
-    return format("mov%u (%s), %s", H.Size, hreg(H.Src).c_str(),
-                  hreg(H.Dst).c_str());
-  case HOp::GStore:
-    return format("mov%u %s, (%s)", H.Size, hreg(H.Dst).c_str(),
-                  hreg(H.Src).c_str());
   case HOp::CallHelper:
     return format("call helper_%u(%s, %s)", H.Helper, hreg(H.Src).c_str(),
                   hreg(H.Src2).c_str());

@@ -165,38 +165,15 @@ public:
 
   // --- Softmmu / guest memory -------------------------------------------------
 
-  int tlbCmp(uint8_t IdxReg, uint8_t VpnReg, uint8_t AddrReg, uint8_t Size,
-             bool IsWrite) {
+  /// The inline softmmu probe; the caller emits the miss path's helper
+  /// call right after it.
+  int probe(uint8_t AddrReg, uint8_t DataReg, uint8_t Size, bool IsWrite) {
     HInst H;
-    H.Op = HOp::TlbCmp;
-    H.Dst = AddrReg;
-    H.Src = IdxReg;
-    H.Src2 = VpnReg;
-    H.Size = Size;
-    H.AccIsWrite = IsWrite;
-    return emit(H);
-  }
-  int tlbPhys(uint8_t Dst, uint8_t IdxReg) {
-    HInst H;
-    H.Op = HOp::TlbPhys;
-    H.Dst = Dst;
-    H.Src = IdxReg;
-    return emit(H);
-  }
-  int gLoad(uint8_t Dst, uint8_t AddrReg, uint8_t Size) {
-    HInst H;
-    H.Op = HOp::GLoad;
-    H.Dst = Dst;
-    H.Src = AddrReg;
-    H.Size = Size;
-    return emit(H);
-  }
-  int gStore(uint8_t DataReg, uint8_t AddrReg, uint8_t Size) {
-    HInst H;
-    H.Op = HOp::GStore;
+    H.Op = HOp::Probe;
     H.Dst = DataReg;
     H.Src = AddrReg;
     H.Size = Size;
+    H.AccIsWrite = IsWrite;
     return emit(H);
   }
 

@@ -14,13 +14,12 @@
 ///    register allocator — the coordination traffic under study does not
 ///    depend on spills, see DESIGN.md §2);
 ///  * an implicit env pointer (QEMU reserves a host register for it) used
-///    by the LdEnv/StEnv/Tlb* instructions;
+///    by the LdEnv/StEnv instructions and the softmmu probe;
 ///  * NZCV condition flags with ARM carry polarity, updated only by
 ///    instructions with the SetFlags bit (x86 equivalents exist for every
 ///    case: flag-setting ALU ops, lea/mov for the non-setting ones);
-///  * the QEMU-softmmu inline TLB probe ops (TlbCmp/TlbPhys model x86
-///    cmp/mov with scaled-index memory operands, one instruction each);
-///  * engine ops: helper calls, patchable chain slots, TB exits.
+///  * engine ops: the inline softmmu probe, helper calls, patchable chain
+///    slots, TB exits.
 ///
 /// Every instruction carries a \ref CostClass so executed host
 /// instructions can be attributed to user code, CPU-state coordination
@@ -109,18 +108,19 @@ enum class HOp : uint8_t {
   Jcc, ///< conditional jump to Target (instruction index in block)
   Jmp, ///< unconditional jump to Target
 
-  // Inline softmmu (env-relative scaled-index ops, 1 instruction each).
-  TlbCmp,  ///< flags = env.Tlb[env.MmuIdx][Src].Tag<kind> - (Src2 (vpn) |
-           ///< (Dst (address) & (Size-1)) << 20): misaligned never hits
-  TlbPhys, ///< Dst = env.Tlb[env.MmuIdx][Src].PhysFlags
-
-  GLoad,  ///< Dst = guest-physical[Src], Size bytes, zero-extended
-  GStore, ///< guest-physical[Src] = Dst, Size bytes
+  /// Inline softmmu access of Size bytes at guest virtual R[Src] into (or,
+  /// if AccIsWrite, from) Dst: the TLB probe of dbt/SoftmmuEmit.h. A hit
+  /// skips the load/store CallHelper that always follows; a miss runs it.
+  Probe,
 
   CallHelper, ///< call Helper with args R[Src], R[Src2]; result to Dst
   ChainSlot,  ///< patchable direct jump: chain slot index in Imm
   ExitTb,     ///< leave the code cache; ExitReason in Imm
 };
+
+/// Host instructions (and cycles) of the sequence HOp::Probe stands for:
+/// all 12 on a hit (RAM at the 11th), the first 6 before a miss's call.
+constexpr unsigned ProbeHitCycles = 12;
 
 /// Instruction cost/attribution classes (Fig. 15 / Fig. 17 accounting).
 enum class CostClass : uint8_t {
@@ -156,9 +156,9 @@ struct HInst {
   CostClass Cls = CostClass::User;
   bool SetFlags = false;
   bool UseImm = false;
-  bool AccIsWrite = false; ///< TlbCmp: probe the write tag
+  bool AccIsWrite = false; ///< Probe: a store (probes the write tag)
   bool Dead = false;       ///< elided by inter-TB chain patching
-  uint8_t Size = 4;        ///< GLoad/GStore/TlbCmp access size
+  uint8_t Size = 4;        ///< Probe access size
   uint8_t Dst = 0;
   uint8_t Src = 0;
   uint8_t Src2 = 0;

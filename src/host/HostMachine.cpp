@@ -56,10 +56,7 @@ const char *host::hopName(HOp Op) {
   case HOp::UnpackF: return "sahf";
   case HOp::Jcc: return "j";
   case HOp::Jmp: return "jmp";
-  case HOp::TlbCmp: return "tlbcmp";
-  case HOp::TlbPhys: return "tlbphys";
-  case HOp::GLoad: return "gld";
-  case HOp::GStore: return "gst";
+  case HOp::Probe: return "probe";
   case HOp::CallHelper: return "call";
   case HOp::ChainSlot: return "chain";
   case HOp::ExitTb: return "exit_tb";
@@ -94,7 +91,9 @@ HostMachine::HostMachine(uint32_t *EnvWords, uint32_t Size, PhysPort &M,
                          uint32_t HalfEntries)
     : Env(EnvWords), EnvSize(Size), Mem(M), Helpers(H), Wall(W),
       MmuIdxSlot(MmuSlot), TlbBaseSlot(TlbBase), TlbEntryWords(EntryWords),
-      TlbHalfEntries(HalfEntries) {}
+      TlbHalfEntries(HalfEntries) {
+  assert((HalfEntries & (HalfEntries - 1)) == 0 && "TLB index is a mask");
+}
 
 uint32_t HostMachine::packedFlags() const {
   return (FN ? 1u << 31 : 0) | (FZ ? 1u << 30 : 0) | (FC ? 1u << 29 : 0) |
@@ -122,6 +121,68 @@ uint32_t HostMachine::tlbWord(uint32_t Index, uint32_t FieldWord) const {
                         Index * TlbEntryWords + FieldWord;
   assert(Slot < EnvSize && "TLB slot out of env");
   return Env[Slot];
+}
+
+// The probe's RAM access at t1. It runs only after a TLB hit, and the TLB
+// tags whole RAM pages only, so the page pointers cover every address it
+// sees; a misaligned access never hits, so none crosses a page end.
+inline void HostMachine::probeAccess(const HInst &H) {
+  const uint32_t Pa = R_[ScratchReg1];
+  assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
+         (Pa & PhysPort::PageMask) + H.Size <= PhysPort::PageMask + 1 &&
+         "a probe hit must stay inside one RAM page");
+  const uint32_t Page = Pa >> PhysPort::PageShift;
+  const uint32_t Offset = Pa & PhysPort::PageMask;
+  if (!H.AccIsWrite)
+    R_[H.Dst] = loadLe(Mem.ReadPages[Page] + Offset, H.Size);
+  else if (uint8_t *Bytes = Mem.WritePages[Page])
+    storeLe(Bytes + Offset, H.Size, R_[H.Dst]);
+  else
+    Mem.write(Pa, H.Size, R_[H.Dst]);
+}
+
+// The probe one instruction at a time, for a miss and for a hit that a
+// device deadline or the runaway guard lands inside: each instruction of
+// the sequence in SoftmmuEmit.h is counted, charged and applied where it
+// stood, so onWall sees the same Now, and RAM the same order, as with 12
+// separate ops.
+#if defined(__GNUC__)
+__attribute__((noinline, cold))
+#endif
+HostMachine::ProbeEnd HostMachine::probeStepwise(const HInst &H,
+                                                 uint64_t &Executed) {
+  uint32_t &T0 = R_[ScratchReg0], &T1 = R_[ScratchReg1];
+  for (unsigned Step = 1; Step <= ProbeHitCycles; ++Step) {
+    if (Step > 1 && ++Executed > MaxInstrsPerRun)
+      return ProbeEnd::Runaway;
+    charge(H, 1);
+    switch (Step) {
+    case 1: T0 = R_[H.Src]; break;
+    case 2: T0 >>= PhysPort::PageShift; break;
+    case 3: T1 = T0; break;
+    case 4: T1 &= TlbHalfEntries - 1; break;
+    case 5: { // cmp vpn|align, tag: flags = tag - key, as x86 sets them
+      const uint32_t Tag = tlbWord(T1, H.AccIsWrite);
+      const uint32_t Key = T0 | (R_[H.Src] & (H.Size - 1u)) << 20;
+      const uint32_t Diff = Tag - Key;
+      FN = Diff >> 31;
+      FZ = Diff == 0;
+      FC = Tag >= Key;
+      FV = (((Tag ^ Key) & (Tag ^ Diff)) >> 31) & 1;
+      break;
+    }
+    case 6:
+      if (!FZ)
+        return ProbeEnd::Miss;
+      break;
+    case 7: T1 = tlbWord(T1, 2); break;
+    case 8: T0 = R_[H.Src]; break;
+    case 9: T0 &= PhysPort::PageMask; break;
+    case 10: T1 |= T0; break;
+    case 11: probeAccess(H); break;
+    }
+  }
+  return ProbeEnd::Hit;
 }
 
 // Aligned so the dispatch loop keeps its offset within 64-byte fetch
@@ -201,7 +262,6 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       const uint32_t A = R_[H.Dst];
       const uint32_t Bv = aluOperand(H);
       uint32_t Lhs = A, Rhs = Bv, CarryIn = 0;
-      bool Invert = false;
       switch (H.Op) {
       case HOp::Add:
       case HOp::Cmn:
@@ -226,7 +286,6 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       default:
         break;
       }
-      (void)Invert;
       const uint64_t Wide =
           static_cast<uint64_t>(Lhs) + static_cast<uint64_t>(Rhs) + CarryIn;
       const uint32_t Result = static_cast<uint32_t>(Wide);
@@ -398,48 +457,33 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       I = static_cast<size_t>(H.Target);
       continue;
 
-    case HOp::TlbCmp: {
-      charge(H, 1);
-      // Alignment bits land above any VPN: a misaligned access never hits.
-      const uint32_t Tag = tlbWord(R_[H.Src], H.AccIsWrite ? 1 : 0);
-      const uint32_t Vpn = R_[H.Src2] | (R_[H.Dst] & (H.Size - 1u)) << 20;
-      const uint32_t Result = Tag - Vpn;
-      FN = Result >> 31;
-      FZ = Result == 0;
-      FC = Tag >= Vpn;
-      FV = (((Tag ^ Vpn) & (Tag ^ Result)) >> 31) & 1;
-      break;
-    }
-    case HOp::TlbPhys:
-      charge(H, 1);
-      R_[H.Dst] = tlbWord(R_[H.Src], 2);
-      break;
-
-    // Both run only after an inline TLB hit, and the TLB tags whole RAM
-    // pages only, so the page pointers cover every address they see. A
-    // misaligned access never hits (TlbCmp), so none crosses a page end.
-    case HOp::GLoad: {
-      charge(H, 1);
-      const uint32_t Pa = R_[H.Src];
-      assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
-             (Pa & PhysPort::PageMask) + H.Size <= PhysPort::PageMask + 1 &&
-             "GLoad after TLB hit must stay inside one RAM page");
-      R_[H.Dst] = loadLe(Mem.ReadPages[Pa >> PhysPort::PageShift] +
-                             (Pa & PhysPort::PageMask),
-                         H.Size);
-      break;
-    }
-    case HOp::GStore: {
-      charge(H, 1);
-      const uint32_t Pa = R_[H.Src];
-      assert(Pa >> PhysPort::PageShift < Mem.NumPages &&
-             (Pa & PhysPort::PageMask) + H.Size <= PhysPort::PageMask + 1 &&
-             "GStore after TLB hit must stay inside one RAM page");
-      if (uint8_t *Page = Mem.WritePages[Pa >> PhysPort::PageShift])
-        storeLe(Page + (Pa & PhysPort::PageMask), H.Size, R_[H.Dst]);
-      else
-        Mem.write(Pa, H.Size, R_[H.Dst]);
-      break;
+    // A hit is charged in bulk unless a deadline or the runaway guard
+    // lands inside it; that, and every miss, runs probeStepwise.
+    // Alignment bits land above any VPN: a misaligned access never hits.
+    case HOp::Probe: {
+      const uint32_t Addr = R_[H.Src];
+      const uint32_t Vpn = Addr >> PhysPort::PageShift;
+      const uint32_t Index = Vpn & (TlbHalfEntries - 1);
+      if (tlbWord(Index, H.AccIsWrite) !=
+              (Vpn | (Addr & (H.Size - 1u)) << 20) ||
+          Counters.Wall + ProbeHitCycles >= NextDeadline ||
+          Executed + (ProbeHitCycles - 1) > MaxInstrsPerRun) {
+        const ProbeEnd End = probeStepwise(H, Executed);
+        if (End == ProbeEnd::Runaway)
+          return {ExitReason::Shutdown, 0, CurTb, 0};
+        I += End == ProbeEnd::Hit ? 2 : 1; // a hit skips the CallHelper
+        continue;
+      }
+      Counters.Wall += ProbeHitCycles;
+      Counters.ByClass[static_cast<unsigned>(H.Cls)] += ProbeHitCycles;
+      Executed += ProbeHitCycles - 1;
+      FN = FV = false; // tag == key
+      FZ = FC = true;
+      R_[ScratchReg0] = Addr & PhysPort::PageMask;
+      R_[ScratchReg1] = tlbWord(Index, 2) | R_[ScratchReg0];
+      probeAccess(H); // writes a loaded data register last
+      I += 2;
+      continue;
     }
 
     case HOp::CallHelper: {

@@ -30,10 +30,10 @@
 namespace rdbt {
 namespace host {
 
-/// Guest RAM as generated GLoad/GStore see it: one host pointer per
-/// 4 KiB page (implemented by the DBT engine over the platform RAM). They
-/// run only after an inline TLB hit, and the TLB tags whole RAM pages
-/// only, so they never reach MMIO or a hole past the end of RAM.
+/// Guest RAM as the inline probe's hit path sees it: one host pointer per
+/// 4 KiB page (implemented by the DBT engine over the platform RAM). The
+/// TLB tags whole RAM pages only, so a hit never reaches MMIO or a hole
+/// past the end of RAM.
 class PhysPort {
 public:
   enum : uint32_t { PageShift = 12, PageMask = (1u << PageShift) - 1 };
@@ -149,6 +149,9 @@ private:
   uint32_t TlbBaseSlot, TlbEntryWords, TlbHalfEntries;
 
   void charge(const HInst &H, uint64_t Cost);
+  void probeAccess(const HInst &H);
+  enum class ProbeEnd { Hit, Miss, Runaway };
+  ProbeEnd probeStepwise(const HInst &H, uint64_t &Executed);
   bool holds(HCond Cc) const {
     return condHolds(static_cast<unsigned>(Cc), nzcvNibble(FN, FZ, FC, FV));
   }

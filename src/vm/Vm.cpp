@@ -114,7 +114,11 @@ void Vm::init() {
     const uint32_t Ram = Cfg.ramBytes()
                              ? Cfg.ramBytes()
                              : guestsw::requiredWorkloadRam(Cfg.workload());
-    Board_ = std::make_unique<sys::Platform>(Ram);
+    // A workload board adopts the seeded disk in setupGuest, so it starts
+    // with a zero-sector disk (no blank table), as a fork does.
+    const bool Seeded = !Cfg.isFlatImage() && !Cfg.workload().empty();
+    Board_ = std::make_unique<sys::Platform>(
+        Ram, Seeded ? 0u : uint32_t{sys::DiskDevice::DefaultSectors});
 
     if (Cfg.isFlatImage()) {
       Board_->Ram.loadWords(Cfg.flatImageBase(), Cfg.flatImage());
@@ -125,6 +129,7 @@ void Vm::init() {
       return;
     } else if (!guestsw::setupGuest(*Board_, Cfg.workload(), Cfg.scale())) {
       Error_ = "unknown workload '" + Cfg.workload() + "'";
+      Board_ = std::make_unique<sys::Platform>(guestsw::KernelLayout::MinRam);
       return;
     }
   }

@@ -19,8 +19,9 @@
 ///    (CacheFileMisses).
 ///
 ///  * **Every bad file is a clean miss**: truncation, random bit flips,
-///    a wrong format version, a wrong magic, or a stale key (file keyed
-///    for different guest bytes or translator config) must make load()
+///    a wrong format version, a wrong magic, a stale key (file keyed
+///    for different guest bytes or translator config), or code that
+///    could run off its block must make load()
 ///    return Rejected — never a Hit, never undefined behavior. The
 ///    corruption loop mirrors tools/rdbt_fuzz's seeded-LCG style and is
 ///    the surface the sanitizer CI job leans on.
@@ -32,6 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dbt/CodeCacheIo.h"
+#include "dbt/Helpers.h"
 #include "guestsw/Workloads.h"
 #include "vm/Vm.h"
 
@@ -42,6 +44,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -278,6 +281,101 @@ TEST(CodeCacheIo, WrongVersionAndMagicReject) {
   writeBytes(Forged, Bad);
   EXPECT_EQ(dbt::CacheLoad::Rejected,
             dbt::CodeCacheIo::load(Forged, Key, Img));
+}
+
+// A probe hit resumes past the miss path's helper call, so a file whose
+// probe ends the block, or is not followed by its own load/store helper
+// call with code after it, must reject rather than run off the block; so
+// must a block whose last instruction falls through.
+TEST(CodeCacheIo, CodeThatCouldRunOffItsBlockRejects) {
+  TempDir Dir;
+  std::string Path;
+  ASSERT_TRUE(runOnce(cfgFor("qemu").persistentCache(Dir.Path), &Path).Ok);
+  vm::Vm Probe(cfgFor("qemu").persistentCache(Dir.Path));
+  ASSERT_TRUE(Probe.valid());
+  const dbt::CacheKey Key = Probe.cacheKey();
+
+  // Re-saves the file with \p Mutate applied to the first probe's block
+  // (the save re-seals the checksum), then loads it.
+  auto LoadMutant = [&](const std::function<void(host::HostBlock &,
+                                                 size_t)> &Mutate) {
+    dbt::CodeCache::Image Img;
+    EXPECT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Img));
+    for (dbt::CodeCache::Entry &E : Img.Entries)
+      for (size_t I = 0; I < E.Block->Code.size(); ++I)
+        if (E.Block->Code[I].Op == host::HOp::Probe) {
+          Mutate(*E.Block, I);
+          const std::string Mutant = Dir.Path + "/mutant.bin";
+          EXPECT_TRUE(dbt::CodeCacheIo::save(Mutant, Img, Key));
+          dbt::CodeCache::Image Out;
+          std::string Why;
+          const dbt::CacheLoad L =
+              dbt::CodeCacheIo::load(Mutant, Key, Out, &Why);
+          std::remove(Mutant.c_str());
+          return std::make_pair(L, Why);
+        }
+    ADD_FAILURE() << "no probe in the qemu cache file";
+    return std::make_pair(dbt::CacheLoad::Absent, std::string());
+  };
+
+  EXPECT_EQ(dbt::CacheLoad::Hit,
+            LoadMutant([](host::HostBlock &, size_t) {}).first);
+  const std::vector<std::function<void(host::HostBlock &, size_t)>> Mutants =
+      {[](host::HostBlock &B, size_t I) { B.Code = {B.Code[I]}; },
+       [](host::HostBlock &B, size_t I) {
+         B.Code = {B.Code[I], B.Code[I + 1]};
+       },
+       [](host::HostBlock &B, size_t I) {
+         B.Code[I + 1].Op = host::HOp::Nop;
+       },
+       [](host::HostBlock &B, size_t I) {
+         B.Code[I + 1].Helper = dbt::HelperEmulate;
+       },
+       [](host::HostBlock &B, size_t I) {
+         B.Code[I].AccIsWrite = !B.Code[I].AccIsWrite;
+       }};
+  for (size_t M = 0; M < Mutants.size(); ++M) {
+    const auto Result = LoadMutant(Mutants[M]);
+    EXPECT_EQ(dbt::CacheLoad::Rejected, Result.first) << "mutant " << M;
+    EXPECT_EQ("probe not followed by its helper call", Result.second)
+        << "mutant " << M;
+  }
+  // The probe clobbers t0 and t1, so its address never lives there.
+  auto Result = LoadMutant([](host::HostBlock &B, size_t I) {
+    B.Code[I].Src = host::ScratchReg1;
+  });
+  EXPECT_EQ(dbt::CacheLoad::Rejected, Result.first);
+  EXPECT_EQ("probe address in a scratch register", Result.second);
+  // Nor may any other last instruction fall through.
+  Result = LoadMutant([](host::HostBlock &B, size_t) {
+    B.Code.resize(1);
+    B.Code[0] = host::HInst();
+  });
+  EXPECT_EQ(dbt::CacheLoad::Rejected, Result.first);
+  EXPECT_EQ("block ends in an instruction that falls through", Result.second);
+}
+
+// A file of the previous format (version 3, the 12-instruction probe) is
+// a clean miss: the session runs exactly like a cold one and rewrites it.
+TEST(CodeCacheIo, VersionThreeFileIsACleanMiss) {
+  TempDir Dir;
+  std::string Path;
+  const vm::RunReport Cold =
+      runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path), &Path);
+  ASSERT_TRUE(Cold.Ok);
+  std::string Old = readBytes(Path);
+  const uint32_t Three = 3;
+  std::memcpy(&Old[4], &Three, 4);
+  writeBytes(Path, Old);
+
+  const vm::RunReport Recover =
+      runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path));
+  ASSERT_TRUE(Recover.Ok);
+  expectSameGuestRun(Cold, Recover);
+  EXPECT_EQ(0u, Recover.Cache.CacheFileHits);
+  EXPECT_EQ(1u, Recover.Cache.CacheFileMisses);
+  EXPECT_EQ(Cold.Engine.Translations, Recover.Engine.Translations);
+  EXPECT_NE(Old, readBytes(Path)) << "the miss must rewrite the file";
 }
 
 TEST(CodeCacheIo, StaleKeyRejects) {

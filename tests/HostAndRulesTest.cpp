@@ -16,6 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace rdbt;
 using namespace rdbt::host;
 
@@ -64,7 +68,7 @@ protected:
   /// Runs the translators' inline access of \p Va's word on \p B's RAM
   /// (\p Value for a store) on a machine of its own, after installing a
   /// TLB entry that maps Va's page to itself. Returns the loaded word, or
-  /// 0 for a store; \p Helpers counts helper calls (0: GLoad/GStore ran).
+  /// 0 for a store; \p Helpers counts helper calls (0: the probe hit).
   uint32_t translatedAccess(sys::Platform &B, uint32_t Va, bool IsLoad,
                             uint32_t Value, uint64_t &Helpers) {
     sys::TlbEntry &Entry =
@@ -208,6 +212,241 @@ TEST_F(HostFixture, TlbProbeAndGuestAccess) {
             5u);
 }
 
+/// Helper and device-clock stand-ins for the probe timing test: the
+/// helpers access RAM at the (identity-mapped) virtual address, and the
+/// first onWall writes SinkValue where the probe accesses, so the final
+/// value shows whether the device write came before the access.
+class ProbeRig final : public PhysPort, public HelperHandler,
+                       public WallSink {
+public:
+  enum : uint64_t { HelperCost = 5, DeadlineStep = 4 };
+
+  explicit ProbeRig(sys::Platform &B)
+      : PhysPort(B.Ram.readPointers(), B.Ram.writePointers(),
+                 B.Ram.numPages()),
+        Board(B) {}
+
+  void write(uint32_t Pa, unsigned Size, uint32_t V) override {
+    Board.Ram.write(Pa, Size, V);
+  }
+  Outcome call(uint16_t Id, uint32_t A0, uint32_t A1, uint32_t) override {
+    Outcome O;
+    O.Cost = HelperCost;
+    const unsigned Size = 1u << (Id % 3); // Ld8, Ld16, Ld32, St8, ...
+    if (Id < dbt::HelperSt8) {
+      O.HasResult = true;
+      O.Result = Board.Ram.read(A0, Size);
+    } else {
+      Board.Ram.write(A0, Size, A1);
+    }
+    return O;
+  }
+  uint64_t onWall(uint64_t Now) override {
+    if (Calls.empty())
+      Board.Ram.write(SinkPa, SinkSize, SinkValue);
+    Calls.push_back(Now);
+    return Now + DeadlineStep;
+  }
+
+  sys::Platform &Board;
+  uint32_t SinkPa = 0, SinkValue = 0;
+  unsigned SinkSize = 4;
+  std::vector<uint64_t> Calls;
+};
+
+// The inline probe must charge, order and leave state exactly like the
+// 12-instruction sequence it models (mov, shr, mov, and, tlb cmp, jne,
+// tlb phys, mov, and, or, access, jmp): a hit is 12 MmuInline cycles with
+// RAM touched after the 11th, a miss is 6 and falls into the helper. For
+// every size, kind and outcome, a device deadline at each cycle offset
+// 1..12 fires at the same Now, a device write lands before the access
+// exactly when the deadline is at or before the access, and a runaway
+// guard at each instruction of the sequence leaves the same partial state.
+TEST(InlineProbe, ChargesAndOrdersLikeTheTwelveInstructionSequence) {
+  enum class Kind { Hit, Miss, Misaligned };
+  const uint32_t AddrReg = 4, Page = 0x00345000, Off = 0x678;
+  const uint32_t T0Init = 0xA0A0A0A0u, T1Init = 0xB1B1B1B1u;
+  const uint32_t FlagsInit = 0x90000000u; // N and V
+  const uint32_t RamInit = 0x13579BDFu, SinkValue = 0x2468ACE0u;
+  const uint32_t StoreValue = 0xC3C2C1C0u;
+  const unsigned Mmu = static_cast<unsigned>(CostClass::MmuInline);
+  const unsigned Help = static_cast<unsigned>(CostClass::Helper);
+  const unsigned User = static_cast<unsigned>(CostClass::User);
+  sys::Platform Board(4 << 20);
+  unsigned Cases = 0;
+
+  for (unsigned Size : {1u, 2u, 4u})
+    for (bool IsLoad : {true, false})
+      for (uint8_t DataReg : {uint8_t(5), uint8_t(ScratchReg0)})
+        for (Kind K : {Kind::Hit, Kind::Miss, Kind::Misaligned}) {
+          if (DataReg == ScratchReg0 && !IsLoad)
+            continue; // stores never take their data from t0
+          if (K == Kind::Misaligned && Size == 1)
+            continue;
+          const uint32_t Va = Page + Off + (K == Kind::Misaligned ? 1 : 0);
+          const uint32_t Mask = Size == 4 ? ~0u : (1u << (8 * Size)) - 1;
+          const bool Hit = K == Kind::Hit;
+          const uint32_t Vpn = Va >> 12, Index = Vpn & (sys::TlbSize - 1);
+          const uint32_t Tag = K == Kind::Miss ? sys::TlbInvalidTag : Vpn;
+          const uint32_t Key = Vpn | (Va & (Size - 1)) << 20;
+          const uint32_t Diff = Tag - Key;
+          const uint32_t CmpFlags =
+              (Diff >> 31) << 31 | (Diff == 0 ? 1u << 30 : 0) |
+              (Tag >= Key ? 1u << 29 : 0) |
+              ((Tag ^ Key) & (Tag ^ Diff)) >> 31 << 28;
+          // Each charge of the sequence in order, then the index of the
+          // charge after which the access (RAM or helper) happens.
+          std::vector<std::pair<unsigned, uint64_t>> Script;
+          for (unsigned I = 0; I < (Hit ? 12u : 6u); ++I)
+            Script.push_back({Mmu, 1});
+          size_t AccessAfter = 11;
+          if (!Hit) {
+            Script.push_back({Help, 3});
+            Script.push_back({Help, ProbeRig::HelperCost});
+            AccessAfter = 7;
+          }
+          Script.push_back({User, 1}); // exit_tb
+
+          // The state after the first J instructions of the sequence.
+          auto Prefix = [&](unsigned J, uint32_t Accessed, uint32_t &T0,
+                            uint32_t &T1, uint32_t &Data, uint32_t &Nzcv) {
+            T0 = J >= 9 ? Va & 0xFFF : J >= 8 ? Va : J >= 2 ? Vpn
+                 : J >= 1 ? Va : T0Init;
+            T1 = J >= 10 ? Va : J >= 7 ? Page : J >= 4 ? Index
+                 : J >= 3 ? Vpn : T1Init;
+            Nzcv = J >= 5 ? CmpFlags : FlagsInit;
+            Data = IsLoad ? (J >= 11 ? Accessed : 0u) : StoreValue;
+            if (DataReg == ScratchReg0 && J >= 11)
+              T0 = Accessed;
+          };
+
+          auto Reset = [&] {
+            sys::TlbEntry &E = Board.Env.Tlb[0][Index];
+            E.TagRead = E.TagWrite = Tag;
+            E.PhysFlags = Page;
+            Board.Ram.write(Page + Off, 4, RamInit);
+            Board.Ram.write(Page + Off + 4, 4, RamInit);
+          };
+          Reset();
+          const uint32_t Before = Board.Ram.read(Va, Size);
+
+          auto Run = [&](uint64_t Deadline, uint64_t MaxInstrs,
+                         ProbeRig &Rig) {
+            Reset();
+            Rig.SinkPa = Va;
+            Rig.SinkSize = Size;
+            Rig.SinkValue = SinkValue;
+            HostMachine M(reinterpret_cast<uint32_t *>(&Board.Env),
+                          sys::envWordCount(), Rig, Rig, Rig,
+                          sys::envSlotMmuIdx(), sys::envSlotTlbBase(),
+                          sys::tlbEntryWords(), sys::TlbSize);
+            struct : CodeSource {
+              HostBlock B;
+              const HostBlock *block(int Id) const override {
+                return Id == 0 ? &B : nullptr;
+              }
+            } Src;
+            HostEmitter Em(Src.B);
+            dbt::emitInlineAccess(Em, AddrReg, DataReg,
+                                  static_cast<uint8_t>(Size), IsLoad);
+            Em.exitTb(ExitReason::Lookup);
+            M.setReg(AddrReg, Va);
+            M.setReg(ScratchReg0, T0Init);
+            M.setReg(ScratchReg1, T1Init);
+            M.setReg(5, IsLoad ? 0u : StoreValue);
+            M.setPackedFlags(FlagsInit);
+            M.NextDeadline = Deadline;
+            M.MaxInstrsPerRun = MaxInstrs;
+            const RunResult R = M.run(Src, 0);
+            return std::make_pair(R, M);
+          };
+
+          const std::string Case =
+              "size " + std::to_string(Size) + (IsLoad ? " load" : " store") +
+              " into " + std::to_string(DataReg) + " kind " +
+              std::to_string(static_cast<int>(K));
+          for (uint64_t Deadline = 1; Deadline <= 12; ++Deadline) {
+            const std::string Where =
+                Case + " deadline " + std::to_string(Deadline);
+            // Replay the script against the same device clock.
+            uint64_t Wall = 0, Next = Deadline;
+            uint64_t ByClass[NumCostClasses] = {};
+            std::vector<uint64_t> Calls;
+            size_t FirstCallAfter = 0;
+            for (size_t I = 0; I < Script.size(); ++I) {
+              Wall += Script[I].second;
+              ByClass[Script[I].first] += Script[I].second;
+              if (Wall >= Next) {
+                if (Calls.empty())
+                  FirstCallAfter = I + 1;
+                Calls.push_back(Wall);
+                Next = Wall + ProbeRig::DeadlineStep;
+              }
+            }
+            const bool DeviceFirst = FirstCallAfter <= AccessAfter;
+
+            ProbeRig Rig(Board);
+            auto Out = Run(Deadline, ~0ull, Rig);
+            const HostMachine &M = Out.second;
+            EXPECT_TRUE(Out.first.Reason == ExitReason::Lookup) << Where;
+            EXPECT_EQ(Wall, M.Counters.Wall) << Where;
+            for (unsigned C = 0; C < NumCostClasses; ++C)
+              EXPECT_EQ(ByClass[C], M.Counters.ByClass[C])
+                  << Where << " class " << C;
+            EXPECT_TRUE(Calls == Rig.Calls) << Where << " onWall times";
+            EXPECT_EQ(Hit ? 0u : 1u, M.Counters.HelperCalls) << Where;
+
+            const uint32_t Loaded = DeviceFirst ? SinkValue & Mask : Before;
+            uint32_t T0, T1, Data, Nzcv;
+            Prefix(Hit ? 12 : 6, Loaded, T0, T1, Data, Nzcv);
+            if (!Hit && IsLoad) {
+              Data = Loaded;
+              if (DataReg == ScratchReg0)
+                T0 = Loaded;
+            }
+            EXPECT_EQ(T0, M.reg(ScratchReg0)) << Where;
+            EXPECT_EQ(T1, M.reg(ScratchReg1)) << Where;
+            if (DataReg != ScratchReg0)
+              EXPECT_EQ(Data, M.reg(DataReg)) << Where;
+            EXPECT_EQ(Nzcv, M.packedFlags()) << Where;
+            EXPECT_EQ(Va, M.reg(AddrReg)) << Where;
+            if (!IsLoad)
+              EXPECT_EQ((DeviceFirst ? StoreValue : SinkValue) & Mask,
+                        Board.Ram.read(Va, Size))
+                  << Where;
+            ++Cases;
+          }
+
+          // A runaway guard that stops the run before instruction J+1.
+          for (unsigned J = 0; J <= (Hit ? 12u : 6u); ++J) {
+            const std::string Where = Case + " guard " + std::to_string(J);
+            ProbeRig Rig(Board);
+            auto Out = Run(~0ull, J, Rig);
+            const HostMachine &M = Out.second;
+            EXPECT_TRUE(Out.first.Reason == ExitReason::Shutdown) << Where;
+            EXPECT_EQ(uint64_t{J}, M.Counters.Wall) << Where;
+            EXPECT_EQ(uint64_t{J}, M.Counters.ByClass[Mmu]) << Where;
+            EXPECT_TRUE(Rig.Calls.empty()) << Where;
+            EXPECT_EQ(0u, M.Counters.HelperCalls) << Where;
+            uint32_t T0, T1, Data, Nzcv;
+            Prefix(J, Before, T0, T1, Data, Nzcv);
+            EXPECT_EQ(T0, M.reg(ScratchReg0)) << Where;
+            EXPECT_EQ(T1, M.reg(ScratchReg1)) << Where;
+            if (DataReg != ScratchReg0)
+              EXPECT_EQ(Data, M.reg(DataReg)) << Where;
+            EXPECT_EQ(Nzcv, M.packedFlags()) << Where;
+            if (!IsLoad)
+              EXPECT_EQ(J >= 11 ? StoreValue & Mask : Before,
+                        Board.Ram.read(Va, Size))
+                  << Where;
+            ++Cases;
+          }
+        }
+  // 24 size/kind/register/outcome combinations, 9 of them hits: 12
+  // deadlines each, plus 13 guards per hit and 7 per miss.
+  EXPECT_EQ(24u * 12u + 9u * 13u + 15u * 7u, Cases);
+}
+
 TEST(CondTable, MatchesArmDefinitionsExhaustively) {
   for (unsigned Cond = 0; Cond < 16; ++Cond)
     for (unsigned Nzcv = 0; Nzcv < 16; ++Nzcv)
@@ -242,10 +481,10 @@ TEST_F(HostFixture, SetCcAndJccFollowTheArmConditions) {
     }
 }
 
-// A GStore writes in place only through a write pointer, and capture()
+// A probe store writes in place only through a write pointer, and capture()
 // clears them all: a store after the capture, on the master or on a fork,
 // clones the page first and leaves the image as it was.
-TEST_F(HostFixture, GStoreToAPageSharedWithASnapshotClonesIt) {
+TEST_F(HostFixture, ProbeStoreToAPageSharedWithASnapshotClonesIt) {
   Board.Ram.write(0x5000, 4, 0x11111111u);
   translatedStore(Board, 0x5004, 0x55555555u); // owned: in place
   const auto Img = Board.Ram.capture();
@@ -270,7 +509,7 @@ TEST_F(HostFixture, GStoreToAPageSharedWithASnapshotClonesIt) {
 // A walk marks the page-table pages it reads and clears their write
 // pointers, so a translated store into a table bumps walkGeneration() and
 // the next fetch sees the edit with no TLB maintenance.
-TEST_F(HostFixture, GStoreToAWalkedPageVoidsTheFetchMemo) {
+TEST_F(HostFixture, ProbeStoreToAWalkedPageVoidsTheFetchMemo) {
   const uint32_t L1 = 0x8000, L2 = 0xC000;
   Board.Env.Ttbr0 = L1;
   Board.Ram.write(L1 + 0 * 4, 4, 0x00000000u | (1u << 10) | 2u);

@@ -430,6 +430,28 @@ TEST(SeededDisk, FreshBoardSharesTheKnownImage) {
     EXPECT_EQ(Media.page(Pn), sys::PhysMem::zeroPage()) << "page " << Pn;
 }
 
+// Only a workload board adopts the seeded image (built with no blank
+// table first); a flat-image board and an error board keep a blank disk.
+TEST(SeededDisk, OnlyWorkloadBoardsAdoptTheImage) {
+  vm::Vm Workload(vm::VmConfig::fromSpec("qemu/untar@1"));
+  ASSERT_TRUE(Workload.valid()) << Workload.error();
+  EXPECT_TRUE(privatePages(Workload.board().disk().media()).empty());
+
+  auto ExpectBlank = [](const sys::PhysMem &Media) {
+    EXPECT_EQ(Media.size(),
+              sys::DiskDevice::DefaultSectors * sys::DiskDevice::SectorSize);
+    for (uint32_t Pn = 0; Pn < Media.numPages(); ++Pn)
+      EXPECT_EQ(Media.page(Pn), sys::PhysMem::zeroPage()) << "page " << Pn;
+  };
+  vm::Vm Flat(vm::VmConfig().translator("qemu").flatImage({0xE3A0102Au},
+                                                           0x1000));
+  ASSERT_TRUE(Flat.valid()) << Flat.error();
+  ExpectBlank(Flat.board().disk().media());
+  vm::Vm Unknown(vm::VmConfig().translator("qemu").workload("no-such"));
+  EXPECT_FALSE(Unknown.valid());
+  ExpectBlank(Unknown.board().disk().media());
+}
+
 TEST(SeededDisk, SectorWritesNeverReachTheSharedImage) {
   // fileio reads sectors 0-63 and writes what it read 64 sectors
   // further on: the only workload that writes the disk. At scale 1 it
