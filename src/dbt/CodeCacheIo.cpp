@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
@@ -27,31 +29,52 @@ using namespace rdbt::dbt;
 
 namespace {
 
-struct Crc32cTable {
-  uint32_t T[256];
-  Crc32cTable() {
+/// Slicing-by-8 tables: T[0] is the bytewise table, and T[K][B] is the
+/// CRC of byte B followed by K zero bytes, so eight table lookups fold
+/// eight input bytes in one step.
+struct Crc32cTables {
+  uint32_t T[8][256];
+  constexpr Crc32cTables() : T() {
     for (uint32_t I = 0; I < 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? (C >> 1) ^ 0x82F63B78u : C >> 1;
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (uint32_t I = 0; I < 256; ++I)
+      for (int K = 1; K < 8; ++K)
+        T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xFF];
   }
 };
 
-const Crc32cTable &crcTable() {
-  static const Crc32cTable Tab;
-  return Tab;
+constexpr Crc32cTables CrcTab;
+
+/// The little-endian u32 at \p P, from single bytes (any alignment, any
+/// host byte order).
+uint32_t loadLe32(const uint8_t *P) {
+  return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
+         static_cast<uint32_t>(P[2]) << 16 | static_cast<uint32_t>(P[3]) << 24;
 }
 
 } // namespace
 
 uint32_t dbt::crc32c(const void *Data, size_t Len, uint32_t Seed) {
   const uint8_t *P = static_cast<const uint8_t *>(Data);
-  const Crc32cTable &Tab = crcTable();
+  const auto &T = CrcTab.T;
   uint32_t C = ~Seed;
-  for (size_t I = 0; I < Len; ++I)
-    C = (C >> 8) ^ Tab.T[(C ^ P[I]) & 0xFF];
+  for (; Len >= 8; P += 8, Len -= 8) {
+    // The upper half does not depend on C: its lookups run ahead of the
+    // lower half's, which are on the step-to-step critical path.
+    const uint32_t Hi = loadLe32(P + 4);
+    const uint32_t FromHi = (T[3][Hi & 0xFF] ^ T[2][(Hi >> 8) & 0xFF]) ^
+                            (T[1][(Hi >> 16) & 0xFF] ^ T[0][Hi >> 24]);
+    const uint32_t Lo = C ^ loadLe32(P);
+    C = ((T[7][Lo & 0xFF] ^ T[6][(Lo >> 8) & 0xFF]) ^
+         (T[5][(Lo >> 16) & 0xFF] ^ T[4][Lo >> 24])) ^
+        FromHi;
+  }
+  for (; Len > 0; ++P, --Len)
+    C = (C >> 8) ^ T[0][(C ^ *P) & 0xFF];
   return ~C;
 }
 
@@ -105,43 +128,33 @@ public:
   std::string Buf;
 };
 
+/// The little-endian u16 at \p P.
+uint16_t loadLe16(const uint8_t *P) {
+  return static_cast<uint16_t>(P[0] | P[1] << 8);
+}
+
+/// A bounds-checked cursor over the file's bytes. take() hands out the
+/// next \p Bytes in one check, so a fixed-size record costs one
+/// comparison and its fields decode from the returned pointer.
 class Reader {
 public:
-  Reader(const uint8_t *Data, size_t Len) : P(Data), N(Len) {}
+  Reader(const uint8_t *Data, size_t Len) : P(Data), Left(Len) {}
 
-  bool u8(uint8_t &V) {
-    if (Pos + 1 > N)
-      return false;
-    V = P[Pos++];
-    return true;
+  /// The next \p Bytes bytes, or null (consuming nothing) if fewer are
+  /// left.
+  const uint8_t *take(size_t Bytes) {
+    if (Bytes > Left)
+      return nullptr;
+    const uint8_t *R = P;
+    P += Bytes;
+    Left -= Bytes;
+    return R;
   }
-  bool u16(uint16_t &V) {
-    uint8_t A, B;
-    if (!u8(A) || !u8(B))
-      return false;
-    V = static_cast<uint16_t>(A | (B << 8));
-    return true;
-  }
-  bool u32(uint32_t &V) {
-    uint16_t A, B;
-    if (!u16(A) || !u16(B))
-      return false;
-    V = static_cast<uint32_t>(A) | (static_cast<uint32_t>(B) << 16);
-    return true;
-  }
-  bool i32(int32_t &V) {
-    uint32_t U;
-    if (!u32(U))
-      return false;
-    V = static_cast<int32_t>(U);
-    return true;
-  }
-  bool done() const { return Pos == N; }
+  bool done() const { return Left == 0; }
 
 private:
   const uint8_t *P;
-  size_t N;
-  size_t Pos = 0;
+  size_t Left;
 };
 
 void writeInst(Writer &W, const host::HInst &H) {
@@ -163,16 +176,26 @@ void writeInst(Writer &W, const host::HInst &H) {
   W.u32(H.GuestPc);
 }
 
-bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
+/// Bytes of the fixed-size records save() writes: a block's header
+/// (GuestPc, MmuIdx, DefFlags, reserved, padding, Asid and the four
+/// instruction counts), one chain, and one writeInst() instruction.
+constexpr size_t BlockHeaderBytes = 28;
+constexpr size_t ChainBytes = 12;
+constexpr size_t InstBytes = 24;
+
+/// Decodes and range-checks the writeInst() record at \p P.
+bool readInst(const uint8_t *P, uint32_t NumCode, host::HInst &H,
               std::string &Why) {
-  uint8_t Op, Cc, Cls, Flags;
-  if (!R.u8(Op) || !R.u8(Cc) || !R.u8(Cls) || !R.u8(Flags) || !R.u8(H.Size) ||
-      !R.u8(H.Dst) || !R.u8(H.Src) || !R.u8(H.Src2) || !R.u16(H.Slot) ||
-      !R.u16(H.Helper) || !R.i32(H.Imm) || !R.i32(H.Target) ||
-      !R.u32(H.GuestPc)) {
-    Why = "truncated instruction record";
-    return false;
-  }
+  const uint8_t Op = P[0], Cc = P[1], Cls = P[2], Flags = P[3];
+  H.Size = P[4];
+  H.Dst = P[5];
+  H.Src = P[6];
+  H.Src2 = P[7];
+  H.Slot = loadLe16(P + 8);
+  H.Helper = loadLe16(P + 10);
+  H.Imm = static_cast<int32_t>(loadLe32(P + 12));
+  H.Target = static_cast<int32_t>(loadLe32(P + 16));
+  H.GuestPc = loadLe32(P + 20);
   if (Op > static_cast<uint8_t>(host::HOp::ExitTb)) {
     Why = "opcode out of range";
     return false;
@@ -338,58 +361,60 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return CacheLoad::Absent;
-
-  std::vector<uint8_t> Bytes;
-  {
-    uint8_t Chunk[65536];
-    size_t Got;
-    while ((Got = std::fread(Chunk, 1, sizeof(Chunk), F)) > 0) {
-      Bytes.insert(Bytes.end(), Chunk, Chunk + Got);
-      if (Bytes.size() > MaxFileBytes)
-        break;
-    }
-    std::fclose(F);
-  }
   const auto Bad = [&](const std::string &Why) {
     reject(Err, Why);
     return CacheLoad::Rejected;
   };
-  if (Bytes.size() > MaxFileBytes)
-    return Bad("file too large");
 
-  Reader R(Bytes.data(), Bytes.size());
-  uint32_t FileMagic, Version, ImageCrc, ConfigCrc, PayloadCrc;
-  if (!R.u32(FileMagic) || !R.u32(Version) || !R.u32(ImageCrc) ||
-      !R.u32(ConfigCrc) || !R.u32(PayloadCrc))
-    return Bad("truncated header");
-  if (FileMagic != Magic)
-    return Bad("bad magic");
-  if (Version != FormatVersion)
-    return Bad("format version mismatch");
-  if (ImageCrc != Key.ImageCrc || ConfigCrc != Key.ConfigCrc)
-    return Bad("stale cache key");
+  // Size the file, refuse an oversized one before reading a byte, then
+  // read it whole in one call, unbuffered: the stream needs no buffer of
+  // its own for a single read into Bytes.
+  struct stat St {};
+  const bool Sized = ::fstat(fileno(F), &St) == 0;
+  if (!Sized || static_cast<unsigned long long>(St.st_size) > MaxFileBytes) {
+    std::fclose(F);
+    return Bad(Sized ? "file too large" : "cannot size file");
+  }
+  std::setvbuf(F, nullptr, _IONBF, 0);
+  std::vector<uint8_t> Bytes(static_cast<size_t>(St.st_size));
+  const size_t Got = std::fread(Bytes.data(), 1, Bytes.size(), F);
+  std::fclose(F);
+  if (Got != Bytes.size())
+    return Bad("short read");
+
   constexpr size_t HeaderBytes = 5 * 4;
+  Reader R(Bytes.data(), Bytes.size());
+  const uint8_t *Head = R.take(HeaderBytes);
+  if (!Head)
+    return Bad("truncated header");
+  if (loadLe32(Head) != Magic)
+    return Bad("bad magic");
+  if (loadLe32(Head + 4) != FormatVersion)
+    return Bad("format version mismatch");
+  if (loadLe32(Head + 8) != Key.ImageCrc ||
+      loadLe32(Head + 12) != Key.ConfigCrc)
+    return Bad("stale cache key");
   if (crc32c(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes) !=
-      PayloadCrc)
+      loadLe32(Head + 16))
     return Bad("payload checksum mismatch");
 
-  uint32_t NumBlocks;
-  if (!R.u32(NumBlocks))
+  const uint8_t *Count = R.take(4);
+  if (!Count)
     return Bad("truncated block count");
+  const uint32_t NumBlocks = loadLe32(Count);
   if (NumBlocks > MaxBlocks)
     return Bad("block count out of range");
 
   CodeCache::Image Img;
   Img.Entries.reserve(NumBlocks);
   for (uint32_t I = 0; I < NumBlocks; ++I) {
-    uint32_t GuestPc, Asid, NumGuest, NumMem, NumSys, NumIrq;
-    uint8_t MmuIdx, DefFlags, Reserved, Pad;
-    if (!R.u32(GuestPc) || !R.u8(MmuIdx) || !R.u8(DefFlags) ||
-        !R.u8(Reserved) || !R.u8(Pad) || !R.u32(Asid) ||
-        !R.u32(NumGuest) || !R.u32(NumMem) || !R.u32(NumSys) ||
-        !R.u32(NumIrq))
+    const uint8_t *Hdr = R.take(BlockHeaderBytes);
+    if (!Hdr)
       return Bad("truncated block header");
-    if (MmuIdx > 1 || DefFlags > 1 || Reserved != 0 || Pad != 0)
+    const uint32_t GuestPc = loadLe32(Hdr);
+    const uint8_t MmuIdx = Hdr[4], DefFlags = Hdr[5];
+    const uint32_t Asid = loadLe32(Hdr + 8), NumGuest = loadLe32(Hdr + 12);
+    if (MmuIdx > 1 || DefFlags > 1 || Hdr[6] != 0 || Hdr[7] != 0)
       return Bad("block header field out of range");
     if (Asid > 0xFF)
       return Bad("ASID out of range");
@@ -399,30 +424,39 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     auto B = std::make_shared<host::HostBlock>();
     B->GuestPc = GuestPc;
     B->NumGuestInstrs = NumGuest;
-    B->NumMemInstrs = NumMem;
-    B->NumSysInstrs = NumSys;
-    B->NumIrqChecks = NumIrq;
+    B->NumMemInstrs = loadLe32(Hdr + 16);
+    B->NumSysInstrs = loadLe32(Hdr + 20);
+    B->NumIrqChecks = loadLe32(Hdr + 24);
     B->DefinesFlagsBeforeUse = DefFlags != 0;
     for (host::HostBlock::Chain &Ch : B->Chains) {
-      if (!R.u32(Ch.GuestTarget) || !R.i32(Ch.FlagSaveBegin) ||
-          !R.i32(Ch.FlagSaveEnd))
+      const uint8_t *C = R.take(ChainBytes);
+      if (!C)
         return Bad("truncated chain record");
+      Ch.GuestTarget = loadLe32(C);
+      Ch.FlagSaveBegin = static_cast<int32_t>(loadLe32(C + 4));
+      Ch.FlagSaveEnd = static_cast<int32_t>(loadLe32(C + 8));
       Ch.TargetTb = -1;
     }
+    const uint8_t *Words = R.take(size_t{NumGuest} * 4);
+    if (!Words)
+      return Bad("truncated guest words");
     B->GuestWords.resize(NumGuest);
-    for (uint32_t &W : B->GuestWords)
-      if (!R.u32(W))
-        return Bad("truncated guest words");
+    for (uint32_t W = 0; W < NumGuest; ++W)
+      B->GuestWords[W] = loadLe32(Words + 4 * W);
 
-    uint32_t NumCode;
-    if (!R.u32(NumCode))
+    const uint8_t *Len = R.take(4);
+    if (!Len)
       return Bad("truncated code length");
+    const uint32_t NumCode = loadLe32(Len);
     if (NumCode == 0 || NumCode > MaxCodeLen)
       return Bad("code length out of range");
+    const uint8_t *Code = R.take(size_t{NumCode} * InstBytes);
+    if (!Code)
+      return Bad("truncated instruction record");
     B->Code.resize(NumCode);
     std::string Why;
-    for (host::HInst &H : B->Code)
-      if (!readInst(R, NumCode, H, Why))
+    for (uint32_t C = 0; C < NumCode; ++C)
+      if (!readInst(Code + C * InstBytes, NumCode, B->Code[C], Why))
         return Bad(Why);
     // Execution must never run off the block: a probe hit resumes two
     // instructions on, past its miss path's call, and the last

@@ -6,6 +6,9 @@
 
 #include "rules/RuleSet.h"
 
+#include "dbt/CodeCacheIo.h"
+#include "rules/RuleIo.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -73,6 +76,18 @@ void RuleSet::add(Rule R) {
   for (const OpClassEntry &CE : Added.Classes[P.ClassIdx])
     insertByPriority(Fine[fineKey(CE.Guest, P.Shape, P.SetFlags)], Idx,
                      Rules);
+  Crc.V.store(0);
+}
+
+uint32_t RuleSet::contentCrc() const {
+  constexpr uint64_t Known = uint64_t{1} << 32;
+  uint64_t V = Crc.V.load();
+  if (!(V & Known)) {
+    const std::string Text = writeRuleSet(*this);
+    V = Known | dbt::crc32c(Text.data(), Text.size());
+    Crc.V.store(V);
+  }
+  return static_cast<uint32_t>(V);
 }
 
 size_t RuleSet::match(const arm::Inst *Insts, size_t Count,
@@ -209,6 +224,12 @@ HOp shiftHostOp(arm::ShiftKind K) {
 }
 
 } // namespace
+
+const std::shared_ptr<const RuleSet> &rules::referenceRuleSet() {
+  static const std::shared_ptr<const RuleSet> Shared =
+      std::make_shared<const RuleSet>(buildReferenceRuleSet());
+  return Shared;
+}
 
 RuleSet rules::buildReferenceRuleSet() {
   RuleSet RS;

@@ -24,7 +24,10 @@
 /// live in a caller-owned MatchStats, never in the set itself, so one
 /// immutable corpus can be shared read-only across concurrent sessions
 /// (vm/BatchRunner.h) without any cross-session counter bleed. add() is
-/// the only mutating operation; finish it before sharing the set.
+/// the only mutating operation; finish it before sharing the set. The one
+/// other piece of state is the cached content key (contentCrc()): it is
+/// filled on first use, race-free under concurrent readers, and add()
+/// clears it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +37,8 @@
 #include "rules/Rule.h"
 
 #include <array>
+#include <atomic>
+#include <memory>
 
 namespace rdbt {
 namespace rules {
@@ -72,6 +77,13 @@ public:
   size_t size() const { return Rules.size(); }
   const Rule &rule(size_t I) const { return Rules[I]; }
 
+  /// crc32c of the canonical text writeRuleSet() emits for this set: the
+  /// corpus's share of a persistent-cache key (DESIGN.md §12), so equal
+  /// content keys equally whatever file or builder it came from.
+  /// Serialized and hashed on first use only; concurrent first users
+  /// store the same value.
+  uint32_t contentCrc() const;
+
 private:
   static constexpr size_t NumOpcodes = 64;
   static constexpr size_t NumShapes = 8; ///< PatShape values (7) rounded up
@@ -89,6 +101,20 @@ private:
   /// Candidate lists per (first opcode, first shape, S), each in
   /// priority order.
   std::array<std::vector<int>, NumFine> Fine;
+
+  /// contentCrc()'s cache: the CRC in the low 32 bits, bit 32 set once it
+  /// is computed, 0 until then. A copy of the set carries it: same
+  /// rules, same text.
+  struct CachedCrc {
+    mutable std::atomic<uint64_t> V{0};
+    CachedCrc() = default;
+    CachedCrc(const CachedCrc &O) : V(O.V.load()) {}
+    CachedCrc &operator=(const CachedCrc &O) {
+      V.store(O.V.load());
+      return *this;
+    }
+  };
+  CachedCrc Crc;
 };
 
 /// The hand-audited full-coverage rule set (the stand-in for the rule
@@ -96,6 +122,12 @@ private:
 /// (Learner.h) regenerates an equivalent set from training programs; the
 /// tests assert the learned set covers this one.
 RuleSet buildReferenceRuleSet();
+
+/// The process-wide reference corpus: one buildReferenceRuleSet(),
+/// built on first use and never mutated after, which every session that
+/// names neither a rule set nor a rule file shares (vm::Vm), as every
+/// seeded board shares guestsw::seededDisk().
+const std::shared_ptr<const RuleSet> &referenceRuleSet();
 
 /// Copies \p RS without the rules whose *leading* guest pattern has shape
 /// \p Drop — the deterministic corpus-thinning knob behind the

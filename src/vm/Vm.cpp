@@ -170,8 +170,7 @@ void Vm::init() {
         }
         OwnedRules_ = std::move(Loaded);
       } else {
-        OwnedRules_ = std::make_shared<const rules::RuleSet>(
-            rules::buildReferenceRuleSet());
+        OwnedRules_ = rules::referenceRuleSet();
       }
     }
     Ctx.Rules = Cfg.rules() ? Cfg.rules() : OwnedRules_.get();
@@ -232,8 +231,9 @@ void Vm::initPersistentCache() {
 
   // Translator identity: canonical kind name, explicit opt overrides
   // (the kind name itself pins the preset), and — for rule kinds — the
-  // full canonical corpus text, so "rule:file=" deployments key by
-  // content, not by path.
+  // CRC of the canonical corpus text, so "rule:file=" deployments key by
+  // content, not by path. The set caches that CRC, so a shared corpus is
+  // serialized once per process, not once per session.
   uint32_t C = dbt::crc32c(Kind_->Name.data(), Kind_->Name.size());
   C = dbt::crc32cWord(Cfg.hasOpts() ? 1u : 0u, C);
   if (Cfg.hasOpts()) {
@@ -247,8 +247,7 @@ void Vm::initPersistentCache() {
   }
   if (Kind_->NeedsRules) {
     const rules::RuleSet *RS = Cfg.rules() ? Cfg.rules() : OwnedRules_.get();
-    const std::string Text = rules::writeRuleSet(*RS);
-    C = dbt::crc32c(Text.data(), Text.size(), C);
+    C = dbt::crc32cWord(RS->contentCrc(), C);
   }
   // Layout/geometry fingerprint: a rebuild that moves env slots or the
   // host ISA must never reuse old code.

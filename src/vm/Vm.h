@@ -156,9 +156,9 @@ private:
   /// fork restarts at zero because its decode cache starts scrubbed.
   uint64_t NativeDecodeHits_ = 0;
   uint64_t NativeDecodeMisses_ = 0;
-  /// Reference set when no external set is given, the corpus loaded from
-  /// the "rule:file=<path>" parameter, or — for forked sessions — the
-  /// snapshot's corpus shared by refcount. Immutable after construction:
+  /// The process-wide rules::referenceRuleSet() when no external set is
+  /// given, the corpus loaded from the "rule:file=<path>" parameter, or —
+  /// for forked sessions — the snapshot's corpus shared by refcount. Immutable after construction:
   /// matching is const and per-session counters live in the translator
   /// (core::RuleTranslator::Matches), so a set shared across sessions —
   /// via VmConfig::rules() or across COW forks, including concurrent

@@ -30,11 +30,17 @@
 ///    guest words still equal guest memory, so self-modified or remapped
 ///    code can never execute stale host code.
 ///
+///  * **Keys by content**: a rule corpus keys by its canonical text, so
+///    an equal copy names the built-in corpus's file and any change to
+///    the rules names another; concurrent warm sessions over the shared
+///    corpus all load one file and agree.
+///
 //===----------------------------------------------------------------------===//
 
 #include "dbt/CodeCacheIo.h"
 #include "dbt/Helpers.h"
 #include "guestsw/Workloads.h"
+#include "rules/RuleIo.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
@@ -48,6 +54,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace rdbt;
@@ -115,6 +122,18 @@ vm::RunReport runOnce(vm::VmConfig Cfg, std::string *PathOut = nullptr) {
   if (PathOut)
     *PathOut = V.cacheFilePath();
   return R;
+}
+
+/// CRC-32C one byte at a time, each byte bit by bit from the reflected
+/// polynomial: an oracle that shares no table with dbt::crc32c.
+uint32_t crc32cBytewise(const uint8_t *P, size_t Len, uint32_t Seed) {
+  uint32_t C = ~Seed;
+  for (size_t I = 0; I < Len; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? (C >> 1) ^ 0x82F63B78u : C >> 1;
+  }
+  return ~C;
 }
 
 void expectSameGuestRun(const vm::RunReport &A, const vm::RunReport &B) {
@@ -208,6 +227,20 @@ TEST(CodeCacheIo, TruncatedFilesLoadAsMiss) {
   dbt::CodeCache::Image Img;
   EXPECT_EQ(dbt::CacheLoad::Rejected,
             dbt::CodeCacheIo::load(Trunc, Key, Img));
+}
+
+TEST(CodeCacheIo, OversizedFileRejectsFromItsSize) {
+  // A sparse file one byte over the 256 MiB cap: rejected from its size,
+  // before any byte is read or any buffer allocated for it.
+  TempDir Dir;
+  const std::string Big = Dir.Path + "/big.bin";
+  writeBytes(Big, "RDTC");
+  ASSERT_EQ(0, ::truncate(Big.c_str(), (off_t{256} << 20) + 1));
+  dbt::CodeCache::Image Img;
+  std::string Err;
+  EXPECT_EQ(dbt::CacheLoad::Rejected,
+            dbt::CodeCacheIo::load(Big, dbt::CacheKey(), Img, &Err));
+  EXPECT_EQ("file too large", Err);
 }
 
 TEST(CodeCacheIo, RandomBitFlipsLoadAsMiss) {
@@ -504,6 +537,106 @@ TEST(CodeCacheIo, Crc32cKnownAnswerAndChaining) {
   const uint32_t Word = 0xE3A0102Au;
   const uint8_t Le[4] = {0x2A, 0x10, 0xA0, 0xE3};
   EXPECT_EQ(dbt::crc32c(Le, 4, 0x1234u), dbt::crc32cWord(Word, 0x1234u));
+}
+
+TEST(CodeCacheIo, Crc32cMatchesABytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length from 0 to 72 (up to nine 8-byte steps) at every
+  // alignment of the start, so each split between the 8-byte loop and
+  // the byte tail is covered. Each seed fills the buffer and also seeds
+  // the CRC, so chaining from a non-zero value is covered too.
+  for (const uint32_t Seed : {0u, 0x1EDC6F41u, 0xFFFFFFFFu}) {
+    uint8_t Buf[7 + 72];
+    uint64_t Rng = Seed ^ 0x9E3779B97F4A7C15ull;
+    for (uint8_t &B : Buf) {
+      Rng = Rng * 6364136223846793005ull + 1442695040888963407ull;
+      B = static_cast<uint8_t>(Rng >> 56);
+    }
+    for (size_t Off = 0; Off < 8; ++Off)
+      for (size_t Len = 0; Len <= 72; ++Len)
+        EXPECT_EQ(crc32cBytewise(Buf + Off, Len, Seed),
+                  dbt::crc32c(Buf + Off, Len, Seed))
+            << "seed " << Seed << ", offset " << Off << ", length " << Len;
+  }
+}
+
+TEST(CodeCacheIo, RuleCorpusKeysByContent) {
+  TempDir Dir;
+  // The cache file a rule:scheduling session over \p RS would use; null
+  // means the built-in corpus.
+  auto pathFor = [&](const rules::RuleSet *RS) {
+    vm::VmConfig Cfg = cfgFor("rule:scheduling")
+                           .persistentCache(Dir.Path)
+                           .persistentCacheSaveOnExit(false);
+    if (RS)
+      Cfg.rules(RS);
+    vm::Vm V(Cfg);
+    EXPECT_TRUE(V.valid()) << V.error();
+    return V.cacheFilePath();
+  };
+  const std::string BuiltIn = pathFor(nullptr);
+  ASSERT_FALSE(BuiltIn.empty());
+
+  // A freshly built copy has the same text, so the same file.
+  const rules::RuleSet Copy = rules::buildReferenceRuleSet();
+  EXPECT_EQ(BuiltIn, pathFor(&Copy));
+
+  const rules::RuleSet Thinned =
+      rules::filterRuleSetByShape(Copy, rules::PatShape::DpRegShiftImm);
+  ASSERT_LT(Thinned.size(), Copy.size());
+  EXPECT_NE(BuiltIn, pathFor(&Thinned));
+
+  // A set whose key was read and cached, then grown by add(), keys anew.
+  rules::RuleSet Grown = rules::buildReferenceRuleSet();
+  EXPECT_EQ(BuiltIn, pathFor(&Grown));
+  Grown.add(Grown.rule(0));
+  EXPECT_NE(BuiltIn, pathFor(&Grown));
+  const std::string Text = rules::writeRuleSet(Grown);
+  EXPECT_EQ(dbt::crc32c(Text.data(), Text.size()), Grown.contentCrc());
+}
+
+TEST(CodeCacheIo, ConcurrentWarmSessionsAgree) {
+  // Eight sessions start warm at once over one filled directory. The
+  // directory is filled through a separately built copy of the reference
+  // corpus, which keys to the same file, so when this test runs alone
+  // the eight are the first users of the process-wide corpus and of its
+  // cached key.
+  TempDir Dir;
+  const rules::RuleSet Copy = rules::buildReferenceRuleSet();
+  const vm::RunReport Cold =
+      runOnce(cfgFor("rule:scheduling").rules(&Copy).persistentCache(Dir.Path));
+  ASSERT_TRUE(Cold.Ok);
+  ASSERT_GT(Cold.Engine.Translations, 0u);
+
+  constexpr int Threads = 8;
+  std::vector<vm::RunReport> Reports(Threads);
+  std::vector<std::string> Errors(Threads);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      vm::Vm V(cfgFor("rule:scheduling")
+                   .persistentCache(Dir.Path)
+                   .persistentCacheSaveOnExit(false));
+      if (!V.valid())
+        Errors[T] = V.error();
+      else
+        Reports[T] = V.run();
+    });
+  for (std::thread &T : Pool)
+    T.join();
+
+  for (int T = 0; T < Threads; ++T) {
+    ASSERT_TRUE(Errors[T].empty()) << "session " << T << ": " << Errors[T];
+    const vm::RunReport &R = Reports[T];
+    EXPECT_TRUE(R.Ok) << "session " << T;
+    EXPECT_EQ(1u, R.Cache.CacheFileHits) << "session " << T;
+    EXPECT_EQ(0u, R.Cache.CacheFileMisses) << "session " << T;
+    EXPECT_EQ(0u, R.Engine.Translations) << "session " << T;
+    EXPECT_EQ(Cold.Engine.Translations, R.Cache.LoadedTbs) << "session " << T;
+    expectSameGuestRun(Cold, R);
+    expectSameGuestRun(Reports[0], R);
+  }
+  // Nothing was translated, so nothing was rewritten.
+  EXPECT_EQ(1u, Dir.files().size());
 }
 
 TEST(CodeCacheIo, ConcurrentSavesOfOneKeyAllSucceed) {
