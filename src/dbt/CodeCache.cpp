@@ -25,26 +25,25 @@ int CodeCache::insert(host::HostBlock Block, uint32_t MmuIdx,
   const uint64_t K = key(Block.GuestPc, MmuIdx, Asid & 0xFFu);
   assert(Index.find(K) == Index.end() && "key already translated");
 
-  Entry E;
-  E.Key = K;
-  E.Asid = Asid & 0xFFu;
-  E.FirstPage = Block.GuestPc >> 12;
   // A block's code may straddle into the next page; index every page it
   // covers so invalidatePage() finds it from either side.
-  const uint32_t LastByte =
-      Block.GuestPc + (Block.NumGuestInstrs ? Block.NumGuestInstrs * 4 - 1
-                                            : 0);
-  E.LastPage = LastByte >> 12;
+  const uint32_t FirstPage = Block.GuestPc >> 12;
+  const uint32_t LastPage =
+      (Block.GuestPc +
+       (Block.NumGuestInstrs ? Block.NumGuestInstrs * 4 - 1 : 0)) >>
+      12;
 
   if (!SeenKeys.insert(K).second) {
     ++Stats.Retranslations;
     Stats.RetranslatedGuestInstrs += Block.NumGuestInstrs;
   }
 
+  Entry E;
+  E.Key = K;
   E.Block = std::make_shared<host::HostBlock>(std::move(Block));
-  for (uint32_t P = E.FirstPage; P <= E.LastPage; ++P)
+  for (uint32_t P = FirstPage; P <= LastPage; ++P)
     PageIndex[P].push_back(Id);
-  AsidIndex[E.Asid].push_back(Id);
+  AsidIndex[Asid & 0xFFu].push_back(Id);
   Index[K] = Id;
   Entries.push_back(std::move(E));
   ++LiveBlocks;

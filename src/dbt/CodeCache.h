@@ -40,6 +40,7 @@
 #include "host/HostMachine.h"
 #include "obs/TraceSink.h"
 
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,15 +100,11 @@ public:
   /// share translated code with any number of forked caches: use_count
   /// == 1 proves this cache is the sole owner and may mutate in place;
   /// otherwise the mutating paths (chain patching, chain unlinking)
-  /// privatize the block first — see privateBlock(). Public (alongside
-  /// Image and key()) so dbt/CodeCacheIo.h can serialize and rebuild
-  /// images without friending every IO class.
+  /// privatize the block first — see privateBlock(). Public only as the
+  /// element type of Image.
   struct Entry {
     std::shared_ptr<host::HostBlock> Block;
     uint64_t Key = 0;
-    uint32_t Asid = 0;
-    uint32_t FirstPage = 0; ///< guest page numbers covered (inclusive)
-    uint32_t LastPage = 0;
     /// Reverse chain edges: (fromTbId, slot) pairs that patched a direct
     /// jump to this block. Entries may be stale (the predecessor died or
     /// re-chained); unlinking validates each one against the live chain.
@@ -181,8 +178,8 @@ public:
   CacheStats Stats;
 
   /// The canonical lookup key: one u64 per (PC, MMU index, ASID) triple.
-  /// Public so the persistent-cache store (dbt/CodeCacheIo.h) keys its
-  /// lookups identically instead of maintaining a parallel encoding.
+  /// Public so a BlockMap (below) keys its blocks identically instead of
+  /// maintaining a parallel encoding.
   static uint64_t key(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid) {
     return static_cast<uint64_t>(Pc) |
            (static_cast<uint64_t>(MmuIdx & 1u) << 32) |
@@ -226,6 +223,12 @@ private:
 
   obs::TraceSink *Sink_ = nullptr; ///< owned by vm::Vm; null when untraced
 };
+
+/// Translated blocks by CodeCache::key, outside any cache: the engine's
+/// retain-for-save set and the persistent cache's stored translations
+/// (dbt/CodeCacheIo.h). Ordered, so a save's bytes depend only on the
+/// blocks; immutable blocks, so one map is shared without copying.
+using BlockMap = std::map<uint64_t, std::shared_ptr<const host::HostBlock>>;
 
 } // namespace dbt
 } // namespace rdbt

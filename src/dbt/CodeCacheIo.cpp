@@ -268,16 +268,14 @@ bool reject(std::string *Err, const std::string &Why) {
 // Save
 //===----------------------------------------------------------------------===//
 
-bool CodeCacheIo::save(const std::string &Path, const CodeCache::Image &Img,
+bool CodeCacheIo::save(const std::string &Path, const BlockMap &Blocks,
                        const CacheKey &Key, std::string *Err) {
   Writer Body; // everything the payload checksum covers
 
   uint32_t NumBlocks = 0;
   Writer Records;
-  for (const CodeCache::Entry &E : Img.Entries) {
-    if (!E.Block)
-      continue; // invalidated slot
-    const host::HostBlock &B = *E.Block;
+  for (const auto &[K, Block] : Blocks) {
+    const host::HostBlock &B = *Block;
     // A block without its guest words (hand-built in a test, or predating
     // this format) can never be validated at seed time — leave it out.
     if (B.NumGuestInstrs == 0 || B.NumGuestInstrs > MaxGuestInstrsPerTb ||
@@ -287,11 +285,11 @@ bool CodeCacheIo::save(const std::string &Path, const CodeCache::Image &Img,
       continue;
 
     Records.u32(B.GuestPc);
-    Records.u8(static_cast<uint8_t>((E.Key >> 32) & 1)); // MmuIdx
+    Records.u8(static_cast<uint8_t>((K >> 32) & 1)); // MmuIdx
     Records.u8(B.DefinesFlagsBeforeUse ? 1 : 0);
     Records.u8(0); // reserved, must be 0 (a never-set flag until v2)
     Records.u8(0); // padding
-    Records.u32(E.Asid);
+    Records.u32(static_cast<uint32_t>(K >> 33) & 0xFF); // Asid
     Records.u32(B.NumGuestInstrs);
     Records.u32(B.NumMemInstrs);
     Records.u32(B.NumSysInstrs);
@@ -357,7 +355,7 @@ bool CodeCacheIo::save(const std::string &Path, const CodeCache::Image &Img,
 //===----------------------------------------------------------------------===//
 
 CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
-                            CodeCache::Image &Out, std::string *Err) {
+                            BlockMap &Out, std::string *Err) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return CacheLoad::Absent;
@@ -405,8 +403,7 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
   if (NumBlocks > MaxBlocks)
     return Bad("block count out of range");
 
-  CodeCache::Image Img;
-  Img.Entries.reserve(NumBlocks);
+  BlockMap Blocks;
   for (uint32_t I = 0; I < NumBlocks; ++I) {
     const uint8_t *Hdr = R.take(BlockHeaderBytes);
     if (!Hdr)
@@ -480,29 +477,14 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
         return Bad("flag-save range out of range");
     }
 
-    CodeCache::Entry E;
-    E.Key = CodeCache::key(GuestPc, MmuIdx, Asid);
-    E.Asid = Asid;
-    E.FirstPage = GuestPc >> 12;
-    E.LastPage = (GuestPc + NumGuest * 4 - 1) >> 12;
-    E.Block = std::move(B);
-
-    const int Id = static_cast<int>(Img.Entries.size());
-    if (!Img.Index.emplace(E.Key, Id).second)
+    if (!Blocks.emplace(CodeCache::key(GuestPc, MmuIdx, Asid), std::move(B))
+             .second)
       return Bad("duplicate block key");
-    for (uint32_t P = E.FirstPage; P <= E.LastPage; ++P)
-      Img.PageIndex[P].push_back(Id);
-    Img.AsidIndex[E.Asid].push_back(Id);
-    Img.SeenKeys.insert(E.Key);
-    Img.Entries.push_back(std::move(E));
   }
   if (!R.done())
     return Bad("trailing bytes after last block");
 
-  Img.BaseId = 0;
-  Img.LiveBlocks = Img.Entries.size();
-  Img.Stats = CacheStats(); // provenance only; counters restart at zero
-  Out = std::move(Img);
+  Out = std::move(Blocks);
   return CacheLoad::Hit;
 }
 
@@ -510,20 +492,11 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
 // TranslationStore
 //===----------------------------------------------------------------------===//
 
-bool TranslationStore::lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
-                              const std::vector<uint32_t> &Words,
-                              host::HostBlock &Out) const {
-  if (!Img_)
-    return false;
-  const auto It = Img_->Index.find(CodeCache::key(Pc, MmuIdx, Asid));
-  if (It == Img_->Index.end())
-    return false;
-  const size_t Idx = static_cast<size_t>(It->second - Img_->BaseId);
-  if (Idx >= Img_->Entries.size())
-    return false;
-  const auto &Block = Img_->Entries[Idx].Block;
-  if (!Block || Block->GuestWords != Words)
-    return false;
-  Out = *Block;
-  return true;
+std::shared_ptr<const host::HostBlock>
+TranslationStore::lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
+                         const std::vector<uint32_t> &Words) const {
+  const auto It = Blocks_.find(CodeCache::key(Pc, MmuIdx, Asid));
+  if (It == Blocks_.end() || It->second->GuestWords != Words)
+    return nullptr;
+  return It->second;
 }

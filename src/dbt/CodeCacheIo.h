@@ -18,15 +18,13 @@
 ///    echoed header field, so a stale file can never be mistaken for a
 ///    fresh one.
 ///
-///  * **CodeCacheIo** — save/load of a `CodeCache::Image` (the same
-///    frozen form `capture()`/`adopt()` exchange). Saving *normalizes*:
-///    only live blocks, ids renumbered from 0, chain slots unresolved,
-///    elision-killed instructions revived, no reverse edges, stats
-///    zeroed — the on-disk form is position-independent by construction
-///    because every process-local artifact (TB ids, chain patches) is
-///    stripped. Loading validates strictly — magic, version, key echo,
-///    payload checksum, and per-field bounds on every instruction — and
-///    any mismatch is a clean cache-miss, never UB.
+///  * **CodeCacheIo** — save/load of a `BlockMap`, one record per key
+///    and block in key order. The on-disk form is position-independent:
+///    no TB id, chain patch or elision mark is stored, so a loaded block
+///    starts unresolved and unelided like a fresh translation. Loading
+///    validates strictly — magic, version, key echo, payload checksum,
+///    and per-field bounds on every instruction — and any mismatch is a
+///    clean cache-miss, never UB.
 ///
 ///  * **TranslationStore** — the read-only lookup the engine consults on
 ///    a translation miss. Deliberately lazy (not an eager `adopt()`):
@@ -85,20 +83,19 @@ public:
   /// inline TLB sequence.
   static constexpr uint32_t FormatVersion = 4;
 
-  /// Serializes \p Img to \p Path (atomically: temp file + rename, so a
-  /// concurrent reader sees either the old file or the complete new
+  /// Serializes \p Blocks to \p Path (atomically: temp file + rename, so
+  /// a concurrent reader sees either the old file or the complete new
   /// one). Blocks without recorded guest words are skipped — they could
   /// never be validated at load time. Returns false with \p Err set on
   /// I/O failure.
-  static bool save(const std::string &Path, const CodeCache::Image &Img,
+  static bool save(const std::string &Path, const BlockMap &Blocks,
                    const CacheKey &Key, std::string *Err = nullptr);
 
-  /// Loads and validates \p Path against \p Key. On Hit, \p Out is a
-  /// normalized image (BaseId 0, ids dense, chains unresolved, stats
-  /// zeroed) suitable for adopt() or a TranslationStore. On Rejected,
-  /// \p Err (if given) describes the first failed check.
+  /// Loads and validates \p Path against \p Key. On Hit, \p Out holds
+  /// the file's blocks; otherwise it is untouched. On Rejected, \p Err
+  /// (if given) describes the first failed check.
   static CacheLoad load(const std::string &Path, const CacheKey &Key,
-                        CodeCache::Image &Out, std::string *Err = nullptr);
+                        BlockMap &Out, std::string *Err = nullptr);
 };
 
 /// Read-only block store the engine probes on translation misses (see
@@ -106,20 +103,19 @@ public:
 /// store is safely shared by a snapshot and every fork of it.
 class TranslationStore {
 public:
-  explicit TranslationStore(std::shared_ptr<const CodeCache::Image> Img)
-      : Img_(std::move(Img)) {}
+  explicit TranslationStore(BlockMap Blocks) : Blocks_(std::move(Blocks)) {}
 
-  /// If the store holds a block for (Pc, MmuIdx, Asid) whose recorded
-  /// guest words equal \p Words, copies it into \p Out and returns true.
-  bool lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
-              const std::vector<uint32_t> &Words,
-              host::HostBlock &Out) const;
+  /// The stored block for (Pc, MmuIdx, Asid) if its recorded guest words
+  /// equal \p Words, else null.
+  std::shared_ptr<const host::HostBlock>
+  lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
+         const std::vector<uint32_t> &Words) const;
 
   /// Number of blocks available for seeding.
-  size_t blocks() const { return Img_ ? Img_->LiveBlocks : 0; }
+  size_t blocks() const { return Blocks_.size(); }
 
 private:
-  std::shared_ptr<const CodeCache::Image> Img_;
+  BlockMap Blocks_;
 };
 
 } // namespace dbt

@@ -80,7 +80,10 @@ int DbtEngine::translateAt(uint32_t Pc) {
   // verbatim. Validating against GB.Words (not just the key) makes SMC /
   // page-remap staleness impossible: any byte difference falls through to
   // a fresh translation.
-  if (Store_ && Store_->lookup(GB.StartPc, GB.MmuIdx, Asid, GB.Words, Block)) {
+  std::shared_ptr<const host::HostBlock> Stored =
+      Store_ ? Store_->lookup(GB.StartPc, GB.MmuIdx, Asid, GB.Words) : nullptr;
+  if (Stored) {
+    Block = *Stored;
     ++Cache.Stats.LoadedTbs;
     RDBT_TRACE(Sink_, obs::EventKind::SeedBlock, GB.StartPc);
   } else {
@@ -103,7 +106,8 @@ int DbtEngine::translateAt(uint32_t Pc) {
   }
   if (RetainForSave_)
     Retained_[CodeCache::key(GB.StartPc, GB.MmuIdx, Asid)] =
-        std::make_shared<host::HostBlock>(Block);
+        Stored ? std::move(Stored)
+               : std::make_shared<const host::HostBlock>(Block);
   return Cache.insert(std::move(Block), GB.MmuIdx, Asid);
 }
 

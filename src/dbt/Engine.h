@@ -30,7 +30,6 @@
 #include "sys/Mmu.h"
 #include "sys/Platform.h"
 
-#include <map>
 #include <memory>
 
 namespace rdbt {
@@ -103,13 +102,11 @@ public:
   /// This is what the persistent-cache save serializes: unlike the live
   /// cache it still holds blocks the boot-time flush discarded, so the
   /// file covers the *whole* session and a warm boot translates nothing.
-  /// Copies are private — retaining never raises the live blocks'
-  /// use_count, so chain-patch COW behavior is unchanged.
+  /// A translated block is copied, a store-seeded one is the store's own
+  /// pointer; neither is a live block, so retaining never raises a live
+  /// block's use_count and chain-patch COW behavior is unchanged.
   void setRetainForSave(bool On) { RetainForSave_ = On; }
-  const std::map<uint64_t, std::shared_ptr<host::HostBlock>> &
-  retainedForSave() const {
-    return Retained_;
-  }
+  const BlockMap &retainedForSave() const { return Retained_; }
 
   /// Wires the session's observability hooks through the whole engine
   /// stack: the trace sink reaches the code cache and the translator, the
@@ -179,10 +176,7 @@ private:
   obs::Histogram *ChainDepthHist_ = nullptr;
   /// Per-TB entry counts when enableTbExecProfile() armed them.
   std::vector<uint64_t> TbExecs_;
-  /// Ordered map so save-file bytes are deterministic for a
-  /// deterministic run (concurrent savers of one key write identical
-  /// files).
-  std::map<uint64_t, std::shared_ptr<host::HostBlock>> Retained_;
+  BlockMap Retained_;
 
   /// Translates the block at (Pc, current MmuIdx, current ASID); returns
   /// its TB id or -1 if the initial fetch faulted (a prefetch abort was

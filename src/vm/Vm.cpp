@@ -265,13 +265,13 @@ void Vm::initPersistentCache() {
   CacheKey_ = K;
   CachePath_ = K.pathIn(Cfg.persistentCache());
 
-  dbt::CodeCache::Image Img;
-  switch (dbt::CodeCacheIo::load(CachePath_, K, Img)) {
+  dbt::BlockMap Blocks;
+  switch (dbt::CodeCacheIo::load(CachePath_, K, Blocks)) {
   case dbt::CacheLoad::Hit:
     ++Engine_->codeCache().Stats.CacheFileHits;
     RDBT_TRACE(Sink_.get(), obs::EventKind::CacheFileLoad, /*outcome=*/0);
-    Engine_->setTranslationStore(std::make_shared<const dbt::TranslationStore>(
-        std::make_shared<const dbt::CodeCache::Image>(std::move(Img))));
+    Engine_->setTranslationStore(
+        std::make_shared<const dbt::TranslationStore>(std::move(Blocks)));
     break;
   case dbt::CacheLoad::Rejected:
     // Corrupt, truncated, or stale-keyed file: a clean cold start.
@@ -299,27 +299,13 @@ Vm::~Vm() {
   // (a pure-warm run would rewrite identical content), and it is not a
   // warm fork (the captured session owns the file).
   if (CacheKey_.Valid && Engine_ && !AdoptedWarm_ &&
-      Cfg.persistentCacheSaveOnExit() && Engine_->Stats.Translations > 0 &&
-      !Engine_->retainedForSave().empty()) {
-    // Serialize the retained set (every block inserted this session,
-    // whether still live or flushed since) as a synthetic Image; the
-    // std::map ordering makes the file bytes deterministic.
-    dbt::CodeCache::Image Img;
-    for (const auto &[Key, Block] : Engine_->retainedForSave()) {
-      dbt::CodeCache::Entry E;
-      E.Block = Block;
-      E.Key = Key;
-      E.Asid = static_cast<uint32_t>(Key >> 33) & 0xFF;
-      E.FirstPage = Block->GuestPc / sys::PhysMem::PageBytes;
-      E.LastPage = (Block->GuestPc + 4 * Block->NumGuestInstrs - 1) /
-                   sys::PhysMem::PageBytes;
-      Img.Entries.push_back(std::move(E));
-    }
-    Img.LiveBlocks = Img.Entries.size();
-    RDBT_TRACE(Sink_.get(), obs::EventKind::CacheFileSave,
-               Img.Entries.size());
+      Cfg.persistentCacheSaveOnExit() && Engine_->Stats.Translations > 0) {
+    // Save the retained set: every block inserted this session, whether
+    // still live or flushed since.
+    const dbt::BlockMap &Blocks = Engine_->retainedForSave();
+    RDBT_TRACE(Sink_.get(), obs::EventKind::CacheFileSave, Blocks.size());
     std::string Err;
-    if (!dbt::CodeCacheIo::save(CachePath_, Img, CacheKey_, &Err))
+    if (!dbt::CodeCacheIo::save(CachePath_, Blocks, CacheKey_, &Err))
       std::fprintf(stderr, "vm: cache file not saved: %s\n", Err.c_str());
   }
   // The timeline outlives the session only as its JSON file; written

@@ -75,12 +75,17 @@ public:
 
   // --- Snapshot / fork (vm/Snapshot.h) ------------------------------------
 
-  /// Runs in \p SliceCycles increments until the guest first enters user
-  /// mode — the host-visible "boot finished, workload starting" mark —
-  /// or the config's wall budget runs out. Because run() is
-  /// resume-transparent, the slicing leaves every counter and all guest
-  /// state exactly as an unsliced run would. The canonical capture
-  /// point for serving: boot once, capture, fork per session.
+  /// Runs in \p SliceCycles increments until the guest is in user mode
+  /// at the end of a slice — the host-visible "boot finished, workload
+  /// starting" mark — or the guest stops, or the config's wall budget
+  /// runs out. The mode is checked only at slice ends, so the mark is
+  /// rounded up to one, and a guest that is never in user mode there
+  /// runs to its end: under rule:scheduling at the default slice,
+  /// ctxswitch, untar and fileio run the whole program (ROADMAP item
+  /// 11). Because run() is resume-transparent, the slicing leaves every
+  /// counter and all guest state exactly as an unsliced run would. The
+  /// canonical capture point for serving: boot once, capture, fork per
+  /// session.
   RunReport runToBootMark(uint64_t SliceCycles = 20000);
 
   /// Freezes the whole session into a self-contained Snapshot: RAM

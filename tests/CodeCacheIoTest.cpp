@@ -113,6 +113,16 @@ void writeBytes(const std::string &Path, const std::string &Bytes) {
   OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
 }
 
+/// \p Bytes with the header's payload checksum recomputed, so a load
+/// reaches the checks behind it.
+std::string resealed(std::string Bytes) {
+  constexpr size_t HeaderBytes = 20;
+  const uint32_t Crc =
+      dbt::crc32c(Bytes.data() + HeaderBytes, Bytes.size() - HeaderBytes);
+  std::memcpy(&Bytes[16], &Crc, 4);
+  return Bytes;
+}
+
 /// Runs one session to completion; \p PathOut receives the session's
 /// cache-file path (empty when persistence is off).
 vm::RunReport runOnce(vm::VmConfig Cfg, std::string *PathOut = nullptr) {
@@ -218,15 +228,79 @@ TEST(CodeCacheIo, TruncatedFilesLoadAsMiss) {
   const std::string Trunc = Dir.Path + "/trunc.bin";
   for (size_t Len = 0; Len < Good.size(); Len += 7) {
     writeBytes(Trunc, Good.substr(0, Len));
-    dbt::CodeCache::Image Img;
-    EXPECT_NE(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Trunc, Key, Img))
+    dbt::BlockMap Blocks;
+    EXPECT_NE(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Trunc, Key, Blocks))
         << "prefix of " << Len << " bytes must not load";
   }
-  // One extra trailing byte is corruption too.
+  // One extra trailing byte is corruption too: the stale checksum
+  // rejects it, and under a re-sealed one the check after the last block
+  // does.
   writeBytes(Trunc, Good + '\0');
-  dbt::CodeCache::Image Img;
+  dbt::BlockMap Blocks;
+  std::string Err;
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Trunc, Key, Img));
+            dbt::CodeCacheIo::load(Trunc, Key, Blocks, &Err));
+  EXPECT_EQ("payload checksum mismatch", Err);
+  writeBytes(Trunc, resealed(Good + '\0'));
+  EXPECT_EQ(dbt::CacheLoad::Rejected,
+            dbt::CodeCacheIo::load(Trunc, Key, Blocks, &Err));
+  EXPECT_EQ("trailing bytes after last block", Err);
+  EXPECT_TRUE(Blocks.empty());
+}
+
+TEST(CodeCacheIo, DuplicateBlockKeyRejects) {
+  TempDir Dir;
+  std::string Path;
+  ASSERT_TRUE(runOnce(cfgFor("qemu").persistentCache(Dir.Path), &Path).Ok);
+  vm::Vm Probe(cfgFor("qemu").persistentCache(Dir.Path));
+  ASSERT_TRUE(Probe.valid());
+  const dbt::CacheKey Key = Probe.cacheKey();
+  dbt::BlockMap Blocks;
+  ASSERT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Blocks));
+  ASSERT_GT(Blocks.size(), 1u);
+
+  // The first block record, as a file holding only that block stores it
+  // after the 20-byte header and the block count.
+  constexpr size_t First = 20 + 4;
+  const std::string One = Dir.Path + "/one.bin";
+  ASSERT_TRUE(dbt::CodeCacheIo::save(One, {*Blocks.begin()}, Key));
+  const std::string Record = readBytes(One).substr(First);
+  ASSERT_FALSE(Record.empty());
+
+  std::string Dup = readBytes(Path);
+  ASSERT_EQ(0, Dup.compare(First, Record.size(), Record));
+  const uint32_t Count = static_cast<uint32_t>(Blocks.size()) + 1;
+  Dup += Record;
+  std::memcpy(&Dup[20], &Count, 4);
+  const std::string Forged = Dir.Path + "/dup.bin";
+  writeBytes(Forged, resealed(Dup));
+  Blocks.clear();
+  std::string Err;
+  EXPECT_EQ(dbt::CacheLoad::Rejected,
+            dbt::CodeCacheIo::load(Forged, Key, Blocks, &Err));
+  EXPECT_EQ("duplicate block key", Err);
+  EXPECT_TRUE(Blocks.empty());
+}
+
+TEST(CodeCacheIo, SaveOfALoadIsByteIdentical) {
+  for (const std::string Kind : {"qemu", "rule:scheduling"}) {
+    TempDir Dir;
+    std::string Path;
+    ASSERT_TRUE(runOnce(cfgFor(Kind).persistentCache(Dir.Path), &Path).Ok);
+    vm::Vm Probe(cfgFor(Kind).persistentCache(Dir.Path));
+    ASSERT_TRUE(Probe.valid());
+    const dbt::CacheKey Key = Probe.cacheKey();
+
+    dbt::BlockMap Blocks;
+    ASSERT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Blocks))
+        << Kind;
+    ASSERT_FALSE(Blocks.empty()) << Kind;
+    const std::string Again = Dir.Path + "/again.bin";
+    ASSERT_TRUE(dbt::CodeCacheIo::save(Again, Blocks, Key)) << Kind;
+    const std::string Saved = readBytes(Path);
+    ASSERT_FALSE(Saved.empty()) << Kind;
+    EXPECT_EQ(Saved, readBytes(Again)) << Kind;
+  }
 }
 
 TEST(CodeCacheIo, OversizedFileRejectsFromItsSize) {
@@ -236,10 +310,10 @@ TEST(CodeCacheIo, OversizedFileRejectsFromItsSize) {
   const std::string Big = Dir.Path + "/big.bin";
   writeBytes(Big, "RDTC");
   ASSERT_EQ(0, ::truncate(Big.c_str(), (off_t{256} << 20) + 1));
-  dbt::CodeCache::Image Img;
+  dbt::BlockMap Blocks;
   std::string Err;
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Big, dbt::CacheKey(), Img, &Err));
+            dbt::CodeCacheIo::load(Big, dbt::CacheKey(), Blocks, &Err));
   EXPECT_EQ("file too large", Err);
 }
 
@@ -269,9 +343,9 @@ TEST(CodeCacheIo, RandomBitFlipsLoadAsMiss) {
     const size_t Byte = Next() % Bad.size();
     Bad[Byte] = static_cast<char>(Bad[Byte] ^ (1u << (Next() % 8)));
     writeBytes(Flipped, Bad);
-    dbt::CodeCache::Image Img;
+    dbt::BlockMap Blocks;
     EXPECT_EQ(dbt::CacheLoad::Rejected,
-              dbt::CodeCacheIo::load(Flipped, Key, Img))
+              dbt::CodeCacheIo::load(Flipped, Key, Blocks))
         << "bit flip in byte " << Byte << " must reject";
   }
 }
@@ -291,15 +365,15 @@ TEST(CodeCacheIo, WrongVersionAndMagicReject) {
   const uint32_t WrongVersion = dbt::CodeCacheIo::FormatVersion + 1;
   std::memcpy(&Bad[4], &WrongVersion, 4);
   writeBytes(Forged, Bad);
-  dbt::CodeCache::Image Img;
+  dbt::BlockMap Blocks;
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Forged, Key, Img));
+            dbt::CodeCacheIo::load(Forged, Key, Blocks));
 
   Bad = Good;
   Bad[0] = 'X';
   writeBytes(Forged, Bad);
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Forged, Key, Img));
+            dbt::CodeCacheIo::load(Forged, Key, Blocks));
 
   // A set reserved byte in the first block record (after the 20-byte
   // header, the block count, GuestPc, MmuIdx and DefFlags) rejects even
@@ -308,12 +382,9 @@ TEST(CodeCacheIo, WrongVersionAndMagicReject) {
   ASSERT_GT(Good.size(), ReservedAt);
   Bad = Good;
   Bad[ReservedAt] = 1;
-  const uint32_t Crc = dbt::crc32c(Bad.data() + HeaderBytes,
-                                   Bad.size() - HeaderBytes);
-  std::memcpy(&Bad[16], &Crc, 4);
-  writeBytes(Forged, Bad);
+  writeBytes(Forged, resealed(Bad));
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Forged, Key, Img));
+            dbt::CodeCacheIo::load(Forged, Key, Blocks));
 }
 
 // A probe hit resumes past the miss path's helper call, so a file whose
@@ -328,19 +399,21 @@ TEST(CodeCacheIo, CodeThatCouldRunOffItsBlockRejects) {
   ASSERT_TRUE(Probe.valid());
   const dbt::CacheKey Key = Probe.cacheKey();
 
-  // Re-saves the file with \p Mutate applied to the first probe's block
-  // (the save re-seals the checksum), then loads it.
+  // Re-saves the file with \p Mutate applied to a copy of the first
+  // probe's block (the save re-seals the checksum), then loads it.
   auto LoadMutant = [&](const std::function<void(host::HostBlock &,
                                                  size_t)> &Mutate) {
-    dbt::CodeCache::Image Img;
-    EXPECT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Img));
-    for (dbt::CodeCache::Entry &E : Img.Entries)
-      for (size_t I = 0; I < E.Block->Code.size(); ++I)
-        if (E.Block->Code[I].Op == host::HOp::Probe) {
-          Mutate(*E.Block, I);
+    dbt::BlockMap Blocks;
+    EXPECT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Blocks));
+    for (auto &[K, Block] : Blocks)
+      for (size_t I = 0; I < Block->Code.size(); ++I)
+        if (Block->Code[I].Op == host::HOp::Probe) {
+          auto Copy = std::make_shared<host::HostBlock>(*Block);
+          Mutate(*Copy, I);
+          Block = std::move(Copy);
           const std::string Mutant = Dir.Path + "/mutant.bin";
-          EXPECT_TRUE(dbt::CodeCacheIo::save(Mutant, Img, Key));
-          dbt::CodeCache::Image Out;
+          EXPECT_TRUE(dbt::CodeCacheIo::save(Mutant, Blocks, Key));
+          dbt::BlockMap Out;
           std::string Why;
           const dbt::CacheLoad L =
               dbt::CodeCacheIo::load(Mutant, Key, Out, &Why);
@@ -422,18 +495,18 @@ TEST(CodeCacheIo, StaleKeyRejects) {
   // translator config: the file's key echo must reject both.
   dbt::CacheKey Stale = Probe.cacheKey();
   Stale.ImageCrc ^= 1;
-  dbt::CodeCache::Image Img;
+  dbt::BlockMap Blocks;
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Path, Stale, Img));
+            dbt::CodeCacheIo::load(Path, Stale, Blocks));
   Stale = Probe.cacheKey();
   Stale.ConfigCrc ^= 1;
   EXPECT_EQ(dbt::CacheLoad::Rejected,
-            dbt::CodeCacheIo::load(Path, Stale, Img));
+            dbt::CodeCacheIo::load(Path, Stale, Blocks));
 
   // Missing file: Absent, not Rejected — the caller counts nothing.
   EXPECT_EQ(dbt::CacheLoad::Absent,
             dbt::CodeCacheIo::load(Dir.Path + "/nope.bin", Probe.cacheKey(),
-                                   Img));
+                                   Blocks));
 }
 
 TEST(CodeCacheIo, CorruptFileDegradesToColdStartInAFullSession) {
@@ -494,32 +567,45 @@ TEST(CodeCacheIo, TranslationStoreValidatesGuestWords) {
   vm::Vm Probe(cfgFor("qemu").persistentCache(Dir.Path));
   ASSERT_TRUE(Probe.valid());
 
-  dbt::CodeCache::Image Img;
+  dbt::BlockMap Blocks;
   ASSERT_EQ(dbt::CacheLoad::Hit,
-            dbt::CodeCacheIo::load(Path, Probe.cacheKey(), Img));
-  ASSERT_FALSE(Img.Entries.empty());
-  const dbt::CodeCache::Entry &E = Img.Entries.front();
-  ASSERT_TRUE(E.Block);
-  const uint32_t Pc = E.Block->GuestPc;
-  const unsigned MmuIdx = static_cast<unsigned>((E.Key >> 32) & 1);
-  const uint32_t Asid = E.Asid;
-  std::vector<uint32_t> Words = E.Block->GuestWords;
+            dbt::CodeCacheIo::load(Path, Probe.cacheKey(), Blocks));
+  ASSERT_FALSE(Blocks.empty());
+  const auto &[Key, Block] = *Blocks.begin();
+  ASSERT_TRUE(Block);
+  const uint32_t Pc = Block->GuestPc;
+  const unsigned MmuIdx = static_cast<unsigned>((Key >> 32) & 1);
+  const uint32_t Asid = static_cast<uint32_t>(Key >> 33) & 0xFF;
+  ASSERT_EQ(Key, dbt::CodeCache::key(Pc, MmuIdx, Asid));
+  std::vector<uint32_t> Words = Block->GuestWords;
   ASSERT_FALSE(Words.empty());
 
-  const dbt::TranslationStore Store(
-      std::make_shared<const dbt::CodeCache::Image>(std::move(Img)));
-  EXPECT_GT(Store.blocks(), 0u);
-  host::HostBlock Out;
-  EXPECT_TRUE(Store.lookup(Pc, MmuIdx, Asid, Words, Out));
-  EXPECT_EQ(Pc, Out.GuestPc);
-  EXPECT_EQ(Words.size(), static_cast<size_t>(Out.NumGuestInstrs));
+  // A copy whose guest words differ from the file's (the stored block of
+  // code that has since been modified).
+  dbt::BlockMap Modified = Blocks;
+  auto Copy = std::make_shared<host::HostBlock>(*Block);
+  Copy->GuestWords[0] ^= 1;
+  Modified[Key] = std::move(Copy);
+
+  const dbt::TranslationStore Store(Blocks);
+  EXPECT_EQ(Blocks.size(), Store.blocks());
+  const auto Out = Store.lookup(Pc, MmuIdx, Asid, Words);
+  ASSERT_TRUE(Out);
+  EXPECT_EQ(Block, Out) << "a hit hands out the stored block itself";
+  EXPECT_EQ(Pc, Out->GuestPc);
+  EXPECT_EQ(Words.size(), static_cast<size_t>(Out->NumGuestInstrs));
 
   // Same key, different guest words (self-modified code): must miss.
   Words[0] ^= 1;
-  EXPECT_FALSE(Store.lookup(Pc, MmuIdx, Asid, Words, Out));
+  EXPECT_FALSE(Store.lookup(Pc, MmuIdx, Asid, Words));
+  // ...and a store holding the modified copy hits on exactly those words.
+  const dbt::TranslationStore ModifiedStore(std::move(Modified));
+  EXPECT_TRUE(ModifiedStore.lookup(Pc, MmuIdx, Asid, Words));
   Words[0] ^= 1;
+  EXPECT_FALSE(ModifiedStore.lookup(Pc, MmuIdx, Asid, Words));
+  EXPECT_TRUE(Store.lookup(Pc, MmuIdx, Asid, Words));
   // Different ASID: must miss (distinct cache key).
-  EXPECT_FALSE(Store.lookup(Pc, MmuIdx, Asid ^ 0x5, Words, Out));
+  EXPECT_FALSE(Store.lookup(Pc, MmuIdx, Asid ^ 0x5, Words));
 }
 
 TEST(CodeCacheIo, Crc32cKnownAnswerAndChaining) {
@@ -646,8 +732,9 @@ TEST(CodeCacheIo, ConcurrentSavesOfOneKeyAllSucceed) {
   vm::Vm Probe(cfgFor("qemu").persistentCache(Dir.Path));
   ASSERT_TRUE(Probe.valid());
   const dbt::CacheKey Key = Probe.cacheKey();
-  dbt::CodeCache::Image Img;
-  ASSERT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Img));
+  const std::string Before = readBytes(Path);
+  dbt::BlockMap Blocks;
+  ASSERT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Blocks));
 
   // Threads of one process saving the same key must never share a temp
   // file: every save succeeds. Each thread records its own failures; the
@@ -659,7 +746,7 @@ TEST(CodeCacheIo, ConcurrentSavesOfOneKeyAllSucceed) {
     Pool.emplace_back([&, T] {
       for (int R = 0; R < Rounds; ++R) {
         std::string Err;
-        if (!dbt::CodeCacheIo::save(Path, Img, Key, &Err))
+        if (!dbt::CodeCacheIo::save(Path, Blocks, Key, &Err))
           Errors[T].push_back(Err);
       }
     });
@@ -669,11 +756,12 @@ TEST(CodeCacheIo, ConcurrentSavesOfOneKeyAllSucceed) {
     EXPECT_TRUE(Errors[T].empty())
         << Errors[T].size() << " failed saves, first: " << Errors[T][0];
 
-  dbt::CodeCache::Image Back;
+  dbt::BlockMap Back;
   std::string Err;
   EXPECT_EQ(dbt::CacheLoad::Hit, dbt::CodeCacheIo::load(Path, Key, Back, &Err))
       << Err;
-  EXPECT_EQ(Img.LiveBlocks, Back.LiveBlocks);
+  EXPECT_EQ(Blocks.size(), Back.size());
+  EXPECT_EQ(Before, readBytes(Path));
   // Every temp file was renamed into place: the file is all that is left.
   EXPECT_EQ(1u, Dir.files().size());
 }
