@@ -41,6 +41,7 @@ int CodeCache::insert(host::HostBlock Block, uint32_t MmuIdx,
   Entry E;
   E.Key = K;
   E.Block = std::make_shared<host::HostBlock>(std::move(Block));
+  host::lower(*E.Block);
   for (uint32_t P = FirstPage; P <= LastPage; ++P)
     PageIndex[P].push_back(Id);
   AsidIndex[Asid & 0xFFu].push_back(Id);
@@ -76,8 +77,10 @@ void CodeCache::invalidateOne(int TbId) {
           FB->Code[I].Dead = false;
           Revived = true;
         }
-      if (Revived)
+      if (Revived) {
         ++Stats.ElisionsReverted;
+        host::lower(*FB);
+      }
     }
   }
   E->Incoming.clear();
@@ -170,6 +173,7 @@ bool CodeCache::chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave) {
       ++Stats.ElidedSyncInstrs;
     }
   }
+  host::lower(*FB);
   return true;
 }
 

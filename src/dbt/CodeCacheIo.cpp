@@ -196,6 +196,7 @@ bool readInst(const uint8_t *P, uint32_t NumCode, host::HInst &H,
   H.Imm = static_cast<int32_t>(loadLe32(P + 12));
   H.Target = static_cast<int32_t>(loadLe32(P + 16));
   H.GuestPc = loadLe32(P + 20);
+  // CoordRun, past ExitTb, exists only in executed forms (host::lower).
   if (Op > static_cast<uint8_t>(host::HOp::ExitTb)) {
     Why = "opcode out of range";
     return false;

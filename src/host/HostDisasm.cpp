@@ -106,6 +106,9 @@ std::string host::disassemble(const HInst &H) {
     return format("jmp chain_slot_%d", H.Imm);
   case HOp::ExitTb:
     return format("exit_tb(%d)", H.Imm);
+  case HOp::CoordRun:
+    return format(";; coord-run of %u: %d sync + %d glue cycles", H.Slot,
+                  H.Imm, H.Target);
   }
   return "<bad>";
 }

@@ -21,6 +21,11 @@
 ///  * engine ops: the inline softmmu probe, helper calls, patchable chain
 ///    slots, TB exits.
 ///
+/// A block is translated into Code, its IR. lower() turns Code into the
+/// executed form (Exec) that HostMachine runs: Dead instructions dropped
+/// and each run of coordination instructions behind one CoordRun op,
+/// charged exactly as the instructions it stands for.
+///
 /// Every instruction carries a \ref CostClass so executed host
 /// instructions can be attributed to user code, CPU-state coordination
 /// (sync), inline MMU code, interrupt checks, glue, or helpers — the
@@ -116,6 +121,11 @@ enum class HOp : uint8_t {
   CallHelper, ///< call Helper with args R[Src], R[Src2]; result to Dst
   ChainSlot,  ///< patchable direct jump: chain slot index in Imm
   ExitTb,     ///< leave the code cache; ExitReason in Imm
+
+  /// Executed form only (see lower()): the Slot coordination instructions
+  /// that follow it run as one op. Imm holds their Sync cycles, Target
+  /// their Glue cycles and Helper their SyncOp markers.
+  CoordRun,
 };
 
 /// Host instructions (and cycles) of the sequence HOp::Probe stands for:
@@ -171,7 +181,13 @@ struct HInst {
 
 /// Host code for one translation block plus its two patchable chain exits.
 struct HostBlock {
-  std::vector<HInst> Code;
+  // What HostMachine::run reads on every block entry comes first, so
+  // those fields share cache lines: behind Code and GuestWords, the entry
+  // counters cost native 3 % and qemu 5 % (EXPERIMENTS.md).
+
+  /// What HostMachine::run executes, built from Code by lower(): no Dead
+  /// instruction, and each coordination run behind one CoordRun.
+  std::vector<HInst> Exec;
 
   /// A direct-branch exit that can be chained to a successor TB.
   struct Chain {
@@ -186,10 +202,6 @@ struct HostBlock {
 
   uint32_t GuestPc = 0;       ///< guest address this TB translates
   uint32_t NumGuestInstrs = 0;
-  /// Raw guest words this TB was translated from (filled by the engine
-  /// after translation). The persistent code cache re-validates a loaded
-  /// block against freshly fetched guest memory through these.
-  std::vector<uint32_t> GuestWords;
   // Guest instruction category counts (Table I accounting; the host
   // machine accumulates them blindly on every TB entry).
   uint32_t NumMemInstrs = 0;
@@ -198,7 +210,48 @@ struct HostBlock {
   /// True if every path through the TB writes the NZCV flags before any
   /// instruction reads them (the III-C inter-TB elimination predicate).
   bool DefinesFlagsBeforeUse = false;
+
+  /// The block as translated: what cache files store, the disassembler
+  /// prints and chain-time elision marks Dead.
+  std::vector<HInst> Code;
+  /// Raw guest words this TB was translated from (filled by the engine
+  /// after translation). The persistent code cache re-validates a loaded
+  /// block against freshly fetched guest memory through these.
+  std::vector<uint32_t> GuestWords;
 };
+
+/// True for the instructions of a coordination bracket that lower() fuses:
+/// SyncOp markers, Sync-class LdEnv/StEnv/StEnvI/PackF/UnpackF and the
+/// Glue-class StEnvI that stores the PC before a helper or an exit.
+constexpr bool isCoordination(const HInst &H) {
+  switch (H.Op) {
+  case HOp::Marker:
+    return static_cast<MarkerKind>(H.Imm) == MarkerKind::SyncOp;
+  case HOp::LdEnv:
+  case HOp::StEnv:
+  case HOp::PackF:
+  case HOp::UnpackF:
+    return H.Cls == CostClass::Sync;
+  case HOp::StEnvI:
+    return H.Cls == CostClass::Sync || H.Cls == CostClass::Glue;
+  default:
+    return false;
+  }
+}
+
+/// Cycles a coordination instruction costs (a marker costs none).
+constexpr unsigned coordinationCycles(const HInst &H) {
+  return H.Op == HOp::Marker ? 0
+         : H.Op == HOp::PackF || H.Op == HOp::UnpackF ? 2
+                                                       : 1;
+}
+
+/// (Re)builds \p B.Exec from \p B.Code: drops Dead instructions, puts a
+/// CoordRun before each maximal run of two or more live coordination
+/// instructions that no jump lands inside, and remaps jump targets. Call
+/// it whenever Code or a Dead bit changes. A block with nothing to drop
+/// or fuse costs one copy.
+void lower(HostBlock &B);
 
 /// Returns the mnemonic for \p Op.
 const char *hopName(HOp Op);

@@ -60,8 +60,90 @@ const char *host::hopName(HOp Op) {
   case HOp::CallHelper: return "call";
   case HOp::ChainSlot: return "chain";
   case HOp::ExitTb: return "exit_tb";
+  case HOp::CoordRun: return "coord";
   }
   return "<bad>";
+}
+
+void host::lower(HostBlock &B) {
+  const std::vector<HInst> &Code = B.Code;
+  std::vector<HInst> &Exec = B.Exec;
+  const size_t N = Code.size();
+  bool Work = false, PrevCoordination = false;
+  for (const HInst &H : Code) {
+    const bool Coordination = isCoordination(H);
+    if (H.Dead || (PrevCoordination && Coordination)) {
+      Work = true;
+      break;
+    }
+    PrevCoordination = Coordination;
+  }
+  if (!Work) {
+    Exec = Code;
+    return;
+  }
+
+  // NewIndex[I] is where Code[I] lands in Exec (a Dead one: where the next
+  // live one does). Before the pass reaches I it holds 1 if a jump lands
+  // on I, and a run does not grow across such an instruction. Reused
+  // across calls, so a lowering allocates nothing but Exec.
+  static thread_local std::vector<int32_t> NewIndex;
+  NewIndex.assign(N + 1, 0);
+  for (const HInst &H : Code)
+    if ((H.Op == HOp::Jcc || H.Op == HOp::Jmp) && H.Target >= 0) {
+      assert(static_cast<size_t>(H.Target) < N && "jump out of the block");
+      NewIndex[static_cast<size_t>(H.Target)] = 1;
+    }
+
+  Exec.clear();
+  Exec.reserve(N);
+  for (size_t I = 0; I < N;) {
+    const bool Landing = NewIndex[I] != 0;
+    NewIndex[I] = static_cast<int32_t>(Exec.size());
+    const HInst &H = Code[I];
+    if (H.Dead) {
+      NewIndex[I + 1] |= Landing; // the jump lands on the next live one
+      ++I;
+      continue;
+    }
+    size_t End = I + 1, Live = 1;
+    if (isCoordination(H))
+      for (; End < N && !NewIndex[End] && Live < UINT16_MAX; ++End) {
+        if (Code[End].Dead)
+          continue;
+        if (!isCoordination(Code[End]))
+          break;
+        ++Live;
+      }
+    if (Live < 2) {
+      Exec.push_back(H);
+      ++I;
+      continue;
+    }
+    const size_t Head = Exec.size();
+    Exec.emplace_back();
+    unsigned Cycles[NumCostClasses] = {}, Markers = 0;
+    for (; I < End; ++I) {
+      const HInst &Item = Code[I];
+      NewIndex[I] = static_cast<int32_t>(Head);
+      if (Item.Dead)
+        continue;
+      Cycles[static_cast<unsigned>(Item.Cls)] += coordinationCycles(Item);
+      Markers += Item.Op == HOp::Marker;
+      Exec.push_back(Item);
+    }
+    HInst &Run = Exec[Head];
+    Run.Op = HOp::CoordRun;
+    Run.Cls = CostClass::Sync;
+    Run.Slot = static_cast<uint16_t>(Live);
+    Run.Imm = static_cast<int32_t>(Cycles[unsigned(CostClass::Sync)]);
+    Run.Target = static_cast<int32_t>(Cycles[unsigned(CostClass::Glue)]);
+    Run.Helper = static_cast<uint16_t>(Markers);
+  }
+  NewIndex[N] = static_cast<int32_t>(Exec.size());
+  for (HInst &H : Exec)
+    if ((H.Op == HOp::Jcc || H.Op == HOp::Jmp) && H.Target >= 0)
+      H.Target = NewIndex[static_cast<size_t>(H.Target)];
 }
 
 const char *host::hcondName(HCond Cc) {
@@ -185,6 +267,28 @@ HostMachine::ProbeEnd HostMachine::probeStepwise(const HInst &H,
   return ProbeEnd::Hit;
 }
 
+// A coordination run one instruction at a time, for a run that a device
+// deadline or the runaway guard lands inside: each instruction is
+// counted, charged and applied where it stood, so onWall sees the same
+// Now and env as with separate ops. The caller counted the first one.
+#if defined(__GNUC__)
+__attribute__((noinline, cold))
+#endif
+bool HostMachine::coordStepwise(const HInst *Run, unsigned N,
+                                uint64_t &Executed) {
+  for (unsigned K = 0; K < N; ++K) {
+    const HInst &H = Run[K];
+    if (K > 0 && ++Executed > MaxInstrsPerRun)
+      return false;
+    if (H.Op == HOp::Marker)
+      ++Counters.SyncOps;
+    else
+      charge(H, coordinationCycles(H));
+    applyCoordination(H);
+  }
+  return true;
+}
+
 // Aligned so the dispatch loop keeps its offset within 64-byte fetch
 // windows when unrelated code changes size: an 80-byte shift of this
 // function alone cost the qemu and rule kinds 4-12% ns per guest
@@ -196,6 +300,9 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
   const HostBlock *B = Src.block(StartTb);
   int CurTb = StartTb;
   assert(B && "starting TB not in code cache");
+  // B's executed form. A local, so the compiler keeps it in a register:
+  // loading B->Exec's data pointer on every dispatch instead cost qemu 9%.
+  const HInst *Ops = B->Exec.data();
   size_t I = 0;
   uint64_t Executed = 0;
 
@@ -214,12 +321,8 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
   EnterBlock(B, StartTb);
 
   while (true) {
-    assert(I < B->Code.size() && "fell off the end of a host block");
-    const HInst &H = B->Code[I];
-    if (H.Dead) {
-      ++I;
-      continue;
-    }
+    assert(I < B->Exec.size() && "fell off the end of a host block");
+    const HInst &H = Ops[I];
     if (++Executed > MaxInstrsPerRun)
       return {ExitReason::Shutdown, 0, CurTb, 0};
 
@@ -508,6 +611,7 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       CurTb = Ch.TargetTb;
       B = Src.block(CurTb);
       assert(B && "chained to a flushed TB");
+      Ops = B->Exec.data();
       I = 0;
       ++Counters.ChainFollows;
       EnterBlock(B, CurTb);
@@ -520,6 +624,28 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       // For NeedTranslate exits the chain slot to patch rides in Src and
       // the target guest PC was stored to the env PC by the exit glue.
       return {Reason, 0, CurTb, H.Src};
+    }
+
+    // A run is charged in bulk unless a deadline or the runaway guard
+    // lands inside it; then coordStepwise runs it.
+    case HOp::CoordRun: {
+      const uint32_t Sync = static_cast<uint32_t>(H.Imm);
+      const uint32_t Glue = static_cast<uint32_t>(H.Target);
+      if (Counters.Wall + Sync + Glue >= NextDeadline ||
+          Executed + (H.Slot - 1u) > MaxInstrsPerRun) {
+        if (!coordStepwise(&H + 1, H.Slot, Executed))
+          return {ExitReason::Shutdown, 0, CurTb, 0};
+      } else {
+        Counters.Wall += Sync + Glue;
+        Counters.ByClass[static_cast<unsigned>(CostClass::Sync)] += Sync;
+        Counters.ByClass[static_cast<unsigned>(CostClass::Glue)] += Glue;
+        Counters.SyncOps += H.Helper;
+        Executed += H.Slot - 1u;
+        for (const HInst *It = &H + 1, *End = It + H.Slot; It != End; ++It)
+          applyCoordination(*It);
+      }
+      I += H.Slot + 1u;
+      continue;
     }
     }
     ++I;

@@ -16,6 +16,13 @@
 /// carries the wall-clock deadline of the device model so interrupts
 /// arrive asynchronously while translated code runs.
 ///
+/// It executes each block's executed form (HostBlock::Exec, built by
+/// lower()). Two ops there stand for several host instructions: a Probe
+/// and a CoordRun are charged in bulk unless a device deadline or the
+/// runaway guard lands inside them, and then one instruction at a time,
+/// so every count, and the cycle at which onWall fires, is what the
+/// instructions would give one by one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RDBT_HOST_HOSTMACHINE_H
@@ -24,6 +31,7 @@
 #include "host/HostInst.h"
 #include "support/Cond.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -117,7 +125,8 @@ public:
               uint32_t TlbBaseSlot, uint32_t TlbEntryWords,
               uint32_t TlbHalfEntries);
 
-  /// Runs translated code starting at \p StartTb until an exit.
+  /// Runs the executed form (lower()) of translated code from \p StartTb
+  /// until an exit.
   RunResult run(const CodeSource &Src, int StartTb);
 
   uint32_t reg(unsigned R) const { return R_[R]; }
@@ -149,6 +158,19 @@ private:
   uint32_t TlbBaseSlot, TlbEntryWords, TlbHalfEntries;
 
   void charge(const HInst &H, uint64_t Cost);
+  /// A coordination instruction's effect (a SyncOp marker has none).
+  void applyCoordination(const HInst &H) {
+    assert(H.Slot < EnvSize && "env slot out of range");
+    switch (H.Op) {
+    case HOp::LdEnv: R_[H.Dst] = Env[H.Slot]; break;
+    case HOp::StEnv: Env[H.Slot] = R_[H.Src]; break;
+    case HOp::StEnvI: Env[H.Slot] = static_cast<uint32_t>(H.Imm); break;
+    case HOp::PackF: R_[H.Dst] = packedFlags(); break;
+    case HOp::UnpackF: setPackedFlags(R_[H.Dst]); break;
+    default: break;
+    }
+  }
+  bool coordStepwise(const HInst *Run, unsigned N, uint64_t &Executed);
   void probeAccess(const HInst &H);
   enum class ProbeEnd { Hit, Miss, Runaway };
   ProbeEnd probeStepwise(const HInst &H, uint64_t &Executed);

@@ -489,6 +489,13 @@ std::vector<Vm::HotBlock> Vm::hotBlocks(size_t N) {
         ++Emulated;
     H.EmulatedInstrs = std::min(Emulated, H.NumGuestInstrs);
     H.CoveredInstrs = H.NumGuestInstrs - H.EmulatedInstrs;
+    for (const host::HInst &HI : B->Code)
+      H.HostInstrs += !HI.Dead;
+    for (size_t I = 0; I < B->Exec.size(); ++I, ++H.ExecOps)
+      if (B->Exec[I].Op == host::HOp::CoordRun) {
+        ++H.CoordRuns;
+        I += B->Exec[I].Slot;
+      }
     std::ostringstream GD;
     for (size_t I = 0; I < B->GuestWords.size(); ++I) {
       const uint32_t Pc = B->GuestPc + static_cast<uint32_t>(I) * 4;

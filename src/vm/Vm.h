@@ -127,6 +127,12 @@ public:
     /// exact for this block as translated).
     uint32_t CoveredInstrs = 0;
     uint32_t EmulatedInstrs = 0;
+    /// Live host instructions of the block as translated, the ops
+    /// HostMachine::run dispatches for them (its executed form, see
+    /// host::lower) and how many of those ops are fused coordination runs.
+    uint32_t HostInstrs = 0;
+    uint32_t ExecOps = 0;
+    uint32_t CoordRuns = 0;
     std::string GuestDisasm; ///< one line per guest instruction
     std::string HostDisasm;  ///< host::disassembleBlock() rendering
   };

@@ -85,6 +85,7 @@ protected:
     E.movRI(5, Value);
     dbt::emitInlineAccess(E, 4, 5, 4, IsLoad);
     E.exitTb(ExitReason::Lookup);
+    lower(Src.B);
     M.run(Src, 0);
     Helpers = M.Counters.HelperCalls;
     return IsLoad ? M.reg(5) : 0;
@@ -143,6 +144,7 @@ TEST_F(HostFixture, AluAndFlagsArmPolarity) {
   E.setCc(1, HCond::Cc);                     // x86 "b": C clear
   E.setCc(2, HCond::Mi);
   E.exitTb(ExitReason::Lookup);
+  lower(Src.B);
   const RunResult R = Machine.run(Src, 0);
   EXPECT_EQ(R.Reason, ExitReason::Lookup);
   EXPECT_EQ(Machine.reg(0), 5u - 7u);
@@ -162,6 +164,7 @@ TEST_F(HostFixture, PackUnpackFlagsRoundTrip) {
   E.setCc(3, HCond::Eq);
   E.setCc(4, HCond::Cs);
   E.exitTb(ExitReason::Lookup);
+  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(Machine.reg(3), 1u);
   EXPECT_EQ(Machine.reg(4), 1u);
@@ -178,6 +181,7 @@ TEST_F(HostFixture, EnvSlotsAndHelperCalls) {
   E.setClass(CostClass::User);
   E.stEnv(sys::envSlotReg(8), 2);
   E.exitTb(ExitReason::Lookup);
+  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(LastHelper, 9u);
   EXPECT_EQ(Board.Env.Regs[8], 0xAA55u + 3u);
@@ -204,6 +208,7 @@ TEST_F(HostFixture, TlbProbeAndGuestAccess) {
   E.movRI(4, Va);
   dbt::emitInlineAccess(E, 4, 5, 4, /*IsLoad=*/true);
   E.exitTb(ExitReason::Lookup);
+  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(Machine.reg(5), 0x13579BDFu);
   EXPECT_EQ(Machine.Counters.HelperCalls, 0u) << "hit path, no helper";
@@ -357,6 +362,7 @@ TEST(InlineProbe, ChargesAndOrdersLikeTheTwelveInstructionSequence) {
             M.setPackedFlags(FlagsInit);
             M.NextDeadline = Deadline;
             M.MaxInstrsPerRun = MaxInstrs;
+            lower(Src.B);
             const RunResult R = M.run(Src, 0);
             return std::make_pair(R, M);
           };
@@ -471,6 +477,7 @@ TEST_F(HostFixture, SetCcAndJccFollowTheArmConditions) {
       E.movRI(2, 0);
       E.patchHere(Taken);
       E.exitTb(ExitReason::Lookup);
+      lower(Src.B);
       Machine.run(Src, 0);
       const bool Expected =
           armConditionHolds(Cond, Nzcv & 8, Nzcv & 4, Nzcv & 2, Nzcv & 1);
@@ -539,6 +546,7 @@ TEST_F(HostFixture, ChainSlotFallsThroughWhenUnresolved) {
   E.chainSlot(0, 0x2000);
   E.stEnvI(sys::envSlotReg(15), 0x2000);
   E.exitTbNeedTranslate(0);
+  lower(Src.B);
   const RunResult R = Machine.run(Src, 0);
   EXPECT_EQ(R.Reason, ExitReason::NeedTranslate);
   EXPECT_EQ(R.FromChainSlot, 0);
@@ -552,9 +560,363 @@ TEST_F(HostFixture, DeadInstructionsCostNothing) {
   const int DeadIdx = E.movRI(0, 2);
   E.exitTb(ExitReason::Lookup);
   Src.B.Code[DeadIdx].Dead = true;
+  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(Machine.reg(0), 1u);
   EXPECT_EQ(Machine.Counters.Wall, 2u); // mov + exit only
+}
+
+/// Env, helper and device clock of the coordination-run tests: a small
+/// env of distinct words, a helper that records the env it finds and
+/// writes one word of it, and a deadline every Step cycles that records
+/// Now and the env at that moment.
+class CoordRig final : public PhysPort, public HelperHandler,
+                       public WallSink {
+public:
+  enum : uint64_t { HelperCost = 5, Step = 3 };
+  enum : uint16_t { EnvWords = 24, PcSlot = 15, PackedSlot = 20,
+                    ValidSlot = 21, HelperWrites = 3 };
+  using EnvCopy = std::vector<uint32_t>;
+
+  CoordRig() : PhysPort(nullptr, nullptr, 0) {
+    for (uint32_t I = 0; I < EnvWords; ++I)
+      Env[I] = 0xE0000 + I;
+    Env[PackedSlot] = 0x60000000u; // Z and C
+  }
+  void write(uint32_t, unsigned, uint32_t) override {}
+  Outcome call(uint16_t, uint32_t, uint32_t, uint32_t) override {
+    Seen.push_back(EnvCopy(Env, Env + EnvWords));
+    Env[HelperWrites] = 0xFEEDu;
+    Outcome O;
+    O.Cost = HelperCost;
+    return O;
+  }
+  uint64_t onWall(uint64_t Now) override {
+    Walls.push_back({Now, EnvCopy(Env, Env + EnvWords)});
+    return Now + Step;
+  }
+
+  uint32_t Env[EnvWords];
+  std::vector<std::pair<uint64_t, EnvCopy>> Walls;
+  std::vector<EnvCopy> Seen;
+};
+
+/// The per-instruction executor the coordination-run tests hold the host
+/// machine to, over the opcodes their blocks use: every live instruction
+/// is counted against the runaway limit, charged, checked against the
+/// deadline and applied, in order.
+struct CoordModel {
+  CoordRig Rig;
+  uint32_t R[NumHostRegs] = {};
+  uint32_t Nzcv = 0;
+  ExecCounters C;
+  RunResult Result;
+  uint64_t Executed = 0;
+
+  void run(const HostBlock &B, uint64_t Deadline, uint64_t MaxInstrs) {
+    ++C.TbEntries;
+    uint64_t Next = Deadline;
+    auto Charge = [&](const HInst &H, uint64_t Cost) {
+      C.Wall += Cost;
+      C.ByClass[static_cast<unsigned>(H.Cls)] += Cost;
+      if (C.Wall >= Next)
+        Next = Rig.onWall(C.Wall);
+    };
+    for (size_t I = 0;;) {
+      const HInst &H = B.Code[I++];
+      if (H.Dead)
+        continue;
+      if (++Executed > MaxInstrs) {
+        Result = {ExitReason::Shutdown, 0, 0, 0};
+        return;
+      }
+      switch (H.Op) {
+      case HOp::Marker:
+        C.SyncOps += static_cast<MarkerKind>(H.Imm) == MarkerKind::SyncOp;
+        break;
+      case HOp::Mov:
+        Charge(H, 1);
+        R[H.Dst] = static_cast<uint32_t>(H.Imm);
+        break;
+      case HOp::Test:
+        Charge(H, 1);
+        Nzcv = (Nzcv & 3u) | (R[H.Dst] >> 31) << 3 |
+               (R[H.Dst] == 0 ? 4u : 0u);
+        break;
+      case HOp::LdEnv:
+        Charge(H, 1);
+        R[H.Dst] = Rig.Env[H.Slot];
+        break;
+      case HOp::StEnv:
+        Charge(H, 1);
+        Rig.Env[H.Slot] = R[H.Src];
+        break;
+      case HOp::StEnvI:
+        Charge(H, 1);
+        Rig.Env[H.Slot] = static_cast<uint32_t>(H.Imm);
+        break;
+      case HOp::PackF:
+        Charge(H, 2);
+        R[H.Dst] = Nzcv << 28;
+        break;
+      case HOp::UnpackF:
+        Charge(H, 2);
+        Nzcv = R[H.Dst] >> 28;
+        break;
+      case HOp::SetCc:
+        Charge(H, 1);
+        R[H.Dst] = condHolds(static_cast<unsigned>(H.Cc), Nzcv);
+        break;
+      case HOp::Jcc:
+        Charge(H, 1);
+        if (condHolds(static_cast<unsigned>(H.Cc), Nzcv))
+          I = static_cast<size_t>(H.Target);
+        break;
+      case HOp::CallHelper: {
+        Charge(H, 3);
+        ++C.HelperCalls;
+        const HelperHandler::Outcome Out = Rig.call(H.Helper, 0, 0, 0);
+        Charge(H, Out.Cost);
+        break;
+      }
+      case HOp::ChainSlot: // unresolved: falls into the exit glue
+        Charge(H, 1);
+        break;
+      case HOp::ExitTb:
+        Charge(H, 1);
+        Result = {static_cast<ExitReason>(H.Imm), 0, 0, H.Src};
+        return;
+      default:
+        FAIL() << "the model does not run " << hopName(H.Op);
+        return;
+      }
+    }
+  }
+};
+
+// A coordination run executes as one op, charged in bulk, unless a device
+// deadline or the runaway guard lands inside it. Either way it must leave
+// what its instructions leave one at a time: for a deadline at every
+// cycle offset and a runaway limit at every instruction, the counters,
+// the onWall times and the env each one sees, the env the helper sees,
+// registers, NZCV and the exit all match the per-instruction model.
+TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
+  enum : uint16_t { Pc = CoordRig::PcSlot, Packed = CoordRig::PackedSlot,
+                    Valid = CoordRig::ValidSlot };
+  const uint8_t T0 = ScratchReg0;
+  struct Case {
+    const char *Name;
+    HostBlock B;
+    uint32_t R1 = 0;
+  };
+  std::vector<Case> Cases;
+  auto Emitter = [&](const char *Name, uint32_t R1 = 0) {
+    Cases.push_back({Name, HostBlock(), R1});
+    return HostEmitter(Cases.back().B);
+  };
+  auto PackedSave = [&](HostEmitter &E) {
+    const CostClass Saved = E.setClass(CostClass::Sync);
+    E.marker(MarkerKind::SyncOp);
+    E.packF(T0);
+    E.stEnv(Packed, T0);
+    E.stEnvI(Valid, 1);
+    E.setClass(Saved);
+  };
+  auto HelperBracket = [&](HostEmitter &E) {
+    E.movRI(3, 0x3333);
+    E.movRI(4, 0x4444);
+    E.setClass(CostClass::Sync);
+    E.marker(MarkerKind::SyncOp);
+    E.stEnv(3, 3);
+    E.stEnv(4, 4);
+    E.setClass(CostClass::Glue);
+    E.stEnvI(Pc, 0x8000);
+    E.setClass(CostClass::User);
+    const int FlagSave = E.here();
+    PackedSave(E);
+    E.setClass(CostClass::Helper);
+    E.callHelper(dbt::HelperEmulate);
+    E.setClass(CostClass::Sync);
+    E.ldEnv(3, CoordRig::HelperWrites);
+    E.setClass(CostClass::Glue);
+    E.exitTb(ExitReason::Lookup);
+    return FlagSave;
+  };
+
+  {
+    HostEmitter E = Emitter("packed flag save");
+    E.movRI(1, 0x80000000u);
+    E.testRR(1, 1); // N
+    PackedSave(E);
+    E.setClass(CostClass::Glue);
+    E.chainSlot(0, 0x2000);
+    E.stEnvI(Pc, 0x2000);
+    E.exitTbNeedTranslate(0);
+  }
+  {
+    HostEmitter E = Emitter("register save and PC store before a helper");
+    HelperBracket(E);
+  }
+  {
+    HostEmitter E = Emitter("dead flag save inside a run");
+    const int FlagSave = HelperBracket(E);
+    for (int I = FlagSave; I < FlagSave + 4; ++I)
+      Cases.back().B.Code[I].Dead = true;
+  }
+  {
+    HostEmitter E = Emitter("packed restore");
+    E.setClass(CostClass::Sync);
+    E.marker(MarkerKind::SyncOp);
+    E.ldEnv(T0, Packed);
+    E.unpackF(T0);
+    E.setClass(CostClass::User);
+    E.setCc(5, HCond::Eq);
+    E.setCc(6, HCond::Cs);
+    E.exitTb(ExitReason::Lookup);
+  }
+  for (uint32_t R1 : {0u, 5u}) {
+    HostEmitter E = Emitter(R1 ? "jump into a run, not taken"
+                               : "jump into a run, taken",
+                            R1);
+    E.testRR(1, 1);
+    const int Skip = E.jcc(HCond::Eq);
+    E.setClass(CostClass::Sync);
+    E.marker(MarkerKind::SyncOp);
+    E.stEnv(1, 1);
+    E.patchHere(Skip);
+    E.marker(MarkerKind::SyncOp);
+    E.stEnv(2, 2);
+    E.ldEnv(7, 7);
+    E.setClass(CostClass::Glue);
+    E.exitTb(ExitReason::Lookup);
+  }
+
+  unsigned Runs = 0;
+  for (Case &K : Cases) {
+    lower(K.B);
+    struct : CodeSource {
+      const HostBlock *B = nullptr;
+      const HostBlock *block(int Id) const override {
+        return Id == 0 ? B : nullptr;
+      }
+    } Src;
+    Src.B = &K.B;
+    auto Init = [&](CoordModel &M) {
+      for (unsigned R = 0; R < NumHostRegs; ++R)
+        M.R[R] = 0x700 + R;
+      M.R[1] = K.R1;
+      M.Nzcv = 0x9; // N and V
+    };
+    CoordModel Whole;
+    Init(Whole);
+    Whole.run(K.B, ~0ull, ~0ull);
+    ASSERT_TRUE(Whole.Rig.Walls.empty()) << K.Name;
+
+    auto Check = [&](uint64_t Deadline, uint64_t MaxInstrs) {
+      const std::string Where = std::string(K.Name) + " deadline " +
+                                std::to_string(Deadline) + " limit " +
+                                std::to_string(MaxInstrs);
+      CoordModel Want;
+      Init(Want);
+      Want.run(K.B, Deadline, MaxInstrs);
+
+      CoordModel Got;
+      Init(Got);
+      HostMachine M(Got.Rig.Env, CoordRig::EnvWords, Got.Rig, Got.Rig,
+                    Got.Rig, /*MmuIdxSlot=*/0, /*TlbBaseSlot=*/0,
+                    /*TlbEntryWords=*/1, /*TlbHalfEntries=*/1);
+      for (unsigned R = 0; R < NumHostRegs; ++R)
+        M.setReg(R, Got.R[R]);
+      M.setPackedFlags(Got.Nzcv << 28);
+      M.NextDeadline = Deadline;
+      M.MaxInstrsPerRun = MaxInstrs;
+      const RunResult R = M.run(Src, 0);
+
+      EXPECT_TRUE(Want.Result.Reason == R.Reason) << Where;
+      EXPECT_EQ(Want.Result.NextPc, R.NextPc) << Where;
+      EXPECT_EQ(Want.Result.FromTb, R.FromTb) << Where;
+      EXPECT_EQ(Want.Result.FromChainSlot, R.FromChainSlot) << Where;
+      EXPECT_EQ(Want.C.Wall, M.Counters.Wall) << Where;
+      for (unsigned C = 0; C < NumCostClasses; ++C)
+        EXPECT_EQ(Want.C.ByClass[C], M.Counters.ByClass[C])
+            << Where << " class " << C;
+      EXPECT_EQ(Want.C.SyncOps, M.Counters.SyncOps) << Where;
+      EXPECT_EQ(Want.C.HelperCalls, M.Counters.HelperCalls) << Where;
+      EXPECT_EQ(Want.C.TbEntries, M.Counters.TbEntries) << Where;
+      EXPECT_TRUE(Want.Rig.Walls == Got.Rig.Walls)
+          << Where << ": onWall times or the env they saw";
+      EXPECT_TRUE(Want.Rig.Seen == Got.Rig.Seen)
+          << Where << ": the env the helper saw";
+      EXPECT_TRUE(CoordRig::EnvCopy(Want.Rig.Env,
+                                    Want.Rig.Env + CoordRig::EnvWords) ==
+                  CoordRig::EnvCopy(Got.Rig.Env,
+                                    Got.Rig.Env + CoordRig::EnvWords))
+          << Where << ": env";
+      for (unsigned Reg = 0; Reg < NumHostRegs; ++Reg)
+        EXPECT_EQ(Want.R[Reg], M.reg(Reg)) << Where << " reg " << Reg;
+      EXPECT_EQ(Want.Nzcv << 28, M.packedFlags()) << Where;
+      ++Runs;
+    };
+    for (uint64_t Deadline = 1; Deadline <= Whole.C.Wall + 1; ++Deadline)
+      Check(Deadline, ~0ull);
+    for (uint64_t Limit = 0; Limit <= Whole.Executed; ++Limit)
+      Check(~0ull, Limit);
+  }
+  EXPECT_EQ(6u, Cases.size());
+  EXPECT_GT(Runs, 6u * 10u);
+}
+
+// The shape lower() gives a block: Dead ops gone, a CoordRun before each
+// run of two or more coordination instructions, a run split where a jump
+// lands, jumps remapped; a block with nothing to drop or fuse is copied.
+TEST(ExecForm, LowerFusesRunsSplitsThemAtJumpTargetsAndDropsDeadOps) {
+  HostBlock B;
+  HostEmitter E(B);
+  E.testRR(1, 1);
+  const int Skip = E.jcc(HCond::Eq);
+  E.setClass(CostClass::Sync);
+  E.marker(MarkerKind::SyncOp);
+  E.stEnv(1, 1);
+  E.patchHere(Skip);
+  E.marker(MarkerKind::SyncOp);
+  E.packF(ScratchReg0);
+  E.setClass(CostClass::Glue);
+  E.stEnvI(15, 0x8000);
+  E.setClass(CostClass::User);
+  const int Dead = E.movRI(2, 0);
+  E.exitTb(ExitReason::Lookup);
+  B.Code[Dead].Dead = true;
+  lower(B);
+
+  const std::vector<HOp> Ops = {
+      HOp::Test,   HOp::Jcc,      HOp::CoordRun, HOp::Marker, HOp::StEnv,
+      HOp::CoordRun, HOp::Marker, HOp::PackF,    HOp::StEnvI, HOp::ExitTb};
+  ASSERT_EQ(Ops.size(), B.Exec.size());
+  for (size_t I = 0; I < Ops.size(); ++I)
+    EXPECT_TRUE(Ops[I] == B.Exec[I].Op) << I << ": " << hopName(B.Exec[I].Op);
+  EXPECT_EQ(5, B.Exec[1].Target) << "the jump lands on the second run";
+  EXPECT_EQ(2u, B.Exec[2].Slot);
+  EXPECT_EQ(1, B.Exec[2].Imm);
+  EXPECT_EQ(0, B.Exec[2].Target);
+  EXPECT_EQ(1u, B.Exec[2].Helper);
+  EXPECT_EQ(3u, B.Exec[5].Slot);
+  EXPECT_EQ(2, B.Exec[5].Imm) << "packf: 2 sync cycles";
+  EXPECT_EQ(1, B.Exec[5].Target) << "the PC store: 1 glue cycle";
+  EXPECT_EQ(1u, B.Exec[5].Helper);
+
+  HostBlock Plain;
+  HostEmitter P(Plain);
+  P.movRI(4, 0x1000);
+  dbt::emitInlineAccess(P, 4, 5, 4, /*IsLoad=*/true);
+  P.setClass(CostClass::Sync);
+  P.stEnv(5, 5); // one coordination instruction is no run
+  P.exitTb(ExitReason::Lookup);
+  lower(Plain);
+  ASSERT_EQ(Plain.Code.size(), Plain.Exec.size());
+  for (size_t I = 0; I < Plain.Code.size(); ++I)
+    EXPECT_TRUE(Plain.Code[I].Op == Plain.Exec[I].Op &&
+                Plain.Code[I].Target == Plain.Exec[I].Target)
+        << I;
 }
 
 TEST(RuleSetTest, ReferenceRulesMatchAndEmit) {

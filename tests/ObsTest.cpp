@@ -365,6 +365,7 @@ TEST(ObsVm, HotBlockProfile) {
   EXPECT_LE(Top.size(), 5u);
   double ShareSum = 0;
   uint64_t PrevExecs = ~0ull;
+  bool FusedSomewhere = false;
   for (const vm::Vm::HotBlock &B : Top) {
     EXPECT_GE(B.TbId, 0);
     EXPECT_GT(B.Execs, 0u);
@@ -376,9 +377,14 @@ TEST(ObsVm, HotBlockProfile) {
     EXPECT_LE(B.ExecShare, 1.0);
     EXPECT_FALSE(B.GuestDisasm.empty());
     EXPECT_FALSE(B.HostDisasm.empty());
+    // Each coordination run is one op standing for two or more instrs.
+    EXPECT_GT(B.HostInstrs, 0u);
+    EXPECT_LE(B.ExecOps + B.CoordRuns, B.HostInstrs);
+    FusedSomewhere |= B.CoordRuns > 0;
     ShareSum += B.ExecShare;
   }
   EXPECT_LE(ShareSum, 1.0 + 1e-9);
+  EXPECT_TRUE(FusedSomewhere) << "no hot rule block fused a bracket";
 
   // Without the profile armed, the counts were never collected.
   vm::Vm Plain(cfgFor("rule:scheduling"));

@@ -597,11 +597,13 @@ int main(int argc, char **argv) {
         std::printf("\n  #%zu tb %d @ 0x%08x: %llu entries, %.2f%% of "
                     "retired guest instrs\n"
                     "     %u guest instr(s): %u rule-covered, %u via the "
-                    "emulate helper\n",
+                    "emulate helper\n"
+                    "     %u host instrs run as %u ops, %u coordination "
+                    "runs\n",
                     BI + 1, B.TbId, B.GuestPc,
                     static_cast<unsigned long long>(B.Execs),
                     B.ExecShare * 100.0, B.NumGuestInstrs, B.CoveredInstrs,
-                    B.EmulatedInstrs);
+                    B.EmulatedInstrs, B.HostInstrs, B.ExecOps, B.CoordRuns);
         std::printf("    guest:\n%s    host:\n", B.GuestDisasm.c_str());
         // Indent the host disassembly to match.
         std::string Line;
