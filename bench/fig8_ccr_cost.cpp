@@ -48,6 +48,8 @@ unsigned costOfFirstSave(const host::HostBlock &B, std::string &Listing) {
   unsigned Cost = 0;
   bool In = false;
   for (const host::HInst &H : B.Code) {
+    if (H.Op == host::HOp::CoordRun)
+      continue; // a run's header; its instructions follow
     if (H.Op == host::HOp::Marker &&
         static_cast<host::MarkerKind>(H.Imm) == host::MarkerKind::SyncOp) {
       if (In)

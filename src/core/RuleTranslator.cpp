@@ -187,13 +187,14 @@ private:
   }
 
   /// Saves host flags to env if the current mode requires it. Returns
-  /// the host-code range emitted (for the elidable chain regions).
+  /// the host-code range emitted (for the elidable chain regions): from
+  /// its SyncOp marker, whose index is final once a run holds it.
   std::pair<int, int> flagSavePoint() {
-    const int Begin = E.here();
+    int Begin = E.here();
     const bool Emit = Opt.TrackFlagState ? FlagsDirty : TbTouchesFlags;
     if (Emit) {
       const CostClass Saved = E.setClass(CostClass::Sync);
-      E.marker(host::MarkerKind::SyncOp);
+      Begin = E.marker(host::MarkerKind::SyncOp);
       if (Opt.PackedCcr)
         emitPackedSave();
       else
@@ -318,6 +319,8 @@ private:
     E.setClass(Saved);
     storeDirtyRegs(Dirty);
     const bool SavedDirtyFlags = FlagsDirty;
+    // The exit's marker above puts the flag save's marker inside a run,
+    // where chain-time elision needs it (DESIGN.md §3).
     const auto [Begin, End] = flagSavePoint();
     FlagsDirty = SavedDirtyFlags; // state forks; restore for the twin exit
     Out.Chains[Slot].FlagSaveBegin = Begin == End ? -1 : Begin;

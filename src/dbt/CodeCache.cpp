@@ -14,6 +14,21 @@
 using namespace rdbt;
 using namespace rdbt::dbt;
 
+/// Elides, or revives, an exit's flag save: swaps its SyncOp marker, which
+/// is inside a run but not its first op, with the exit's ChainSlot, and
+/// refits that run's header (DESIGN.md §3).
+static void swapFlagSave(std::vector<host::HInst> &Code,
+                         const host::HostBlock::Chain &Ch) {
+  int Head = Ch.FlagSaveBegin - 1;
+  while (Code[Head].Op != host::HOp::CoordRun)
+    --Head;
+  std::swap(Code[Ch.FlagSaveBegin], Code[Ch.FlagSaveEnd]);
+  host::HInst Run = host::coordRun();
+  for (int I = Head + 1; host::isCoordination(Code[I]); ++I)
+    host::addToRun(Run, Code[I]);
+  Code[Head] = Run;
+}
+
 int CodeCache::find(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid) const {
   const auto It = Index.find(key(Pc, MmuIdx, Asid));
   return It == Index.end() ? -1 : It->second;
@@ -41,7 +56,6 @@ int CodeCache::insert(host::HostBlock Block, uint32_t MmuIdx,
   Entry E;
   E.Key = K;
   E.Block = std::make_shared<host::HostBlock>(std::move(Block));
-  host::lower(*E.Block);
   for (uint32_t P = FirstPage; P <= LastPage; ++P)
     PageIndex[P].push_back(Id);
   AsidIndex[Asid & 0xFFu].push_back(Id);
@@ -70,17 +84,10 @@ void CodeCache::invalidateOne(int TbId) {
     Ch.TargetTb = -1;
     ++Stats.ChainsUnlinked;
     ++Unlinked;
-    if (Ch.FlagSaveBegin >= 0) {
-      bool Revived = false;
-      for (int I = Ch.FlagSaveBegin; I < Ch.FlagSaveEnd; ++I)
-        if (FB->Code[I].Dead) {
-          FB->Code[I].Dead = false;
-          Revived = true;
-        }
-      if (Revived) {
-        ++Stats.ElisionsReverted;
-        host::lower(*FB);
-      }
+    if (Ch.FlagSaveBegin >= 0 &&
+        FB->Code[Ch.FlagSaveBegin].Op == host::HOp::ChainSlot) {
+      swapFlagSave(FB->Code, Ch);
+      ++Stats.ElisionsReverted;
     }
   }
   E->Incoming.clear();
@@ -167,13 +174,8 @@ bool CodeCache::chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave) {
   if (!Elided)
     return true;
   ++Stats.ChainsWithElision;
-  for (int I = Ch.FlagSaveBegin; I < Ch.FlagSaveEnd; ++I) {
-    if (!FB->Code[I].Dead) {
-      FB->Code[I].Dead = true;
-      ++Stats.ElidedSyncInstrs;
-    }
-  }
-  host::lower(*FB);
+  Stats.ElidedSyncInstrs += Ch.FlagSaveEnd - Ch.FlagSaveBegin;
+  swapFlagSave(FB->Code, Ch);
   return true;
 }
 

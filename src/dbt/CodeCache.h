@@ -22,7 +22,7 @@
 ///  * **Chain unlinking.** Every chain edge is recorded in the target's
 ///    reverse-edge list. Invalidating a block resets each incoming chain
 ///    slot to the unresolved state and resurrects any flag-save code the
-///    chain-time elision had marked dead, so surviving predecessors fall
+///    chain-time elision had skipped, so surviving predecessors fall
 ///    back to the translate-and-patch path instead of jumping into freed
 ///    code.
 ///
@@ -65,7 +65,7 @@ struct CacheStats {
   uint64_t ChainsUnlinked = 0;      ///< chain slots reset by invalidation
   uint64_t ElisionsReverted = 0;    ///< elided flag-saves resurrected
   uint64_t StaleChainRequests = 0;  ///< chain() calls refused (stale ids)
-  uint64_t ElidedSyncInstrs = 0;    ///< §III-C: sync instrs marked dead
+  uint64_t ElidedSyncInstrs = 0;    ///< §III-C: sync instrs elided
   /// Snapshot/fork accounting (vm/Snapshot.h). AdoptedTbs counts blocks
   /// inherited ready-translated from a snapshot image via adopt();
   /// CowBlockCopies counts blocks privatized because a fork patched a
@@ -145,7 +145,7 @@ public:
   void invalidatePage(uint32_t PageVa);
 
   /// Chains \p FromTb's \p Slot to \p ToTb. If \p ElideFlagSave, the
-  /// flag-save region belonging to that exit is marked dead (inter-TB
+  /// flag-save region belonging to that exit is elided in place (inter-TB
   /// optimization); the elided instructions are tallied in
   /// Stats.ElidedSyncInstrs. Returns false — counting a stale-chain
   /// request — when either id no longer names a live block or the slot

@@ -161,8 +161,6 @@ void writeInst(Writer &W, const host::HInst &H) {
   W.u8(static_cast<uint8_t>(H.Op));
   W.u8(static_cast<uint8_t>(H.Cc));
   W.u8(static_cast<uint8_t>(H.Cls));
-  // Dead is a chain-time, process-local artifact: always stored clear so
-  // a loaded block starts unelided, exactly like a fresh translation.
   W.u8(static_cast<uint8_t>((H.SetFlags ? 1 : 0) | (H.UseImm ? 2 : 0) |
                             (H.AccIsWrite ? 4 : 0)));
   W.u8(H.Size);
@@ -196,8 +194,7 @@ bool readInst(const uint8_t *P, uint32_t NumCode, host::HInst &H,
   H.Imm = static_cast<int32_t>(loadLe32(P + 12));
   H.Target = static_cast<int32_t>(loadLe32(P + 16));
   H.GuestPc = loadLe32(P + 20);
-  // CoordRun, past ExitTb, exists only in executed forms (host::lower).
-  if (Op > static_cast<uint8_t>(host::HOp::ExitTb)) {
+  if (Op > static_cast<uint8_t>(host::HOp::CoordRun)) {
     Why = "opcode out of range";
     return false;
   }
@@ -219,7 +216,6 @@ bool readInst(const uint8_t *P, uint32_t NumCode, host::HInst &H,
   H.SetFlags = (Flags & 1) != 0;
   H.UseImm = (Flags & 2) != 0;
   H.AccIsWrite = (Flags & 4) != 0;
-  H.Dead = false;
   if (H.Dst >= host::NumHostRegs || H.Src >= host::NumHostRegs ||
       H.Src2 >= host::NumHostRegs) {
     Why = "register out of range";
@@ -255,6 +251,64 @@ bool readInst(const uint8_t *P, uint32_t NumCode, host::HInst &H,
     return false;
   }
   return true;
+}
+
+/// Why \p B's CoordRun headers or flag-save ranges could make it run, or
+/// be elided, other than its instructions say; null if none.
+const char *badRuns(const host::HostBlock &B, std::vector<uint8_t> &InRun) {
+  using host::HOp;
+  const std::vector<host::HInst> &Code = B.Code;
+  const int N = static_cast<int>(Code.size());
+  InRun.assign(Code.size(), 0);
+  for (int I = 0; I < N; ++I) {
+    const host::HInst &H = Code[I];
+    if (H.Op != HOp::CoordRun)
+      continue;
+    if (H.Slot < 2 || I + H.Slot >= N)
+      return "coordination run length out of range";
+    host::HInst Run = host::coordRun();
+    for (int K = I + 1; K <= I + H.Slot; ++K) {
+      if (!host::isCoordination(Code[K]))
+        return "non-coordination op inside a coordination run";
+      host::addToRun(Run, Code[K]);
+      InRun[K] = 1;
+    }
+    if (Run.Imm != H.Imm)
+      return "coordination run sync cycles mismatch";
+    if (Run.Target != H.Target)
+      return "coordination run glue cycles mismatch";
+    if (Run.Helper != H.Helper)
+      return "coordination run marker count mismatch";
+    I += H.Slot;
+  }
+  const host::HostBlock::Chain *Ch = B.Chains;
+  for (int S = 0; S < 2; ++S) {
+    const int Begin = Ch[S].FlagSaveBegin, End = Ch[S].FlagSaveEnd;
+    if (Begin == -1 && End == -1)
+      continue;
+    if (Begin < 0 || Begin >= End || End >= N)
+      return "flag-save range out of range";
+    if (Code[Begin].Op != HOp::Marker ||
+        Code[Begin].Imm != static_cast<int32_t>(host::MarkerKind::SyncOp))
+      return "flag-save range does not start at a SyncOp marker";
+    if (!InRun[Begin] || Code[Begin - 1].Op == HOp::CoordRun)
+      return "flag-save range does not start inside a coordination run";
+    if (Code[End].Op != HOp::ChainSlot || Code[End].Imm != S)
+      return "flag-save range does not end at its chain slot";
+  }
+  if (Ch[0].FlagSaveBegin >= 0 && Ch[0].FlagSaveEnd >= Ch[1].FlagSaveBegin &&
+      Ch[1].FlagSaveEnd >= Ch[0].FlagSaveBegin)
+    return "flag-save ranges overlap";
+  for (const host::HInst &H : Code) {
+    if (H.Op != HOp::Jcc && H.Op != HOp::Jmp)
+      continue;
+    if (InRun[H.Target])
+      return "jump into a coordination run";
+    for (int S = 0; S < 2; ++S)
+      if (H.Target > Ch[S].FlagSaveBegin && H.Target <= Ch[S].FlagSaveEnd)
+        return "jump into a flag-save range";
+  }
+  return nullptr;
 }
 
 bool reject(std::string *Err, const std::string &Why) {
@@ -405,6 +459,7 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     return Bad("block count out of range");
 
   BlockMap Blocks;
+  std::vector<uint8_t> InRun;
   for (uint32_t I = 0; I < NumBlocks; ++I) {
     const uint8_t *Hdr = R.take(BlockHeaderBytes);
     if (!Hdr)
@@ -469,14 +524,8 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     if (B->Code.back().Op != host::HOp::ExitTb &&
         B->Code.back().Op != host::HOp::Jmp)
       return Bad("block ends in an instruction that falls through");
-    for (const host::HostBlock::Chain &Ch : B->Chains) {
-      const bool NoRange = Ch.FlagSaveBegin == -1 && Ch.FlagSaveEnd == -1;
-      const bool GoodRange = Ch.FlagSaveBegin >= 0 &&
-                             Ch.FlagSaveBegin <= Ch.FlagSaveEnd &&
-                             Ch.FlagSaveEnd <= static_cast<int32_t>(NumCode);
-      if (!NoRange && !GoodRange)
-        return Bad("flag-save range out of range");
-    }
+    if (const char *Why = badRuns(*B, InRun))
+      return Bad(Why);
 
     if (!Blocks.emplace(CodeCache::key(GuestPc, MmuIdx, Asid), std::move(B))
              .second)

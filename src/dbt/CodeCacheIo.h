@@ -23,8 +23,8 @@
 ///    no TB id, chain patch or elision mark is stored, so a loaded block
 ///    starts unresolved and unelided like a fresh translation. Loading
 ///    validates strictly — magic, version, key echo, payload checksum,
-///    and per-field bounds on every instruction — and any mismatch is a
-///    clean cache-miss, never UB.
+///    per-field bounds on every instruction and each CoordRun header's
+///    run — and any mismatch is a clean cache-miss, never UB.
 ///
 ///  * **TranslationStore** — the read-only lookup the engine consults on
 ///    a translation miss. Deliberately lazy (not an eager `adopt()`):
@@ -80,8 +80,8 @@ class CodeCacheIo {
 public:
   /// Bump on any change to the record layout or to what a field means; a
   /// version mismatch is a clean miss. 4: one Probe op replaces the
-  /// inline TLB sequence.
-  static constexpr uint32_t FormatVersion = 4;
+  /// inline TLB sequence. 5: the code carries its CoordRun headers.
+  static constexpr uint32_t FormatVersion = 5;
 
   /// Serializes \p Blocks to \p Path (atomically: temp file + rename, so
   /// a concurrent reader sees either the old file or the complete new

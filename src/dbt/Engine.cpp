@@ -95,9 +95,11 @@ int DbtEngine::translateAt(uint32_t Pc) {
     Stats.TranslatedGuestInstrs += GB.Insts.size();
     if (Sink_) {
       const uint64_t Ns = Sink_->now() - T0;
+      size_t Instrs = 0; // host instructions; a CoordRun header is none
+      for (const host::HInst &H : Block.Code)
+        Instrs += H.Op != host::HOp::CoordRun;
       Sink_->recordSpan(obs::EventKind::TranslateBlock, T0, GB.StartPc,
-                        Block.Code.size() * sizeof(host::HInst),
-                        GB.Insts.size());
+                        Instrs * sizeof(host::HInst), GB.Insts.size());
       if (TranslateNsHist_)
         TranslateNsHist_->record(Ns);
     }

@@ -120,8 +120,8 @@ std::string host::disassembleBlock(const HostBlock &B) {
                  B.DefinesFlagsBeforeUse ? ", defines-flags-before-use" : "");
   for (size_t I = 0; I < B.Code.size(); ++I) {
     const HInst &H = B.Code[I];
-    Text += format("%4zu  [%s]%s %s\n", I, classTag(H.Cls),
-                   H.Dead ? " (dead)" : "", disassemble(H).c_str());
+    Text += format("%4zu  [%s] %s\n", I, classTag(H.Cls),
+                   disassemble(H).c_str());
   }
   return Text;
 }

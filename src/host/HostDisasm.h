@@ -24,8 +24,7 @@ namespace host {
 /// One instruction, e.g. "add %h3, %h5".
 std::string disassemble(const HInst &H);
 
-/// A whole block, one line per instruction with index, class tag and dead
-/// markers.
+/// A whole block, one line per instruction with index and class tag.
 std::string disassembleBlock(const HostBlock &B);
 
 } // namespace host

@@ -10,6 +10,11 @@
 /// TLB probe) are attributed without per-instruction noise, and offers
 /// patchable forward jumps for the diamond-shaped sequences.
 ///
+/// It puts a CoordRun header in front of the first of two coordination
+/// instructions in a row, and grows it until any other op or a jump
+/// landing (label(), patchHere()) closes the run; an index taken from
+/// here() or label() before a run opens there ends up on its header.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RDBT_HOST_HOSTEMITTER_H
@@ -26,7 +31,6 @@ class HostEmitter {
 public:
   explicit HostEmitter(HostBlock &Block) : B(Block) {}
 
-  HostBlock &block() { return B; }
   int here() const { return static_cast<int>(B.Code.size()); }
 
   /// Default attribution class for subsequently emitted instructions.
@@ -44,7 +48,20 @@ public:
   int emit(HInst H) {
     H.Cls = Cls;
     H.GuestPc = GuestPc;
-    B.Code.push_back(H);
+    std::vector<HInst> &Code = B.Code;
+    if (!isCoordination(H)) {
+      RunStart = -1;
+    } else if (RunStart < 0) {
+      RunStart = here();
+    } else {
+      if (Code[RunStart].Op != HOp::CoordRun) { // the second: open a run
+        Code.insert(Code.begin() + RunStart, coordRun());
+        addToRun(Code[RunStart], Code[RunStart + 1]);
+      }
+      assert(Code[RunStart].Slot < UINT16_MAX && "run too long for a header");
+      addToRun(Code[RunStart], H);
+    }
+    Code.push_back(H);
     return here() - 1;
   }
 
@@ -161,7 +178,12 @@ public:
     assert(B.Code[JumpIdx].Op == HOp::Jcc || B.Code[JumpIdx].Op == HOp::Jmp);
     B.Code[JumpIdx].Target = Target;
   }
-  void patchHere(int JumpIdx) { patchTarget(JumpIdx, here()); }
+  /// Marks here() as a jump landing, which ends any run, and returns it.
+  int label() {
+    RunStart = -1;
+    return here();
+  }
+  void patchHere(int JumpIdx) { patchTarget(JumpIdx, label()); }
 
   // --- Softmmu / guest memory -------------------------------------------------
 
@@ -220,6 +242,7 @@ public:
 
 private:
   HostBlock &B;
+  int RunStart = -1; ///< the last run's header or lone first op, or -1
 };
 
 } // namespace host

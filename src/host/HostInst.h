@@ -21,10 +21,9 @@
 ///  * engine ops: the inline softmmu probe, helper calls, patchable chain
 ///    slots, TB exits.
 ///
-/// A block is translated into Code, its IR. lower() turns Code into the
-/// executed form (Exec) that HostMachine runs: Dead instructions dropped
-/// and each run of coordination instructions behind one CoordRun op,
-/// charged exactly as the instructions it stands for.
+/// A block has one form, its Code: the translator emits it and
+/// HostMachine runs it as it stands, each run of coordination instructions
+/// behind a CoordRun header that charges exactly as they do.
 ///
 /// Every instruction carries a \ref CostClass so executed host
 /// instructions can be attributed to user code, CPU-state coordination
@@ -122,7 +121,7 @@ enum class HOp : uint8_t {
   ChainSlot,  ///< patchable direct jump: chain slot index in Imm
   ExitTb,     ///< leave the code cache; ExitReason in Imm
 
-  /// Executed form only (see lower()): the Slot coordination instructions
+  /// Header of a coordination run: the Slot coordination instructions
   /// that follow it run as one op. Imm holds their Sync cycles, Target
   /// their Glue cycles and Helper their SyncOp markers.
   CoordRun,
@@ -167,7 +166,6 @@ struct HInst {
   bool SetFlags = false;
   bool UseImm = false;
   bool AccIsWrite = false; ///< Probe: a store (probes the write tag)
-  bool Dead = false;       ///< elided by inter-TB chain patching
   uint8_t Size = 4;        ///< Probe access size
   uint8_t Dst = 0;
   uint8_t Src = 0;
@@ -182,19 +180,20 @@ struct HInst {
 /// Host code for one translation block plus its two patchable chain exits.
 struct HostBlock {
   // What HostMachine::run reads on every block entry comes first, so
-  // those fields share cache lines: behind Code and GuestWords, the entry
-  // counters cost native 3 % and qemu 5 % (EXPERIMENTS.md).
+  // those fields share cache lines: behind a second code vector and
+  // GuestWords, the entry counters cost native 3 % and qemu 5 %.
 
-  /// What HostMachine::run executes, built from Code by lower(): no Dead
-  /// instruction, and each coordination run behind one CoordRun.
-  std::vector<HInst> Exec;
+  /// The block's host code, as translated and as HostMachine::run
+  /// executes it: each coordination run behind one CoordRun header.
+  std::vector<HInst> Code;
 
   /// A direct-branch exit that can be chained to a successor TB.
   struct Chain {
     int TargetTb = -1;       ///< resolved successor, or -1
     uint32_t GuestTarget = 0; ///< guest PC this exit branches to
-    /// Host-code range [Begin, End) of the flag sync-save belonging to
-    /// this exit; the inter-TB optimization marks it Dead at chain time.
+    /// Host-code range [Begin, End) of this exit's flag sync-save, from a
+    /// SyncOp marker to the exit's ChainSlot; the inter-TB optimization
+    /// swaps the two at chain time.
     int FlagSaveBegin = -1;
     int FlagSaveEnd = -1;
   };
@@ -210,19 +209,15 @@ struct HostBlock {
   /// True if every path through the TB writes the NZCV flags before any
   /// instruction reads them (the III-C inter-TB elimination predicate).
   bool DefinesFlagsBeforeUse = false;
-
-  /// The block as translated: what cache files store, the disassembler
-  /// prints and chain-time elision marks Dead.
-  std::vector<HInst> Code;
   /// Raw guest words this TB was translated from (filled by the engine
   /// after translation). The persistent code cache re-validates a loaded
   /// block against freshly fetched guest memory through these.
   std::vector<uint32_t> GuestWords;
 };
 
-/// True for the instructions of a coordination bracket that lower() fuses:
-/// SyncOp markers, Sync-class LdEnv/StEnv/StEnvI/PackF/UnpackF and the
-/// Glue-class StEnvI that stores the PC before a helper or an exit.
+/// True for the instructions of a coordination bracket, which HostEmitter
+/// runs behind a CoordRun: SyncOp markers, Sync-class LdEnv/StEnv/StEnvI/
+/// PackF/UnpackF and the Glue-class StEnvI that stores the PC.
 constexpr bool isCoordination(const HInst &H) {
   switch (H.Op) {
   case HOp::Marker:
@@ -246,12 +241,22 @@ constexpr unsigned coordinationCycles(const HInst &H) {
                                                        : 1;
 }
 
-/// (Re)builds \p B.Exec from \p B.Code: drops Dead instructions, puts a
-/// CoordRun before each maximal run of two or more live coordination
-/// instructions that no jump lands inside, and remaps jump targets. Call
-/// it whenever Code or a Dead bit changes. A block with nothing to drop
-/// or fuse costs one copy.
-void lower(HostBlock &B);
+/// A CoordRun header that covers no instruction yet.
+inline HInst coordRun() {
+  HInst H;
+  H.Op = HOp::CoordRun;
+  H.Cls = CostClass::Sync;
+  H.Target = 0;
+  return H;
+}
+
+/// Grows the CoordRun header \p Run by the coordination instruction \p H.
+inline void addToRun(HInst &Run, const HInst &H) {
+  ++Run.Slot;
+  Run.Helper += H.Op == HOp::Marker;
+  (H.Cls == CostClass::Glue ? Run.Target : Run.Imm) +=
+      static_cast<int32_t>(coordinationCycles(H));
+}
 
 /// Returns the mnemonic for \p Op.
 const char *hopName(HOp Op);

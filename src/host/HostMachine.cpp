@@ -65,87 +65,6 @@ const char *host::hopName(HOp Op) {
   return "<bad>";
 }
 
-void host::lower(HostBlock &B) {
-  const std::vector<HInst> &Code = B.Code;
-  std::vector<HInst> &Exec = B.Exec;
-  const size_t N = Code.size();
-  bool Work = false, PrevCoordination = false;
-  for (const HInst &H : Code) {
-    const bool Coordination = isCoordination(H);
-    if (H.Dead || (PrevCoordination && Coordination)) {
-      Work = true;
-      break;
-    }
-    PrevCoordination = Coordination;
-  }
-  if (!Work) {
-    Exec = Code;
-    return;
-  }
-
-  // NewIndex[I] is where Code[I] lands in Exec (a Dead one: where the next
-  // live one does). Before the pass reaches I it holds 1 if a jump lands
-  // on I, and a run does not grow across such an instruction. Reused
-  // across calls, so a lowering allocates nothing but Exec.
-  static thread_local std::vector<int32_t> NewIndex;
-  NewIndex.assign(N + 1, 0);
-  for (const HInst &H : Code)
-    if ((H.Op == HOp::Jcc || H.Op == HOp::Jmp) && H.Target >= 0) {
-      assert(static_cast<size_t>(H.Target) < N && "jump out of the block");
-      NewIndex[static_cast<size_t>(H.Target)] = 1;
-    }
-
-  Exec.clear();
-  Exec.reserve(N);
-  for (size_t I = 0; I < N;) {
-    const bool Landing = NewIndex[I] != 0;
-    NewIndex[I] = static_cast<int32_t>(Exec.size());
-    const HInst &H = Code[I];
-    if (H.Dead) {
-      NewIndex[I + 1] |= Landing; // the jump lands on the next live one
-      ++I;
-      continue;
-    }
-    size_t End = I + 1, Live = 1;
-    if (isCoordination(H))
-      for (; End < N && !NewIndex[End] && Live < UINT16_MAX; ++End) {
-        if (Code[End].Dead)
-          continue;
-        if (!isCoordination(Code[End]))
-          break;
-        ++Live;
-      }
-    if (Live < 2) {
-      Exec.push_back(H);
-      ++I;
-      continue;
-    }
-    const size_t Head = Exec.size();
-    Exec.emplace_back();
-    unsigned Cycles[NumCostClasses] = {}, Markers = 0;
-    for (; I < End; ++I) {
-      const HInst &Item = Code[I];
-      NewIndex[I] = static_cast<int32_t>(Head);
-      if (Item.Dead)
-        continue;
-      Cycles[static_cast<unsigned>(Item.Cls)] += coordinationCycles(Item);
-      Markers += Item.Op == HOp::Marker;
-      Exec.push_back(Item);
-    }
-    HInst &Run = Exec[Head];
-    Run.Op = HOp::CoordRun;
-    Run.Cls = CostClass::Sync;
-    Run.Slot = static_cast<uint16_t>(Live);
-    Run.Imm = static_cast<int32_t>(Cycles[unsigned(CostClass::Sync)]);
-    Run.Target = static_cast<int32_t>(Cycles[unsigned(CostClass::Glue)]);
-    Run.Helper = static_cast<uint16_t>(Markers);
-  }
-  NewIndex[N] = static_cast<int32_t>(Exec.size());
-  for (HInst &H : Exec)
-    if ((H.Op == HOp::Jcc || H.Op == HOp::Jmp) && H.Target >= 0)
-      H.Target = NewIndex[static_cast<size_t>(H.Target)];
-}
-
 const char *host::hcondName(HCond Cc) {
   switch (Cc) {
   case HCond::Eq: return "e";
@@ -300,9 +219,9 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
   const HostBlock *B = Src.block(StartTb);
   int CurTb = StartTb;
   assert(B && "starting TB not in code cache");
-  // B's executed form. A local, so the compiler keeps it in a register:
-  // loading B->Exec's data pointer on every dispatch instead cost qemu 9%.
-  const HInst *Ops = B->Exec.data();
+  // B's code. A local, so the compiler keeps it in a register: loading
+  // B->Code's data pointer on every dispatch instead cost qemu 9%.
+  const HInst *Ops = B->Code.data();
   size_t I = 0;
   uint64_t Executed = 0;
 
@@ -321,7 +240,7 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
   EnterBlock(B, StartTb);
 
   while (true) {
-    assert(I < B->Exec.size() && "fell off the end of a host block");
+    assert(I < B->Code.size() && "fell off the end of a host block");
     const HInst &H = Ops[I];
     if (++Executed > MaxInstrsPerRun)
       return {ExitReason::Shutdown, 0, CurTb, 0};
@@ -611,7 +530,7 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       CurTb = Ch.TargetTb;
       B = Src.block(CurTb);
       assert(B && "chained to a flushed TB");
-      Ops = B->Exec.data();
+      Ops = B->Code.data();
       I = 0;
       ++Counters.ChainFollows;
       EnterBlock(B, CurTb);

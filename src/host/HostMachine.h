@@ -16,12 +16,12 @@
 /// carries the wall-clock deadline of the device model so interrupts
 /// arrive asynchronously while translated code runs.
 ///
-/// It executes each block's executed form (HostBlock::Exec, built by
-/// lower()). Two ops there stand for several host instructions: a Probe
-/// and a CoordRun are charged in bulk unless a device deadline or the
-/// runaway guard lands inside them, and then one instruction at a time,
-/// so every count, and the cycle at which onWall fires, is what the
-/// instructions would give one by one.
+/// It executes each block's Code as the translator emitted it. Two ops
+/// there stand for several host instructions: a Probe and a CoordRun
+/// header are charged in bulk unless a device deadline or the runaway
+/// guard lands inside them, and then one instruction at a time, so every
+/// count, and the cycle at which onWall fires, is what the instructions
+/// would give one by one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,8 +125,7 @@ public:
               uint32_t TlbBaseSlot, uint32_t TlbEntryWords,
               uint32_t TlbHalfEntries);
 
-  /// Runs the executed form (lower()) of translated code from \p StartTb
-  /// until an exit.
+  /// Runs translated code from \p StartTb until an exit.
   RunResult run(const CodeSource &Src, int StartTb);
 
   uint32_t reg(unsigned R) const { return R_[R]; }

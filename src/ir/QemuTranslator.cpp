@@ -845,7 +845,7 @@ void ir::lowerIr(const dbt::GuestBlock &GB, const IrBlock &Ir,
       break;
     }
     case IrOp::Label:
-      LabelPos[I.Imm] = E.here();
+      LabelPos[I.Imm] = E.label();
       break;
     case IrOp::CallEmulate: {
       const CostClass Saved = E.setClass(CostClass::Helper);

@@ -230,8 +230,7 @@ bool compileHost(const TrainStmt &S, std::vector<HInst> &Out) {
     if (S.SetFlags && !Logical && S.Op != Opcode::ADD &&
         S.Op != Opcode::SUB)
       return false; // adc/sbc-with-shift: compilers avoid, helper covers
-    if (D == B && D != A)
-      return false; // the mov chain would clobber b; rare, skip
+    // b goes to the scratch first, so d == b clobbers nothing.
     Emit(HOp::Mov, HostScratch, B, false, 0, false);
     Emit(shiftHostOp(S.Shift), HostScratch, 0, true, S.ShAmt,
          S.SetFlags && Logical);

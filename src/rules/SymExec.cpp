@@ -475,6 +475,8 @@ bool rules::symExecHost(const HInst &H, SymState &S) {
     S.Regs[H.Dst] = E;
     return true;
   }
+  case HOp::CoordRun: // no effect of its own: its run follows it
+    return true;
   default:
     return false;
   }

@@ -489,13 +489,23 @@ std::vector<Vm::HotBlock> Vm::hotBlocks(size_t N) {
         ++Emulated;
     H.EmulatedInstrs = std::min(Emulated, H.NumGuestInstrs);
     H.CoveredInstrs = H.NumGuestInstrs - H.EmulatedInstrs;
-    for (const host::HInst &HI : B->Code)
-      H.HostInstrs += !HI.Dead;
-    for (size_t I = 0; I < B->Exec.size(); ++I, ++H.ExecOps)
-      if (B->Exec[I].Op == host::HOp::CoordRun) {
-        ++H.CoordRuns;
-        I += B->Exec[I].Slot;
+    // One op per header and its run; an elided flag save's ChainSlot,
+    // moved to the range's start, stands for the whole range. A header
+    // that elision cut down to one instruction fuses nothing: no run.
+    for (size_t I = 0; I < B->Code.size(); ++H.ExecOps) {
+      const host::HInst &HI = B->Code[I];
+      size_t Next = I + 1, Instrs = 1;
+      if (HI.Op == host::HOp::CoordRun) {
+        H.CoordRuns += HI.Slot > 1;
+        Next += HI.Slot;
+        Instrs = HI.Slot;
+      } else if (HI.Op == host::HOp::ChainSlot &&
+                 B->Chains[HI.Imm].FlagSaveBegin == static_cast<int>(I)) {
+        Next = static_cast<size_t>(B->Chains[HI.Imm].FlagSaveEnd) + 1;
       }
+      H.HostInstrs += static_cast<uint32_t>(Instrs);
+      I = Next;
+    }
     std::ostringstream GD;
     for (size_t I = 0; I < B->GuestWords.size(); ++I) {
       const uint32_t Pc = B->GuestPc + static_cast<uint32_t>(I) * 4;

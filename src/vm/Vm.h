@@ -127,9 +127,10 @@ public:
     /// exact for this block as translated).
     uint32_t CoveredInstrs = 0;
     uint32_t EmulatedInstrs = 0;
-    /// Live host instructions of the block as translated, the ops
-    /// HostMachine::run dispatches for them (its executed form, see
-    /// host::lower) and how many of those ops are fused coordination runs.
+    /// Live host instructions of the block (an elided flag save is not
+    /// live), the ops HostMachine::run dispatches for them (a CoordRun
+    /// header and its run are one) and how many of those ops are runs of
+    /// two or more.
     uint32_t HostInstrs = 0;
     uint32_t ExecOps = 0;
     uint32_t CoordRuns = 0;

@@ -390,7 +390,9 @@ TEST(CodeCacheIo, WrongVersionAndMagicReject) {
 // A probe hit resumes past the miss path's helper call, so a file whose
 // probe ends the block, or is not followed by its own load/store helper
 // call with code after it, must reject rather than run off the block; so
-// must a block whose last instruction falls through.
+// must a block whose last instruction falls through, and one whose
+// coordination runs or flag-save ranges are not what the emitter and
+// chain-time elision rely on.
 TEST(CodeCacheIo, CodeThatCouldRunOffItsBlockRejects) {
   TempDir Dir;
   std::string Path;
@@ -459,29 +461,130 @@ TEST(CodeCacheIo, CodeThatCouldRunOffItsBlockRejects) {
   });
   EXPECT_EQ(dbt::CacheLoad::Rejected, Result.first);
   EXPECT_EQ("block ends in an instruction that falls through", Result.second);
+
+  // Coordination runs and flag-save ranges, in a rule translator's file:
+  // each header must charge what it covers and cover two or more
+  // coordination instructions only, inside the block, with no jump
+  // landing inside; each range must start at a SyncOp marker inside a
+  // run, end at its exit's chain slot, and neither overlap the other nor
+  // be jumped into.
+  std::string RulePath;
+  ASSERT_TRUE(
+      runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path), &RulePath)
+          .Ok);
+  vm::Vm RuleProbe(cfgFor("rule:scheduling").persistentCache(Dir.Path));
+  ASSERT_TRUE(RuleProbe.valid());
+  const dbt::CacheKey RuleKey = RuleProbe.cacheKey();
+  // Like LoadMutant, on the first block whose two exits both save flags,
+  // passing the header of the run slot 0's flag save starts inside.
+  auto LoadRunMutant = [&](const std::function<void(host::HostBlock &,
+                                                    size_t)> &Mutate) {
+    dbt::BlockMap Blocks;
+    EXPECT_EQ(dbt::CacheLoad::Hit,
+              dbt::CodeCacheIo::load(RulePath, RuleKey, Blocks));
+    for (auto &[K, Block] : Blocks) {
+      const int Begin = Block->Chains[0].FlagSaveBegin;
+      if (Begin < 0 || Block->Chains[1].FlagSaveBegin < 0)
+        continue;
+      size_t Head = static_cast<size_t>(Begin);
+      while (Block->Code[Head].Op != host::HOp::CoordRun)
+        --Head;
+      auto Copy = std::make_shared<host::HostBlock>(*Block);
+      Mutate(*Copy, Head);
+      Block = std::move(Copy);
+      const std::string Mutant = Dir.Path + "/mutant.bin";
+      EXPECT_TRUE(dbt::CodeCacheIo::save(Mutant, Blocks, RuleKey));
+      dbt::BlockMap Out;
+      std::string Why;
+      const dbt::CacheLoad L =
+          dbt::CodeCacheIo::load(Mutant, RuleKey, Out, &Why);
+      std::remove(Mutant.c_str());
+      return std::make_pair(L, Why);
+    }
+    ADD_FAILURE() << "no block with two flag saves in the rule cache file";
+    return std::make_pair(dbt::CacheLoad::Absent, std::string());
+  };
+  EXPECT_EQ(dbt::CacheLoad::Hit,
+            LoadRunMutant([](host::HostBlock &, size_t) {}).first);
+  // A jump in place of the block's last exit, to \p Target.
+  const auto JumpTo = [](host::HostBlock &B, size_t Target) {
+    host::HInst &Last = B.Code.back();
+    Last.Op = host::HOp::Jmp;
+    Last.Target = static_cast<int32_t>(Target);
+  };
+  const std::vector<std::pair<
+      std::function<void(host::HostBlock &, size_t)>, std::string>>
+      RunMutants = {
+          {[](host::HostBlock &B, size_t H) { ++B.Code[H].Imm; },
+           "coordination run sync cycles mismatch"},
+          {[](host::HostBlock &B, size_t H) { --B.Code[H].Imm; },
+           "coordination run sync cycles mismatch"},
+          {[](host::HostBlock &B, size_t H) { ++B.Code[H].Target; },
+           "coordination run glue cycles mismatch"},
+          {[](host::HostBlock &B, size_t H) { ++B.Code[H].Helper; },
+           "coordination run marker count mismatch"},
+          {[](host::HostBlock &B, size_t H) { --B.Code[H].Helper; },
+           "coordination run marker count mismatch"},
+          {[](host::HostBlock &B, size_t H) { B.Code[H].Slot = 1; },
+           "coordination run length out of range"},
+          {[](host::HostBlock &B, size_t H) {
+             B.Code[H].Slot = static_cast<uint16_t>(B.Code.size() - H);
+           },
+           "coordination run length out of range"},
+          {[](host::HostBlock &B, size_t H) {
+             B.Code[H + 1].Op = host::HOp::Mov;
+           },
+           "non-coordination op inside a coordination run"},
+          {[&](host::HostBlock &B, size_t H) { JumpTo(B, H + 2); },
+           "jump into a coordination run"},
+          {[](host::HostBlock &B, size_t) { ++B.Chains[0].FlagSaveBegin; },
+           "flag-save range does not start at a SyncOp marker"},
+          {[](host::HostBlock &B, size_t H) {
+             // The run opens with the exit's own SyncOp marker.
+             B.Chains[0].FlagSaveBegin = static_cast<int>(H + 1);
+           },
+           "flag-save range does not start inside a coordination run"},
+          {[](host::HostBlock &B, size_t) { --B.Chains[0].FlagSaveEnd; },
+           "flag-save range does not end at its chain slot"},
+          {[](host::HostBlock &B, size_t) {
+             B.Chains[1].FlagSaveBegin = B.Chains[0].FlagSaveBegin;
+           },
+           "flag-save ranges overlap"},
+          {[&](host::HostBlock &B, size_t) {
+             JumpTo(B, static_cast<size_t>(B.Chains[0].FlagSaveEnd));
+           },
+           "jump into a flag-save range"},
+      };
+  for (size_t M = 0; M < RunMutants.size(); ++M) {
+    Result = LoadRunMutant(RunMutants[M].first);
+    EXPECT_EQ(dbt::CacheLoad::Rejected, Result.first) << "run mutant " << M;
+    EXPECT_EQ(RunMutants[M].second, Result.second) << "run mutant " << M;
+  }
 }
 
-// A file of the previous format (version 3, the 12-instruction probe) is
-// a clean miss: the session runs exactly like a cold one and rewrites it.
+// A file of an earlier format (version 3, the 12-instruction probe;
+// version 4, code without its CoordRun headers) is a clean miss: the
+// session runs exactly like a cold one and rewrites it.
 TEST(CodeCacheIo, VersionThreeFileIsACleanMiss) {
-  TempDir Dir;
-  std::string Path;
-  const vm::RunReport Cold =
-      runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path), &Path);
-  ASSERT_TRUE(Cold.Ok);
-  std::string Old = readBytes(Path);
-  const uint32_t Three = 3;
-  std::memcpy(&Old[4], &Three, 4);
-  writeBytes(Path, Old);
+  for (const uint32_t Version : {3u, 4u}) {
+    TempDir Dir;
+    std::string Path;
+    const vm::RunReport Cold =
+        runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path), &Path);
+    ASSERT_TRUE(Cold.Ok);
+    std::string Old = readBytes(Path);
+    std::memcpy(&Old[4], &Version, 4);
+    writeBytes(Path, Old);
 
-  const vm::RunReport Recover =
-      runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path));
-  ASSERT_TRUE(Recover.Ok);
-  expectSameGuestRun(Cold, Recover);
-  EXPECT_EQ(0u, Recover.Cache.CacheFileHits);
-  EXPECT_EQ(1u, Recover.Cache.CacheFileMisses);
-  EXPECT_EQ(Cold.Engine.Translations, Recover.Engine.Translations);
-  EXPECT_NE(Old, readBytes(Path)) << "the miss must rewrite the file";
+    const vm::RunReport Recover =
+        runOnce(cfgFor("rule:scheduling").persistentCache(Dir.Path));
+    ASSERT_TRUE(Recover.Ok) << Version;
+    expectSameGuestRun(Cold, Recover);
+    EXPECT_EQ(0u, Recover.Cache.CacheFileHits) << Version;
+    EXPECT_EQ(1u, Recover.Cache.CacheFileMisses) << Version;
+    EXPECT_EQ(Cold.Engine.Translations, Recover.Engine.Translations);
+    EXPECT_NE(Old, readBytes(Path)) << "the miss must rewrite the file";
+  }
 }
 
 TEST(CodeCacheIo, StaleKeyRejects) {

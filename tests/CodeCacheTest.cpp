@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dbt/CodeCache.h"
+#include "host/HostEmitter.h"
 #include "guestsw/Workloads.h"
 #include "vm/Vm.h"
 
@@ -24,62 +25,43 @@
 #include <string>
 #include <vector>
 
+namespace rdbt {
+namespace host {
+// Field-for-field equality, for comparing blocks' code.
+bool operator==(const HInst &A, const HInst &B) {
+  return A.Op == B.Op && A.Cc == B.Cc && A.Cls == B.Cls &&
+         A.SetFlags == B.SetFlags && A.UseImm == B.UseImm &&
+         A.AccIsWrite == B.AccIsWrite && A.Size == B.Size && A.Dst == B.Dst &&
+         A.Src == B.Src && A.Src2 == B.Src2 && A.Slot == B.Slot &&
+         A.Helper == B.Helper && A.Imm == B.Imm && A.Target == B.Target &&
+         A.GuestPc == B.GuestPc;
+}
+} // namespace host
+} // namespace rdbt
+
 using namespace rdbt;
 using namespace rdbt::dbt;
 
 namespace {
 
-/// A minimal host block of four sync-class instructions: nop, a SyncOp
-/// marker and an env store that lower() fuses into one coordination run,
-/// nop. The run [1, 3) is the flag-save region of chain slot 0.
+/// A minimal host block of sync-class instructions, built the way the
+/// translators build one: nop, a coordination run (SyncOp marker, env
+/// store, then the exit's flag save: SyncOp marker, env store), chain
+/// slot 0, exit. The flag save [4, 6) is chain slot 0's elidable range.
 host::HostBlock makeBlock(uint32_t GuestPc, uint32_t NumGuestInstrs = 4) {
   host::HostBlock B;
   B.GuestPc = GuestPc;
   B.NumGuestInstrs = NumGuestInstrs;
-  for (host::HOp Op : {host::HOp::Nop, host::HOp::Marker, host::HOp::StEnv,
-                       host::HOp::Nop}) {
-    host::HInst H;
-    H.Op = Op;
-    H.Cls = host::CostClass::Sync;
-    B.Code.push_back(H);
-  }
-  B.Chains[0].GuestTarget = GuestPc + 4 * NumGuestInstrs;
-  B.Chains[0].FlagSaveBegin = 1;
-  B.Chains[0].FlagSaveEnd = 3;
+  host::HostEmitter E(B);
+  E.setClass(host::CostClass::Sync);
+  E.alu(host::HOp::Nop, 0, 0);
+  E.marker(host::MarkerKind::SyncOp);
+  E.stEnv(1, 1);
+  B.Chains[0].FlagSaveBegin = E.marker(host::MarkerKind::SyncOp);
+  E.stEnv(2, 2);
+  B.Chains[0].FlagSaveEnd = E.chainSlot(0, GuestPc + 4 * NumGuestInstrs);
+  E.exitTbNeedTranslate(0);
   return B;
-}
-
-bool sameInst(const host::HInst &A, const host::HInst &B) {
-  return A.Op == B.Op && A.Cc == B.Cc && A.Cls == B.Cls &&
-         A.SetFlags == B.SetFlags && A.UseImm == B.UseImm &&
-         A.AccIsWrite == B.AccIsWrite && A.Dead == B.Dead &&
-         A.Size == B.Size && A.Dst == B.Dst && A.Src == B.Src &&
-         A.Src2 == B.Src2 && A.Slot == B.Slot && A.Helper == B.Helper &&
-         A.Imm == B.Imm && A.Target == B.Target && A.GuestPc == B.GuestPc;
-}
-
-bool sameInsts(const std::vector<host::HInst> &A,
-               const std::vector<host::HInst> &B) {
-  return A.size() == B.size() &&
-         std::equal(A.begin(), A.end(), B.begin(), sameInst);
-}
-
-/// \p B's executed form as a fresh lowering of its code builds it.
-std::vector<host::HInst> freshExec(const host::HostBlock &B) {
-  host::HostBlock Copy = B;
-  Copy.Exec.clear();
-  host::lower(Copy);
-  return Copy.Exec;
-}
-
-/// \p B.Code without its instructions in [Begin, End).
-std::vector<host::HInst> codeWithout(const host::HostBlock &B, int Begin,
-                                     int End) {
-  std::vector<host::HInst> Out;
-  for (int I = 0; I < static_cast<int>(B.Code.size()); ++I)
-    if (I < Begin || I >= End)
-      Out.push_back(B.Code[I]);
-  return Out;
 }
 
 TEST(CodeCache, KeyedByPcMmuIdxAndAsid) {
@@ -95,20 +77,28 @@ TEST(CodeCache, KeyedByPcMmuIdxAndAsid) {
   EXPECT_EQ(C.size(), 3u);
 }
 
-TEST(CodeCache, ChainElisionMarksFlagSaveDeadAndCounts) {
+TEST(CodeCache, ChainElisionSkipsTheFlagSaveAndCounts) {
   CodeCache C;
+  const host::HostBlock Fresh = makeBlock(0x1000);
+  ASSERT_TRUE(Fresh.Code[1].Op == host::HOp::CoordRun);
+  ASSERT_EQ(4u, Fresh.Code[1].Slot);
   const int A = C.insert(makeBlock(0x1000), 0, 0);
   const int B = C.insert(makeBlock(0x2000), 0, 0);
   EXPECT_TRUE(C.chain(A, 0, B, /*ElideFlagSave=*/true));
+  const std::vector<host::HInst> &Code = C.block(A)->Code;
   EXPECT_EQ(C.block(A)->Chains[0].TargetTb, B);
-  EXPECT_TRUE(C.block(A)->Code[1].Dead);
-  EXPECT_TRUE(C.block(A)->Code[2].Dead);
-  EXPECT_FALSE(C.block(A)->Code[0].Dead);
-  // The executed form loses the fused run and nothing else.
-  ASSERT_EQ(C.block(B)->Exec.size(), 5u);
-  EXPECT_TRUE(C.block(B)->Exec[1].Op == host::HOp::CoordRun);
-  EXPECT_TRUE(sameInsts(codeWithout(*C.block(A), 1, 3), C.block(A)->Exec));
-  EXPECT_TRUE(sameInsts(freshExec(*C.block(A)), C.block(A)->Exec));
+  // The run stops before the flag save, whose marker swapped places with
+  // the exit's chain slot; nothing else changes.
+  ASSERT_EQ(Fresh.Code.size(), Code.size());
+  EXPECT_TRUE(Code[1].Op == host::HOp::CoordRun);
+  EXPECT_EQ(2u, Code[1].Slot);
+  EXPECT_EQ(1u, Code[1].Helper);
+  EXPECT_EQ(1, Code[1].Imm);
+  EXPECT_TRUE(Code[4] == Fresh.Code[6]);
+  EXPECT_TRUE(Code[6] == Fresh.Code[4]);
+  for (size_t I : {0u, 2u, 3u, 5u, 7u})
+    EXPECT_TRUE(Code[I] == Fresh.Code[I]) << I;
+  EXPECT_TRUE(C.block(B)->Code == Fresh.Code) << "only A's slot was chained";
   EXPECT_EQ(C.Stats.ChainsMade, 1u);
   EXPECT_EQ(C.Stats.ChainsWithElision, 1u);
   EXPECT_EQ(C.Stats.ElidedSyncInstrs, 2u);
@@ -122,7 +112,7 @@ TEST(CodeCache, ChainWithoutElisionKeepsFlagSave) {
   const int A = C.insert(makeBlock(0x1000), 0, 0);
   const int B = C.insert(makeBlock(0x2000), 0, 0);
   EXPECT_TRUE(C.chain(A, 0, B, /*ElideFlagSave=*/false));
-  EXPECT_FALSE(C.block(A)->Code[1].Dead);
+  EXPECT_TRUE(C.block(A)->Code == makeBlock(0x1000).Code);
   EXPECT_EQ(C.Stats.ChainsWithElision, 0u);
   EXPECT_EQ(C.Stats.ElidedSyncInstrs, 0u);
 }
@@ -170,18 +160,14 @@ TEST(CodeCache, InvalidationUnlinksIncomingChainsAndRevivesFlagSave) {
   const int A = C.insert(makeBlock(0x1000), 0, 0);
   const int B = C.insert(makeBlock(0x2000), 0, 1);
   ASSERT_TRUE(C.chain(A, 0, B, /*ElideFlagSave=*/true));
-  ASSERT_TRUE(C.block(A)->Code[1].Dead);
+  ASSERT_FALSE(C.block(A)->Code == makeBlock(0x1000).Code);
 
   C.invalidateAsid(1); // drops B, must unlink A -> B
   ASSERT_NE(C.block(A), nullptr);
   EXPECT_EQ(C.block(A)->Chains[0].TargetTb, -1)
       << "chain into the dropped block must be reset";
-  EXPECT_FALSE(C.block(A)->Code[1].Dead)
-      << "elided flag-save must be resurrected on unlink";
-  EXPECT_FALSE(C.block(A)->Code[2].Dead);
-  EXPECT_TRUE(sameInsts(freshExec(*C.block(A)), C.block(A)->Exec))
-      << "the revived flag-save must be executed again";
-  EXPECT_TRUE(C.block(A)->Exec[1].Op == host::HOp::CoordRun);
+  EXPECT_TRUE(C.block(A)->Code == makeBlock(0x1000).Code)
+      << "the elided flag-save must be resurrected on unlink, exactly";
   EXPECT_EQ(C.Stats.ChainsUnlinked, 1u);
   EXPECT_EQ(C.Stats.ElisionsReverted, 1u);
 
@@ -267,7 +253,7 @@ TEST(CodeCache, FindAfterPartialFlushKeepsSurvivors) {
 }
 
 //===----------------------------------------------------------------------===//
-// The executed form of every block a workload translates
+// The code of every block a workload translates
 //===----------------------------------------------------------------------===//
 
 /// Cycles HostMachine::run charges for \p H before a helper's own cost
@@ -292,21 +278,43 @@ bool fusable(const host::HInst &H) {
   return H.Op == host::HOp::CoordRun || host::isCoordination(H);
 }
 
-/// Checks that \p B.Exec runs \p B.Code's live instructions at the same
-/// cost per class, that nothing in it is dead or left to fuse, that its
-/// jumps land on ops and its probes keep their calls, and that it is what
-/// a fresh lowering builds. Returns its number of coordination runs.
-unsigned checkExecForm(const host::HostBlock &B, const std::string &Where) {
+/// Checks that \p B's code, as HostMachine::run dispatches it (a CoordRun
+/// header and its run are one op; an elided flag save's chain slot, moved
+/// to the range's start, skips the range), charges what its live
+/// instructions charge per class: each header the cycles and markers of
+/// its run, with nothing but coordination instructions in it and nothing
+/// left to fuse. Also checks that its jumps land on ops, its probes keep
+/// their calls and each flag-save range is elided or intact. Returns its
+/// number of coordination runs.
+unsigned checkCode(const host::HostBlock &B, const std::string &Where) {
   using host::HOp;
-  const std::vector<host::HInst> &X = B.Exec;
+  const std::vector<host::HInst> &X = B.Code;
+  std::vector<bool> Elided(X.size(), false); // the skipped instructions
+  for (int S = 0; S < 2; ++S) {
+    const host::HostBlock::Chain &Ch = B.Chains[S];
+    if (Ch.FlagSaveBegin < 0)
+      continue;
+    const host::HInst &First = X[Ch.FlagSaveBegin];
+    const host::HInst &Last = X[Ch.FlagSaveEnd];
+    if (First.Op == HOp::ChainSlot) {
+      EXPECT_EQ(S, First.Imm) << Where;
+      EXPECT_GE(Ch.TargetTb, 0) << Where << ": elided, yet not chained";
+      EXPECT_TRUE(Last.Op == HOp::Marker) << Where;
+      for (int I = Ch.FlagSaveBegin + 1; I <= Ch.FlagSaveEnd; ++I)
+        Elided[I] = true;
+    } else {
+      EXPECT_TRUE(First.Op == HOp::Marker && Last.Op == HOp::ChainSlot &&
+                  Last.Imm == S)
+          << Where << " slot " << S;
+      EXPECT_TRUE(host::isCoordination(X[Ch.FlagSaveBegin - 1]))
+          << Where << ": the flag save opens its run";
+    }
+  }
   uint64_t CodeCycles[host::NumCostClasses] = {};
   uint64_t ExecCycles[host::NumCostClasses] = {};
-  size_t LiveCode = 0, ExecInstrs = 0;
-  for (const host::HInst &H : B.Code)
-    if (!H.Dead) {
-      ++LiveCode;
-      CodeCycles[static_cast<unsigned>(H.Cls)] += staticCycles(H);
-    }
+  for (size_t I = 0; I < X.size(); ++I)
+    if (X[I].Op != HOp::CoordRun && !Elided[I])
+      CodeCycles[static_cast<unsigned>(X[I].Cls)] += staticCycles(X[I]);
 
   std::vector<size_t> Ops; // indices of the ops run dispatches
   std::vector<bool> IsOp(X.size(), false);
@@ -315,30 +323,32 @@ unsigned checkExecForm(const host::HostBlock &B, const std::string &Where) {
     const host::HInst &H = X[I];
     Ops.push_back(I);
     IsOp[I] = true;
-    EXPECT_FALSE(H.Dead) << Where << " op " << I;
     if (H.Op != HOp::CoordRun) {
-      ++ExecInstrs;
       ExecCycles[static_cast<unsigned>(H.Cls)] += staticCycles(H);
       if (H.Op == HOp::Probe)
         EXPECT_TRUE(I + 1 < X.size() && X[I + 1].Op == HOp::CallHelper)
             << Where << " probe " << I << " lost its call";
       ++I;
+      while (I < X.size() && Elided[I])
+        ++I;
       continue;
     }
     ++Runs;
-    EXPECT_GE(H.Slot, 2u) << Where << " op " << I;
-    if (I + 1 + H.Slot > X.size()) {
+    if (I + 1 + H.Slot >= X.size()) {
       ADD_FAILURE() << Where << " run " << I << " overruns the block";
       return Runs;
     }
+    // An elision cuts the run before the flag save, down to one
+    // instruction where only the exit's marker precedes it.
+    const bool Cut = X[I + 1 + H.Slot].Op == HOp::ChainSlot &&
+                     B.Chains[X[I + 1 + H.Slot].Imm].FlagSaveBegin ==
+                         static_cast<int>(I + 1 + H.Slot);
+    EXPECT_GE(H.Slot, Cut ? 1u : 2u) << Where << " op " << I;
     uint64_t Cycles[host::NumCostClasses] = {}, Markers = 0;
     for (size_t K = I + 1; K <= I + H.Slot; ++K) {
       const host::HInst &Item = X[K];
-      EXPECT_TRUE(host::isCoordination(Item) && !Item.Dead)
-          << Where << " item " << K;
-      ++ExecInstrs;
+      EXPECT_TRUE(host::isCoordination(Item)) << Where << " item " << K;
       Cycles[static_cast<unsigned>(Item.Cls)] += staticCycles(Item);
-      ExecCycles[static_cast<unsigned>(Item.Cls)] += staticCycles(Item);
       Markers += Item.Op == HOp::Marker;
     }
     EXPECT_EQ(Cycles[static_cast<unsigned>(host::CostClass::Sync)],
@@ -348,9 +358,10 @@ unsigned checkExecForm(const host::HostBlock &B, const std::string &Where) {
               static_cast<uint64_t>(H.Target))
         << Where << " run " << I;
     EXPECT_EQ(Markers, H.Helper) << Where << " run " << I;
+    ExecCycles[static_cast<unsigned>(host::CostClass::Sync)] += H.Imm;
+    ExecCycles[static_cast<unsigned>(host::CostClass::Glue)] += H.Target;
     I += H.Slot + 1u;
   }
-  EXPECT_EQ(LiveCode, ExecInstrs) << Where;
   for (unsigned C = 0; C < host::NumCostClasses; ++C)
     EXPECT_EQ(CodeCycles[C], ExecCycles[C]) << Where << " class " << C;
 
@@ -369,7 +380,6 @@ unsigned checkExecForm(const host::HostBlock &B, const std::string &Where) {
                  !Landing[Ops[K]])
         << Where << " ops " << Ops[K - 1] << " and " << Ops[K]
         << " are one unfused run";
-  EXPECT_TRUE(sameInsts(freshExec(B), X)) << Where;
   return Runs;
 }
 
@@ -381,20 +391,22 @@ TEST(CodeCache, ExecutedFormOfEveryTranslatedBlockIsExact) {
     const vm::RunReport R = V.run();
     ASSERT_TRUE(R.Ok) << Spec;
     const auto Img = V.engine()->codeCache().capture();
-    size_t Blocks = 0, WithDead = 0, Runs = 0;
+    size_t Blocks = 0, WithElided = 0, Runs = 0;
     for (const CodeCache::Entry &E : Img->Entries) {
       if (!E.Block)
         continue;
       ++Blocks;
-      WithDead += std::any_of(E.Block->Code.begin(), E.Block->Code.end(),
-                              [](const host::HInst &H) { return H.Dead; });
-      Runs += checkExecForm(*E.Block, std::string(Spec) + " tb @ " +
-                                          std::to_string(E.Block->GuestPc));
+      for (const host::HostBlock::Chain &Ch : E.Block->Chains)
+        WithElided += Ch.FlagSaveBegin >= 0 &&
+                      E.Block->Code[Ch.FlagSaveBegin].Op ==
+                          host::HOp::ChainSlot;
+      Runs += checkCode(*E.Block, std::string(Spec) + " tb @ " +
+                                      std::to_string(E.Block->GuestPc));
     }
     EXPECT_GT(Blocks, 10u) << Spec;
     const std::string Kind(Spec);
     if (Kind.rfind("rule:scheduling", 0) == 0)
-      EXPECT_GT(WithDead, 0u) << Spec << ": no chain elided a flag save";
+      EXPECT_GT(WithElided, 0u) << Spec << ": no chain elided a flag save";
     if (Kind.rfind("rule", 0) == 0) {
       EXPECT_GT(Runs, Blocks) << Spec;
     } else {

@@ -7,6 +7,7 @@
 #include "host/HostDisasm.h"
 #include "host/HostEmitter.h"
 #include "host/HostMachine.h"
+#include "dbt/CodeCache.h"
 #include "dbt/SoftmmuEmit.h"
 #include "rules/RuleSet.h"
 #include "support/Cond.h"
@@ -85,7 +86,6 @@ protected:
     E.movRI(5, Value);
     dbt::emitInlineAccess(E, 4, 5, 4, IsLoad);
     E.exitTb(ExitReason::Lookup);
-    lower(Src.B);
     M.run(Src, 0);
     Helpers = M.Counters.HelperCalls;
     return IsLoad ? M.reg(5) : 0;
@@ -144,7 +144,6 @@ TEST_F(HostFixture, AluAndFlagsArmPolarity) {
   E.setCc(1, HCond::Cc);                     // x86 "b": C clear
   E.setCc(2, HCond::Mi);
   E.exitTb(ExitReason::Lookup);
-  lower(Src.B);
   const RunResult R = Machine.run(Src, 0);
   EXPECT_EQ(R.Reason, ExitReason::Lookup);
   EXPECT_EQ(Machine.reg(0), 5u - 7u);
@@ -164,7 +163,6 @@ TEST_F(HostFixture, PackUnpackFlagsRoundTrip) {
   E.setCc(3, HCond::Eq);
   E.setCc(4, HCond::Cs);
   E.exitTb(ExitReason::Lookup);
-  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(Machine.reg(3), 1u);
   EXPECT_EQ(Machine.reg(4), 1u);
@@ -181,7 +179,6 @@ TEST_F(HostFixture, EnvSlotsAndHelperCalls) {
   E.setClass(CostClass::User);
   E.stEnv(sys::envSlotReg(8), 2);
   E.exitTb(ExitReason::Lookup);
-  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(LastHelper, 9u);
   EXPECT_EQ(Board.Env.Regs[8], 0xAA55u + 3u);
@@ -208,7 +205,6 @@ TEST_F(HostFixture, TlbProbeAndGuestAccess) {
   E.movRI(4, Va);
   dbt::emitInlineAccess(E, 4, 5, 4, /*IsLoad=*/true);
   E.exitTb(ExitReason::Lookup);
-  lower(Src.B);
   Machine.run(Src, 0);
   EXPECT_EQ(Machine.reg(5), 0x13579BDFu);
   EXPECT_EQ(Machine.Counters.HelperCalls, 0u) << "hit path, no helper";
@@ -362,7 +358,6 @@ TEST(InlineProbe, ChargesAndOrdersLikeTheTwelveInstructionSequence) {
             M.setPackedFlags(FlagsInit);
             M.NextDeadline = Deadline;
             M.MaxInstrsPerRun = MaxInstrs;
-            lower(Src.B);
             const RunResult R = M.run(Src, 0);
             return std::make_pair(R, M);
           };
@@ -477,7 +472,6 @@ TEST_F(HostFixture, SetCcAndJccFollowTheArmConditions) {
       E.movRI(2, 0);
       E.patchHere(Taken);
       E.exitTb(ExitReason::Lookup);
-      lower(Src.B);
       Machine.run(Src, 0);
       const bool Expected =
           armConditionHolds(Cond, Nzcv & 8, Nzcv & 4, Nzcv & 2, Nzcv & 1);
@@ -546,24 +540,45 @@ TEST_F(HostFixture, ChainSlotFallsThroughWhenUnresolved) {
   E.chainSlot(0, 0x2000);
   E.stEnvI(sys::envSlotReg(15), 0x2000);
   E.exitTbNeedTranslate(0);
-  lower(Src.B);
   const RunResult R = Machine.run(Src, 0);
   EXPECT_EQ(R.Reason, ExitReason::NeedTranslate);
   EXPECT_EQ(R.FromChainSlot, 0);
   EXPECT_EQ(Board.Env.Regs[15], 0x2000u);
 }
 
-TEST_F(HostFixture, DeadInstructionsCostNothing) {
-  OneBlock Src;
-  HostEmitter E(Src.B);
-  E.movRI(0, 1);
-  const int DeadIdx = E.movRI(0, 2);
-  E.exitTb(ExitReason::Lookup);
-  Src.B.Code[DeadIdx].Dead = true;
-  lower(Src.B);
-  Machine.run(Src, 0);
-  EXPECT_EQ(Machine.reg(0), 1u);
-  EXPECT_EQ(Machine.Counters.Wall, 2u); // mov + exit only
+// A flag save that chain-time elision skips costs nothing: the exit's
+// chain slot, moved to the save's start, leaves before it.
+TEST_F(HostFixture, ElidedFlagSaveCostsNothing) {
+  for (bool Elide : {false, true}) {
+    host::HostBlock A;
+    HostEmitter E(A);
+    E.movRI(0, 1);
+    E.setClass(CostClass::Sync);
+    E.marker(MarkerKind::SyncOp);
+    E.stEnv(sys::envSlotReg(1), 1);
+    A.Chains[0].FlagSaveBegin = E.marker(MarkerKind::SyncOp);
+    E.movRI(0, 2);
+    E.stEnv(sys::envSlotReg(2), 0);
+    E.setClass(CostClass::Glue);
+    A.Chains[0].FlagSaveEnd = E.chainSlot(0, 0x2000);
+    E.exitTbNeedTranslate(0);
+    host::HostBlock Next;
+    Next.GuestPc = 0x2000;
+    HostEmitter(Next).exitTb(ExitReason::Lookup);
+
+    dbt::CodeCache C;
+    const int From = C.insert(std::move(A), 0, 0);
+    ASSERT_TRUE(C.chain(From, 0, C.insert(std::move(Next), 0, 0), Elide));
+    Machine.setReg(0, 0);
+    Machine.Counters = ExecCounters();
+    Machine.run(C, From);
+    EXPECT_EQ(Elide ? 1u : 2u, Machine.reg(0)) << Elide;
+    // mov, the run before the save, the chain slot and the exit; the save
+    // adds mov and env store.
+    EXPECT_EQ(Elide ? 4u : 6u, Machine.Counters.Wall) << Elide;
+    EXPECT_EQ(Elide ? 1u : 2u, Machine.Counters.SyncOps) << Elide;
+    EXPECT_EQ(1u, Machine.Counters.ChainFollows) << Elide;
+  }
 }
 
 /// Env, helper and device clock of the coordination-run tests: a small
@@ -602,9 +617,9 @@ public:
 };
 
 /// The per-instruction executor the coordination-run tests hold the host
-/// machine to, over the opcodes their blocks use: every live instruction
-/// is counted against the runaway limit, charged, checked against the
-/// deadline and applied, in order.
+/// machine to, over the opcodes their blocks use: it steps over CoordRun
+/// headers, and counts every instruction against the runaway limit,
+/// charges it, checks it against the deadline and applies it, in order.
 struct CoordModel {
   CoordRig Rig;
   uint32_t R[NumHostRegs] = {};
@@ -613,7 +628,9 @@ struct CoordModel {
   RunResult Result;
   uint64_t Executed = 0;
 
-  void run(const HostBlock &B, uint64_t Deadline, uint64_t MaxInstrs) {
+  void run(const CodeSource &Src, uint64_t Deadline, uint64_t MaxInstrs) {
+    const HostBlock *B = Src.block(0);
+    int Tb = 0;
     ++C.TbEntries;
     uint64_t Next = Deadline;
     auto Charge = [&](const HInst &H, uint64_t Cost) {
@@ -623,11 +640,11 @@ struct CoordModel {
         Next = Rig.onWall(C.Wall);
     };
     for (size_t I = 0;;) {
-      const HInst &H = B.Code[I++];
-      if (H.Dead)
+      const HInst &H = B->Code[I++];
+      if (H.Op == HOp::CoordRun)
         continue;
       if (++Executed > MaxInstrs) {
-        Result = {ExitReason::Shutdown, 0, 0, 0};
+        Result = {ExitReason::Shutdown, 0, Tb, 0};
         return;
       }
       switch (H.Op) {
@@ -679,12 +696,20 @@ struct CoordModel {
         Charge(H, Out.Cost);
         break;
       }
-      case HOp::ChainSlot: // unresolved: falls into the exit glue
+      case HOp::ChainSlot: {
         Charge(H, 1);
+        const int To = B->Chains[H.Imm].TargetTb;
+        if (To < 0)
+          break; // unresolved: falls into the exit glue
+        B = Src.block(Tb = To);
+        I = 0;
+        ++C.TbEntries;
+        ++C.ChainFollows;
         break;
+      }
       case HOp::ExitTb:
         Charge(H, 1);
-        Result = {static_cast<ExitReason>(H.Imm), 0, 0, H.Src};
+        Result = {static_cast<ExitReason>(H.Imm), 0, Tb, H.Src};
         return;
       default:
         FAIL() << "the model does not run " << hopName(H.Op);
@@ -708,19 +733,21 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
     const char *Name;
     HostBlock B;
     uint32_t R1 = 0;
+    HostBlock Next; ///< block 1, a chain target
   };
   std::vector<Case> Cases;
   auto Emitter = [&](const char *Name, uint32_t R1 = 0) {
-    Cases.push_back({Name, HostBlock(), R1});
+    Cases.push_back({Name, HostBlock(), R1, HostBlock()});
     return HostEmitter(Cases.back().B);
   };
   auto PackedSave = [&](HostEmitter &E) {
     const CostClass Saved = E.setClass(CostClass::Sync);
-    E.marker(MarkerKind::SyncOp);
+    const int Begin = E.marker(MarkerKind::SyncOp);
     E.packF(T0);
     E.stEnv(Packed, T0);
     E.stEnvI(Valid, 1);
     E.setClass(Saved);
+    return Begin;
   };
   auto HelperBracket = [&](HostEmitter &E) {
     E.movRI(3, 0x3333);
@@ -732,7 +759,6 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
     E.setClass(CostClass::Glue);
     E.stEnvI(Pc, 0x8000);
     E.setClass(CostClass::User);
-    const int FlagSave = E.here();
     PackedSave(E);
     E.setClass(CostClass::Helper);
     E.callHelper(dbt::HelperEmulate);
@@ -740,7 +766,6 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
     E.ldEnv(3, CoordRig::HelperWrites);
     E.setClass(CostClass::Glue);
     E.exitTb(ExitReason::Lookup);
-    return FlagSave;
   };
 
   {
@@ -757,11 +782,36 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
     HostEmitter E = Emitter("register save and PC store before a helper");
     HelperBracket(E);
   }
-  {
-    HostEmitter E = Emitter("dead flag save inside a run");
-    const int FlagSave = HelperBracket(E);
-    for (int I = FlagSave; I < FlagSave + 4; ++I)
-      Cases.back().B.Code[I].Dead = true;
+  for (bool MarkerAlone : {false, true}) {
+    // Register save and PC store, then the exit's flag save, elided by
+    // chaining the exit to block 1. With the exit's marker alone before
+    // the save, elision cuts the run to that one instruction.
+    HostEmitter E = Emitter(MarkerAlone
+                                ? "elided flag save behind a lone marker"
+                                : "elided flag save inside a run");
+    HostBlock &B = Cases.back().B;
+    E.movRI(1, 0x80000000u);
+    E.testRR(1, 1); // N
+    E.movRI(3, 0x3333);
+    E.setClass(CostClass::Sync);
+    E.marker(MarkerKind::SyncOp);
+    if (!MarkerAlone) {
+      E.stEnv(3, 3);
+      E.setClass(CostClass::Glue);
+      E.stEnvI(Pc, 0x2000);
+    }
+    B.Chains[0].FlagSaveBegin = PackedSave(E);
+    B.Chains[0].FlagSaveEnd = E.chainSlot(0, 0x2000);
+    E.exitTbNeedTranslate(0);
+    Cases.back().Next.GuestPc = 0x2000;
+    HostEmitter(Cases.back().Next).exitTb(ExitReason::Lookup);
+    dbt::CodeCache C;
+    const int From = C.insert(B, 0, 0);
+    EXPECT_TRUE(C.chain(From, 0, C.insert(Cases.back().Next, 0, 0), true));
+    B = *C.block(From);
+    ASSERT_EQ(1, B.Chains[0].TargetTb);
+    ASSERT_TRUE(B.Code[3].Op == HOp::CoordRun);
+    ASSERT_EQ(MarkerAlone ? 1u : 3u, B.Code[3].Slot);
   }
   {
     HostEmitter E = Emitter("packed restore");
@@ -793,14 +843,13 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
 
   unsigned Runs = 0;
   for (Case &K : Cases) {
-    lower(K.B);
     struct : CodeSource {
-      const HostBlock *B = nullptr;
+      const Case *K = nullptr;
       const HostBlock *block(int Id) const override {
-        return Id == 0 ? B : nullptr;
+        return Id == 0 ? &K->B : Id == 1 ? &K->Next : nullptr;
       }
     } Src;
-    Src.B = &K.B;
+    Src.K = &K;
     auto Init = [&](CoordModel &M) {
       for (unsigned R = 0; R < NumHostRegs; ++R)
         M.R[R] = 0x700 + R;
@@ -809,7 +858,7 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
     };
     CoordModel Whole;
     Init(Whole);
-    Whole.run(K.B, ~0ull, ~0ull);
+    Whole.run(Src, ~0ull, ~0ull);
     ASSERT_TRUE(Whole.Rig.Walls.empty()) << K.Name;
 
     auto Check = [&](uint64_t Deadline, uint64_t MaxInstrs) {
@@ -818,7 +867,7 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
                                 std::to_string(MaxInstrs);
       CoordModel Want;
       Init(Want);
-      Want.run(K.B, Deadline, MaxInstrs);
+      Want.run(Src, Deadline, MaxInstrs);
 
       CoordModel Got;
       Init(Got);
@@ -843,6 +892,7 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
       EXPECT_EQ(Want.C.SyncOps, M.Counters.SyncOps) << Where;
       EXPECT_EQ(Want.C.HelperCalls, M.Counters.HelperCalls) << Where;
       EXPECT_EQ(Want.C.TbEntries, M.Counters.TbEntries) << Where;
+      EXPECT_EQ(Want.C.ChainFollows, M.Counters.ChainFollows) << Where;
       EXPECT_TRUE(Want.Rig.Walls == Got.Rig.Walls)
           << Where << ": onWall times or the env they saw";
       EXPECT_TRUE(Want.Rig.Seen == Got.Rig.Seen)
@@ -862,47 +912,58 @@ TEST(ExecForm, CoordinationRunChargesLikeItsInstructions) {
     for (uint64_t Limit = 0; Limit <= Whole.Executed; ++Limit)
       Check(~0ull, Limit);
   }
-  EXPECT_EQ(6u, Cases.size());
-  EXPECT_GT(Runs, 6u * 10u);
+  EXPECT_EQ(7u, Cases.size());
+  EXPECT_GT(Runs, 7u * 10u);
 }
 
-// The shape lower() gives a block: Dead ops gone, a CoordRun before each
-// run of two or more coordination instructions, a run split where a jump
-// lands, jumps remapped; a block with nothing to drop or fuse is copied.
-TEST(ExecForm, LowerFusesRunsSplitsThemAtJumpTargetsAndDropsDeadOps) {
+// The shape HostEmitter gives a block: a CoordRun in front of each run of
+// two or more coordination instructions, a run split where a jump lands
+// (the jump then lands on the second run's header), nothing fused across
+// another op, and no header for one coordination instruction alone.
+TEST(ExecForm, EmitterFusesRunsAndSplitsThemAtLandings) {
   HostBlock B;
   HostEmitter E(B);
   E.testRR(1, 1);
   const int Skip = E.jcc(HCond::Eq);
   E.setClass(CostClass::Sync);
   E.marker(MarkerKind::SyncOp);
-  E.stEnv(1, 1);
+  EXPECT_EQ(4, E.stEnv(1, 1)) << "the header goes in front of the marker";
   E.patchHere(Skip);
   E.marker(MarkerKind::SyncOp);
   E.packF(ScratchReg0);
   E.setClass(CostClass::Glue);
   E.stEnvI(15, 0x8000);
   E.setClass(CostClass::User);
-  const int Dead = E.movRI(2, 0);
+  E.movRI(2, 0);
+  E.setClass(CostClass::Sync);
+  E.stEnv(2, 2);
+  const int Label = E.label();
+  E.stEnv(3, 3);
+  E.ldEnv(4, 4);
+  E.setClass(CostClass::Glue);
   E.exitTb(ExitReason::Lookup);
-  B.Code[Dead].Dead = true;
-  lower(B);
 
   const std::vector<HOp> Ops = {
-      HOp::Test,   HOp::Jcc,      HOp::CoordRun, HOp::Marker, HOp::StEnv,
-      HOp::CoordRun, HOp::Marker, HOp::PackF,    HOp::StEnvI, HOp::ExitTb};
-  ASSERT_EQ(Ops.size(), B.Exec.size());
+      HOp::Test,     HOp::Jcc,    HOp::CoordRun, HOp::Marker,
+      HOp::StEnv,    HOp::CoordRun, HOp::Marker, HOp::PackF,
+      HOp::StEnvI,   HOp::Mov,    HOp::StEnv,    HOp::CoordRun,
+      HOp::StEnv,    HOp::LdEnv,  HOp::ExitTb};
+  ASSERT_EQ(Ops.size(), B.Code.size());
   for (size_t I = 0; I < Ops.size(); ++I)
-    EXPECT_TRUE(Ops[I] == B.Exec[I].Op) << I << ": " << hopName(B.Exec[I].Op);
-  EXPECT_EQ(5, B.Exec[1].Target) << "the jump lands on the second run";
-  EXPECT_EQ(2u, B.Exec[2].Slot);
-  EXPECT_EQ(1, B.Exec[2].Imm);
-  EXPECT_EQ(0, B.Exec[2].Target);
-  EXPECT_EQ(1u, B.Exec[2].Helper);
-  EXPECT_EQ(3u, B.Exec[5].Slot);
-  EXPECT_EQ(2, B.Exec[5].Imm) << "packf: 2 sync cycles";
-  EXPECT_EQ(1, B.Exec[5].Target) << "the PC store: 1 glue cycle";
-  EXPECT_EQ(1u, B.Exec[5].Helper);
+    EXPECT_TRUE(Ops[I] == B.Code[I].Op) << I << ": " << hopName(B.Code[I].Op);
+  EXPECT_EQ(5, B.Code[1].Target) << "the jump lands on the second run";
+  EXPECT_EQ(2u, B.Code[2].Slot);
+  EXPECT_EQ(1, B.Code[2].Imm);
+  EXPECT_EQ(0, B.Code[2].Target);
+  EXPECT_EQ(1u, B.Code[2].Helper);
+  EXPECT_EQ(3u, B.Code[5].Slot);
+  EXPECT_EQ(2, B.Code[5].Imm) << "packf: 2 sync cycles";
+  EXPECT_EQ(1, B.Code[5].Target) << "the PC store: 1 glue cycle";
+  EXPECT_EQ(1u, B.Code[5].Helper);
+  EXPECT_EQ(11, Label) << "a label taken before a run ends on its header";
+  EXPECT_EQ(2u, B.Code[11].Slot) << "the run does not span the label";
+  EXPECT_EQ(2, B.Code[11].Imm);
+  EXPECT_EQ(0u, B.Code[11].Helper);
 
   HostBlock Plain;
   HostEmitter P(Plain);
@@ -911,12 +972,11 @@ TEST(ExecForm, LowerFusesRunsSplitsThemAtJumpTargetsAndDropsDeadOps) {
   P.setClass(CostClass::Sync);
   P.stEnv(5, 5); // one coordination instruction is no run
   P.exitTb(ExitReason::Lookup);
-  lower(Plain);
-  ASSERT_EQ(Plain.Code.size(), Plain.Exec.size());
-  for (size_t I = 0; I < Plain.Code.size(); ++I)
-    EXPECT_TRUE(Plain.Code[I].Op == Plain.Exec[I].Op &&
-                Plain.Code[I].Target == Plain.Exec[I].Target)
-        << I;
+  const std::vector<HOp> PlainOps = {HOp::Mov, HOp::Probe, HOp::CallHelper,
+                                     HOp::StEnv, HOp::ExitTb};
+  ASSERT_EQ(PlainOps.size(), Plain.Code.size());
+  for (size_t I = 0; I < PlainOps.size(); ++I)
+    EXPECT_TRUE(PlainOps[I] == Plain.Code[I].Op) << I;
 }
 
 TEST(RuleSetTest, ReferenceRulesMatchAndEmit) {

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "host/HostEmitter.h"
 #include "rules/Learner.h"
 #include "rules/SymExec.h"
 #include "support/Rng.h"
@@ -134,6 +135,58 @@ TEST(Learner, AliasingAuditAddsDistinctConstraint) {
   Binding B;
   EXPECT_FALSE(matchRule(R, &I, 1, B))
       << "rule must refuse the aliased binding";
+}
+
+// add r0, r1, r0, lsl #3 writes the register it shifts. The learned
+// sequence copies that register to the scratch before it writes the
+// destination, so the statement learns. Its rule takes rd and rm as one
+// parameter, and is right under every binding of that parameter and rn,
+// aliased or not.
+TEST(Learner, ShiftedOperandLearnsWhenItIsTheDestination) {
+  arm::Inst I;
+  I.Op = arm::Opcode::ADD;
+  I.Rd = 0;
+  I.Rn = 1;
+  I.Op2 = arm::Operand2::shiftedReg(0, arm::ShiftKind::LSL, 3);
+  TrainStmt S;
+  ASSERT_TRUE(statementFromInst(I, S));
+  ASSERT_TRUE(S.K == TrainStmt::Kind::BinShift);
+  std::vector<Rule> Out;
+  const LearnOutcome O = learnFromStatement(S, Out);
+  EXPECT_TRUE(O.Compiled);
+  EXPECT_TRUE(O.Verified);
+  ASSERT_TRUE(O.Parameterized);
+  ASSERT_EQ(1u, Out.size());
+  const Rule &R = Out[0];
+
+  unsigned Matched = 0;
+  for (uint8_t Rd = 0; Rd < 3; ++Rd)
+    for (uint8_t Rn = 0; Rn < 3; ++Rn)
+      for (uint8_t Rm = 0; Rm < 3; ++Rm) {
+        arm::Inst G = I;
+        G.Rd = Rd;
+        G.Rn = Rn;
+        G.Op2 = arm::Operand2::shiftedReg(Rm, arm::ShiftKind::LSL, 3);
+        const std::string Where = "add r" + std::to_string(Rd) + ", r" +
+                                  std::to_string(Rn) + ", r" +
+                                  std::to_string(Rm) + ", lsl #3";
+        Binding B;
+        const bool Match = matchRule(R, &G, 1, B);
+        EXPECT_EQ(Rd == Rm, Match) << Where;
+        if (!Match)
+          continue;
+        ++Matched;
+        host::HostBlock HB;
+        host::HostEmitter E(HB);
+        emitRule(R, B, E);
+        SymState Gs = SymState::initial(), Hs = SymState::initial();
+        ASSERT_TRUE(symExecGuest(G, Gs)) << Where;
+        for (const host::HInst &HI : HB.Code)
+          ASSERT_TRUE(symExecHost(HI, Hs)) << Where;
+        EXPECT_TRUE(statesEquivalent(Gs, Hs, 0x01FF, /*CheckFlags=*/true))
+            << Where;
+      }
+  EXPECT_EQ(9u, Matched);
 }
 
 TEST(Learner, PipelineProducesMergedClasses) {
